@@ -209,34 +209,31 @@ def _cmd_classify(args) -> int:
 def _verify_lift(payload) -> list[str]:
     problems = []
     inp = payload["input"]
-    f, p, N = inp["poly"], inp["prime"], inp["precision"]
-    modulus = p ** N
+    f, p, N = inp["poly"], _require_prime(inp["prime"]), inp["precision"]
     for entry in payload["roots"]:
         root = PadicInt.from_json(entry["root"])
         if root.residue != int(entry["residue"]):
             problems.append(f"digit vector does not reconstruct residue {entry['residue']}")
-        if polys.evaluate(f, root.residue) % modulus != 0:
+        if hensel.residual_valuation(f, root.residue, p) < N:
             problems.append(f"f({root.residue}) != 0 mod {p}^{N}")
     return problems
 
 
 def _verify_factor(payload) -> list[str]:
-    problems = []
-    order = payload["input"]["order"]
-    eff = payload["effective_coeffs"]
-    prod = polys.mul(payload["A"], payload["B"])
-    for j in range(order + 1):
-        lhs = prod[j] if j < len(prod) else 0
-        if lhs != eff[j]:
-            problems.append(f"(A*B)[{j}] = {lhs} != f[{j}] = {eff[j]}")
-    if payload["A"][0] * payload["B"][0] != payload["p"] ** payload["w"]:
+    rep = factorize.check_product(payload["A"], payload["B"], payload["effective_coeffs"],
+                                  payload["input"]["order"], payload["p"] ** payload["w"])
+    problems = [f"(A*B)[{j}] = {lhs} != f[{j}] = {rhs}" for j, lhs, rhs in rep.mismatches]
+    if not rep.constant_ok:
         problems.append("A(0)*B(0) != p^w")
     return problems
 
 
 def _cmd_verify(args) -> int:
     raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
-    payload = json.loads(raw)
+    try:
+        payload = json.loads(raw)
+    except ValueError as exc:
+        raise UsageError(f"payload is not valid JSON: {exc}") from exc
     kind = payload.get("kind")
     if kind == "lift":
         problems = _verify_lift(payload)

@@ -22,7 +22,7 @@ a spuriously vanishing derivative and give up).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
@@ -31,7 +31,7 @@ from .bigmath import INFINITY, iroot, is_prime, vp, vp_rat
 from .errors import DomainError
 from .hensel import EvenPrime, LiftReport, lift_general
 from .padic import PadicInt
-from .series import Series
+from .series import Series, lagrange_sum
 
 
 class WrongShape(DomainError):
@@ -227,6 +227,15 @@ class RootDigits:
     def bell_args(self) -> list:
         return [math.factorial(j) * e for j, e in enumerate(self.digits, start=1)]
 
+    def bell_table(self, n_max: int) -> BellTable:
+        """B(n, k) on :meth:`bell_args` for n <= max(n_max, digit count),
+        built once per instance and shared by the a, t and T streams."""
+        table = vars(self).get("_bell")
+        if table is None or table.n_max < n_max:
+            table = BellTable(self.bell_args(), max(n_max, len(self.digits)))
+            object.__setattr__(self, "_bell", table)
+        return table
+
     def reconstruct(self, precision: int) -> int:
         blk = self.p ** self.ell
         u = 0
@@ -268,42 +277,16 @@ def a_coeffs(e: RootDigits, M: int) -> list[int]:
     """a_n = (1/n!) sum_k (-1)^k (n+k)!/(n+1)! B(n,k)(1! e_1, 2! e_2, ...),
     n = 1..M; these are the coefficients of the compositional inverse of
     x*E(x) and are provably integers."""
-    table = BellTable(e.bell_args(), M)
-    out = []
-    for n in range(1, M + 1):
-        acc = Fraction(0)
-        nfac = math.factorial(n)
-        np1fac = math.factorial(n + 1)
-        for k in range(1, n + 1):
-            b = table.value(n, k)
-            if b:
-                acc += (-1) ** k * Fraction(math.factorial(n + k)) / np1fac * b
-        out.append(_as_int(acc / nfac, f"a_{n}"))
-    return out
+    table = e.bell_table(M)
+    return [_as_int(lagrange_sum(table, n, n) / math.factorial(n), f"a_{n}")
+            for n in range(1, M + 1)]
 
 
 def t_coeffs(e: RootDigits, M: int) -> list[int]:
     """Reciprocal coefficients t_n of Ahat = 1 - x - x sum p^(ell n) a_n x^n:
-
-    t_n = 1 + sum_k p^(ell k) (n+1-k)/k! sum_j (-1)^j (n+j)!/(n+1)!
-          B(k,j)(1! e_1, 2! e_2, ...), integers by the reciprocal lemma.
-    """
-    table = BellTable(e.bell_args(), M)
+    t_n = T_n(p^ell), integers by the reciprocal lemma (T_n: :func:`tn_series`)."""
     pl = e.p ** e.ell
-    out = []
-    for n in range(1, M + 1):
-        acc = Fraction(1)
-        np1fac = math.factorial(n + 1)
-        for k in range(1, n + 1):
-            inner = Fraction(0)
-            for j in range(1, k + 1):
-                b = table.value(k, j)
-                if b:
-                    inner += (-1) ** j * Fraction(math.factorial(n + j)) / np1fac * b
-            if inner:
-                acc += pl ** k * Fraction(n + 1 - k, math.factorial(k)) * inner
-        out.append(_as_int(acc, f"t_{n}"))
-    return out
+    return [int(tn_series(e, n, n).evaluate(pl)) for n in range(1, M + 1)]
 
 
 def e_series(e: RootDigits, order: int) -> Series:
@@ -314,21 +297,14 @@ def e_series(e: RootDigits, order: int) -> Series:
 def tn_series(e: RootDigits, n: int, order: int) -> Series:
     """T_n(x), integer coefficients, satisfying T_(n-1) = E * T_n.
 
-    Closed form for n >= 1; for n <= 0 defined by E-multiplication:
-    T_n = E^(1-n) * T_1.
+    Closed form for n >= 1, T_n = 1 + sum_k (n+1-k)/k! sum_j (-1)^j
+    (n+j)!/(n+1)! B(k,j)(1! e_1, 2! e_2, ...) x^k; for n <= 0 defined by
+    E-multiplication: T_n = E^(1-n) * T_1.
     """
     if n >= 1:
-        table = BellTable(e.bell_args(), order)
-        cs = [Fraction(1)]
-        np1fac = math.factorial(n + 1)
-        for k in range(1, order + 1):
-            inner = Fraction(0)
-            for j in range(1, k + 1):
-                b = table.value(k, j)
-                if b:
-                    inner += (-1) ** j * Fraction(math.factorial(n + j)) / np1fac * b
-            cs.append(Fraction(n + 1 - k, math.factorial(k)) * inner)
-        s = Series(cs, order)
+        table = e.bell_table(order)
+        s = Series([1] + [Fraction(n + 1 - k, math.factorial(k)) * lagrange_sum(table, n, k)
+                          for k in range(1, order + 1)], order)
     else:
         E = e_series(e, order)
         s = tn_series(e, 1, order) * E ** (1 - n)
@@ -478,6 +454,8 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
     lemma along the way is re-checked at full precision and a failure
     raises rather than returning a bad pair.
     """
+    if M < 0:
+        raise ValueError(f"order M must be >= 0, got {M}")
     si = _as_input(f)
     f0, f1 = si.coeff(0), si.coeff(1)
     cls = classify(f0, f1)
@@ -541,43 +519,39 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
 
 
 def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, digits, root) -> FactorChecks:
-    # product: coefficients 0..M of A*B against f
-    prod = polys.mul(A_ext, B_ext)
-    product_ok = all(prod[j] == si.coeff(j) for j in range(M + 1))
-    constant_ok = A_ext[0] * B_ext[0] == p ** w
+    product = check_product(A_ext, B_ext, si, M, p ** w)
 
     # reciprocal: Ahat * (1 + x + x sum t_n x^n) = 1 mod x^(M+2)
     ahat = Series([1, -1] + [-(p ** (ell * n)) * a[n - 1] for n in range(1, M + 1)], M + 1)
     that = Series([1, 1] + t, M + 1)
     recip_ok = (ahat * that) == Series.one(M + 1)
 
-    # T_n congruences: T_nu(p^ell) = t_nu mod p^(ell(nu+2)), nu in [-1, M]
-    tn_ok = True
-    for nu in range(-1, M + 1):
-        Tn = tn_series(digits, nu, nu + 1 if nu + 1 <= len(digits.digits) else len(digits.digits))
-        val = sum(int(c) * p ** (ell * k) for k, c in enumerate(Tn.coeffs))
-        t_nu = t[nu - 1] if nu >= 1 else 1
-        if (val - t_nu) % p ** (ell * (nu + 2)) != 0:
-            tn_ok = False
-            break
-
     # recurrence T_(n-1) = E * T_n on a sample of indices
-    rec_ok = True
     order = len(digits.digits)
     E = e_series(digits, order)
-    for n in range(-2, min(5, M) + 1):
-        lhs = tn_series(digits, n - 1, order)
-        rhs = (E * tn_series(digits, n, order)).truncate(order)
-        if lhs != rhs:
-            rec_ok = False
-            break
+    rec_ok = all(tn_series(digits, n - 1, order) == (E * tn_series(digits, n, order)).truncate(order)
+                 for n in range(-2, min(5, M) + 1))
 
     # A annihilates the root mod p^(ell(M+2))
     mod_ann = p ** (ell * (M + 2))
     ann_ok = polys.evaluate(A_ext, root.residue) % mod_ann == 0
 
-    return FactorChecks(product_ok, constant_ok, True, recip_ok, tn_ok, rec_ok,
-                        ann_ok, 2 * ell <= w)
+    return FactorChecks(product.product_ok, product.constant_ok, True, recip_ok,
+                        _tn_congruences(E, p ** ell, t), rec_ok, ann_ok, 2 * ell <= w)
+
+
+def _tn_congruences(E: Series, pl: int, t: list) -> bool:
+    """T_nu(pl) = t_nu mod pl^(nu+2) for nu in [-1, len(t)] (t_0 = t_(-1) = 1),
+    with T_nu = E^(-nu-2) (E + x E') from Series algebra, independent of the
+    Bell closed form behind t; E needs order > len(t)."""
+    R = E.reciprocal()
+    T = E + Series.x(E.order) * E.derivative().truncate(E.order)  # T_(-2)
+    for nu in range(-1, len(t) + 1):
+        T = T * R
+        t_nu = t[nu - 1] if nu >= 1 else 1
+        if (T.truncate(nu + 1).evaluate(pl) - t_nu) % pl ** (nu + 2) != 0:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -591,22 +565,27 @@ class FactorReport:
         return self.product_ok and self.constant_ok and self.integral_ok
 
 
+def check_product(A, B, f, M: int, constant: int) -> FactorReport:
+    """A*B against f mod x^(M+1) and A(0)*B(0) against ``constant``; report,
+    never raise.  Behind factor's checks, verify_factorization and ``verify``."""
+    si = _as_input(f)
+    prod = polys.mul(list(A), list(B))
+    mismatches = []
+    for j in range(M + 1):
+        lhs = prod[j] if j < len(prod) else 0
+        if lhs != si.coeff(j):
+            mismatches.append((j, lhs, si.coeff(j)))
+    integral = all(isinstance(c, int) for c in (*A, *B))
+    return FactorReport(not mismatches, A[0] * B[0] == constant, integral, tuple(mismatches))
+
+
 def verify_factorization(f, pair: FactorPair, M: int) -> FactorReport:
     """Recompute A*B mod x^(M+1) against f; report, never raise.
 
     ``f`` should be the series the pair claims to factor (``pair.series``
     covers the rescaled case).
     """
-    si = _as_input(f)
-    prod = polys.mul(list(pair.A), list(pair.B))
-    mismatches = []
-    for j in range(M + 1):
-        lhs = prod[j] if j < len(prod) else 0
-        if lhs != si.coeff(j):
-            mismatches.append((j, lhs, si.coeff(j)))
-    integral = all(isinstance(c, int) for c in pair.A + pair.B)
-    constant_ok = pair.A[0] * pair.B[0] == si.coeff(0)
-    return FactorReport(not mismatches, constant_ok, integral, tuple(mismatches))
+    return check_product(pair.A, pair.B, f, M, _as_input(f).coeff(0))
 
 
 def factor_multiple_root(f) -> tuple[list[int], list[int]]:

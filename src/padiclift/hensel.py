@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .bigmath import INFINITY, binom, vp, vp_factorial
+from .bigmath import INFINITY, binom, vp
 from .errors import DomainError
 from .padic import PadicInt
 from .series import formal_root_brackets
@@ -62,6 +62,10 @@ class BadExponents(DomainError):
 
 class NotDivisible(DomainError):
     """Sparse lift needs p | a0."""
+
+
+class ZeroPolynomial(DomainError):
+    """The zero polynomial has no isolated roots to lift."""
 
 
 @dataclass(frozen=True)
@@ -173,10 +177,15 @@ def _validate_simple(f, r0: int, p: int):
         raise DerivativeNotUnit(f"f'({r0}) = 0 mod {p}: seed is not a simple root")
 
 
+def residual_valuation(f, x: int, p: int):
+    """vp(f(x)), or INFINITY when x is an exact root: the certificate of a lift."""
+    fx = polys.evaluate(f, x)
+    return INFINITY if fx == 0 else vp(fx, p)
+
+
 def _report(f, p: int, N: int, residue: int, terms: int) -> LiftReport:
     root = PadicInt(p, N, residue)
-    fr = polys.evaluate(f, root.residue)
-    rv = INFINITY if fr == 0 else vp(fr, p)
+    rv = residual_valuation(f, root.residue, p)
     if rv < N:
         raise DomainError(
             f"internal truncation error: residual valuation {rv} < target {N}"
@@ -253,6 +262,8 @@ def lift_all(f, r0: int, p: int, N: int, max_depth: int | None = None) -> list[L
     DerivativeNotUnit at the depth cap.
     """
     f = [int(c) for c in f]
+    if not any(f):
+        raise ZeroPolynomial("f = 0: every element of Z_p is a root")
     if max_depth is None:
         max_depth = max(2 * N, 16)
     df = polys.derivative(f)
@@ -328,30 +339,10 @@ def _ilog(x: int, p: int) -> int:
 def lift_quadratic(a0: int, a1: int, a2: int, r0: int, p: int, N: int) -> LiftReport:
     """Catalan-number form of the simple lift for degree <= 2.
 
-    r = r0 - (c0/c1) * sum_n Cat_n (c0 c2 / c1^2)^n, truncated once the
-    term valuation (n+1) vp(c0) + n vp(c2) reaches N.
+    r = r0 - (c0/c1) * sum_n Cat_n (c0 c2 / c1^2)^n: the c3 = 0 case of
+    :func:`lift_cubic`, where only the j = k terms survive.
     """
-    f = [int(a0), int(a1), int(a2)]
-    _validate_simple(f, r0, p)
-    r0 %= p
-    c0 = polys.evaluate(f, r0)
-    c1 = polys.evaluate(polys.derivative(f), r0)
-    c2 = f[2]
-    if c0 == 0:
-        return _report(f, p, N, r0 % p ** N, 0)
-    v0 = vp(c0, p)
-    v2 = vp(c2, p) if c2 else None
-    modulus = p ** N
-    acc = r0 % modulus
-    n = 0
-    while True:
-        term = -Fraction(binom(2 * n, n), n + 1) * Fraction(c0) ** (n + 1) * Fraction(c2) ** n / Fraction(c1) ** (2 * n + 1)
-        if term:
-            acc = (acc + _reduce_mod(term, modulus)) % modulus
-        n += 1
-        if c2 == 0 or (n + 1) * v0 + n * v2 >= N:
-            break
-    return _report(f, p, N, acc, n)
+    return lift_cubic(a0, a1, a2, 0, r0, p, N)
 
 
 def lift_cubic(a0: int, a1: int, a2: int, a3: int, r0: int, p: int, N: int) -> LiftReport:
@@ -359,35 +350,44 @@ def lift_cubic(a0: int, a1: int, a2: int, a3: int, r0: int, p: int, N: int) -> L
 
     r = r0 - (c0/c1) sum_k [ sum_j (-1)^(k-j) c2^j/(2k-j+1) C(k,j) C(3k-j,k)
         (c0 c3/c1)^(k-j) ] (c0/c1^2)^k,
-    with c2 = f''(r0)/2 and c3 the leading coefficient.
+    with c2 = f''(r0)/2 and c3 the leading coefficient: the sparse double
+    sum of :func:`lift_sparse` at (l, m) = (2, 3) on the shifted polynomial.
     """
     f = [int(a0), int(a1), int(a2), int(a3)]
     _validate_simple(f, r0, p)
     r0 %= p
-    cs = polys.taylor_coeffs(f, r0)
-    c0, c1, c2, c3 = cs[0], cs[1], cs[2], cs[3]
-    if c0 == 0:
-        return _report(f, p, N, r0 % p ** N, 0)
-    v0 = vp(c0, p)
+    rho, terms = _sparse_sum(*polys.taylor_coeffs(f, r0), 2, 3, p, N)
+    return _report(f, p, N, (r0 + rho) % p ** N, terms)
+
+
+def _sparse_sum(a0: int, a1: int, al: int, am: int, l: int, m: int,
+                p: int, N: int) -> tuple[int, int]:
+    """The double sum of :func:`lift_sparse` mod p**N, as (residue, terms).
+
+    A zero al leaves only the j = 0 term of each inner sum and a zero am
+    only j = k (the Catalan case), so only that term is summed.
+    """
+    if a0 == 0:
+        return 0, 0
+    v0 = vp(a0, p)
     modulus = p ** N
-    acc = r0 % modulus
-    ratio_outer = Fraction(c0, c1 * c1)
-    front = Fraction(c0, c1)
-    inner_base = Fraction(c0) * c3 / c1
+    acc = 0
+    front = -Fraction(a0, a1)
+    inner_base = Fraction(a0) ** (m - l) * am / Fraction(a1) ** (m - l)
+    outer_base = Fraction(a0) ** (l - 1) / Fraction(a1) ** l
     k = 0
     while True:
         bracket = Fraction(0)
-        for j in range(k + 1):
-            t = (Fraction((-1) ** (k - j) * binom(k, j) * binom(3 * k - j, k), 2 * k - j + 1)
-                 * Fraction(c2) ** j * inner_base ** (k - j))
-            bracket += t
-        term = -front * bracket * ratio_outer ** k
+        for j in (0,) if al == 0 else (k,) if am == 0 else range(k + 1):
+            e = m * (k - j) + l * j
+            bracket += (Fraction((-1) ** e * binom(k, j) * binom(e, k), e - k + 1)
+                        * Fraction(al) ** j * inner_base ** (k - j))
+        term = front * bracket * outer_base ** k
         if term:
             acc = (acc + _reduce_mod(term, modulus)) % modulus
         k += 1
-        if (k + 1) * v0 - _ilog(2 * k + 1, p) >= N:
-            break
-    return _report(f, p, N, acc, k)
+        if (k + 1) * v0 - _ilog(m * k + 1, p) >= N:
+            return acc, k
 
 
 def lift_sparse(a0: int, a1: int, al: int, am: int, l: int, m: int,
@@ -411,28 +411,7 @@ def lift_sparse(a0: int, a1: int, al: int, am: int, l: int, m: int,
         raise NotDivisible(f"p={p} does not divide a0={a0}")
     if a1 % p == 0:
         raise DerivativeNotUnit(f"p={p} divides a1={a1}")
-    if a0 == 0:
-        return _report(f, p, N, 0, 0)
-    v0 = vp(a0, p)
-    modulus = p ** N
-    acc = 0
-    front = -Fraction(a0, a1)
-    inner_base = Fraction(a0) ** (m - l) * am / Fraction(a1) ** (m - l)
-    outer_base = Fraction(a0) ** (l - 1) / Fraction(a1) ** l
-    k = 0
-    while True:
-        bracket = Fraction(0)
-        for j in range(k + 1):
-            e = m * (k - j) + l * j
-            bracket += (Fraction((-1) ** e * binom(k, j) * binom(e, k), e - k + 1)
-                        * Fraction(al) ** j * inner_base ** (k - j))
-        term = front * bracket * outer_base ** k
-        if term:
-            acc = (acc + _reduce_mod(term, modulus)) % modulus
-        k += 1
-        if (k + 1) * v0 - _ilog(m * k + 1, p) >= N:
-            break
-    return _report(f, p, N, acc, k)
+    return _report(f, p, N, *_sparse_sum(a0, a1, al, am, l, m, p, N))
 
 
 # ---------------------------------------------------------------------------

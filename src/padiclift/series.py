@@ -8,8 +8,11 @@ On top of the ring operations sit the three series engines used by the
 lifting and factorization code:
 
 * :func:`lagrange_invert` - coefficients of the compositional inverse of
-  phi(t) = t*(1 + sum alpha_r t^r / r!), as Bell-polynomial sums;
-* :func:`formal_root_terms` / :func:`formal_root_terms_alt` - the term
+  phi(t) = t*(1 + sum alpha_r t^r / r!), as Bell-polynomial sums; the
+  sum itself is :func:`lagrange_sum`, which the factorization streams
+  share;
+* :func:`formal_root_brackets` / :func:`formal_root_brackets_alt` (and
+  :func:`formal_root_terms`, with ``alt=True`` for the second) - the term
   stream of the formal root of a_0 + a_1 x + a_2 x^2 + ... when a_1 is
   invertible, in two algebraically-equal forms (kept separate so each can
   cross-check the other);
@@ -191,6 +194,20 @@ class Series:
 # ---------------------------------------------------------------------------
 
 
+def lagrange_sum(table: BellTable, n: int, k: int) -> Fraction:
+    """sum_{j=1..k} (-1)^j (n+j)!/(n+1)! B(k, j), B read from ``table``: the
+    Lagrange-inversion sum behind :func:`lagrange_invert` (k = n) and the
+    factorization streams a_n, t_n and T_n."""
+    acc = Fraction(0)
+    rising = 1  # (n+j)!/(n+1)!
+    for j in range(1, k + 1):
+        b = table.value(k, j)
+        if b:
+            acc += (-1) ** j * rising * b
+        rising *= n + j + 1
+    return acc
+
+
 def lagrange_invert(alphas) -> list[Fraction]:
     """Inverse-series coefficients beta_n for phi(t) = t(1 + sum alpha_r t^r/r!).
 
@@ -199,16 +216,8 @@ def lagrange_invert(alphas) -> list[Fraction]:
     phi^{-1}(u) = u(1 + sum beta_n u^n / n!).
     """
     alphas = [Fraction(a) for a in alphas]
-    M = len(alphas)
-    table = BellTable(alphas, M)
-    betas = []
-    for n in range(1, M + 1):
-        acc = Fraction(0)
-        fac = math.factorial(n + 1)
-        for j in range(1, n + 1):
-            acc += (-1) ** j * Fraction(math.factorial(n + j), fac) * table.value(n, j)
-        betas.append(acc)
-    return betas
+    table = BellTable(alphas, len(alphas))
+    return [lagrange_sum(table, n, n) for n in range(1, len(alphas) + 1)]
 
 
 def series_from_alphas(alphas, order: int | None = None) -> Series:
@@ -238,11 +247,7 @@ class InversionProblem:
         return series_from_alphas(self.alphas, order)
 
     def phi_inverse(self, order: int | None = None) -> Series:
-        if order is None:
-            order = len(self.betas) + 1
-        cs = [Fraction(0), Fraction(1)]
-        cs += [b / math.factorial(n) for n, b in enumerate(self.betas, start=1)]
-        return Series(cs, order)
+        return series_from_alphas(self.betas, order)
 
     def roundtrip_is_identity(self) -> bool:
         M = len(self.alphas) + 1

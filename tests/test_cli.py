@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,3 +146,35 @@ def test_verify_catches_corruption(capsys, tmp_path):
     path.write_text(json.dumps(payload))
     rc, _, err = run(capsys, "verify", "--input", str(path))
     assert rc == 1 and "FAIL" in err
+
+
+def test_verify_invalid_json_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "lift", ')
+    rc, _, err = run(capsys, "verify", "--input", str(path))
+    assert rc == 2 and "not valid JSON" in err
+
+
+def test_verify_lift_needs_a_prime(capsys, tmp_path):
+    rc, out, _ = run(capsys, "lift", "--poly", "1,11,-5", "--prime", "7",
+                     "--seed", "1", "--precision", "3", "--json")
+    payload = json.loads(out)
+    payload["input"]["prime"] = 4
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(payload))
+    rc, _, err = run(capsys, "verify", "--input", str(path))
+    assert rc == 2 and "not prime" in err
+
+
+@pytest.mark.parametrize("poly", ["0", "0,0"])
+def test_zero_polynomial_is_refused_promptly(poly):
+    # every element is a root: without the guard the seed classes grow
+    # without bound, so this runs in its own process under a timeout
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "padiclift.cli", "lift", "--poly", poly, "--prime", "5",
+         "--precision", "3"], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert "ZeroPolynomial" in proc.stderr and "every element" in proc.stderr

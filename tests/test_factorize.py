@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from padiclift import polys
+from padiclift import factorize, polys
 from padiclift.bigmath import INFINITY
 from padiclift.factorize import (NEEDS_ROOT_ANALYSIS, Classification,
                                  DivisibilityViolation, FactorizationProblem,
@@ -230,6 +230,59 @@ def test_tn_congruences_random():
         assert (val - t_nu) % p ** (ell * (nu + 2)) == 0, nu
 
 
+def test_tn_congruences_catch_a_corrupted_t(monkeypatch):
+    # the lemma check builds T_nu by Series algebra, not from the closed
+    # form that made t, so a wrong t_nu (nu >= 1) must fail it
+    rng = random.Random(80)
+    p, ell, M = 5, 1, 6
+    d = rand_digits(rng, p, ell, M + 1)
+    E = e_series(d, M + 1)
+    t = t_coeffs(d, M)
+    assert factorize._tn_congruences(E, p ** ell, t)
+    for nu in (1, 3, M):
+        bad = list(t)
+        bad[nu - 1] += p ** (ell * (nu + 1))
+        assert not factorize._tn_congruences(E, p ** ell, bad), nu
+    # a wrong closed form: t_coeffs reads T_n from tn_series, the check does not
+    closed_form = factorize.tn_series
+
+    def skewed(e, n, order):
+        s = closed_form(e, n, order)
+        return Series([1] + [c + 1 for c in s.coeffs[1:]], order) if n >= 1 else s
+
+    monkeypatch.setattr(factorize, "tn_series", skewed)
+    assert not factorize._tn_congruences(E, p ** ell, t_coeffs(d, M))
+
+
+def test_streams_share_one_bell_table(monkeypatch):
+    built = []
+
+    class Counting(factorize.BellTable):
+        def __init__(self, xs, n_max):
+            built.append(n_max)
+            super().__init__(xs, n_max)
+
+    monkeypatch.setattr(factorize, "BellTable", Counting)
+    d = rand_digits(random.Random(81), 7, 1, 9)
+    a_coeffs(d, 8)
+    t_coeffs(d, 8)
+    for n in range(-2, 9):
+        tn_series(d, n, 9)
+    assert built == [9]
+    factor(GEOM_F, 12)
+    assert len(built) == 2  # the factor digits' table; the root was exact
+
+
+def test_streams_past_the_digits_are_zero_padded():
+    rng = random.Random(82)
+    d = rand_digits(rng, 5, 1, 4)
+    padded = RootDigits(5, 1, d.digits + (0,) * 6)
+    assert a_coeffs(d, 10) == a_coeffs(padded, 10)
+    assert t_coeffs(d, 10) == t_coeffs(padded, 10)
+    for n in (-1, 2, 5):
+        assert tn_series(d, n, 10) == tn_series(padded, n, 10)
+
+
 # f = (3 - x)(27 + 5x + 7x^2 + x^3): exact root 3, digits all zero,
 # p = 3, w = 4, m = vp(-12) = 1, gammas = (-4, 16, -4, -1)
 ZERO_DIGIT_F = polys.mul([3, -1], [27, 5, 7, 1])
@@ -421,6 +474,11 @@ def test_factor_wrong_shape():
         factor([9, 2, 1], 6)       # gcd(p, f1) = 1: irreducible
     with pytest.raises(WrongShape):
         factor([9, 12, 7], 6, p=5)
+
+
+def test_factor_negative_order():
+    with pytest.raises(ValueError, match="order"):
+        factor(GEOM_F, -1)
 
 
 def test_verify_catches_tampering():

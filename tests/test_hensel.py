@@ -8,6 +8,7 @@ from padiclift.bigmath import INFINITY, vp, vp_factorial, vp_rat
 from padiclift.hensel import (BadExponents, DerivativeNotUnit, EvenPrime,
                               InsufficientCongruence, NonIntegralShift,
                               NotARootModP, NotDivisible, OutOfRange,
+                              ZeroPolynomial,
                               lift_all, lift_cubic, lift_general,
                               lift_quadratic, lift_simple, lift_sparse,
                               newton_lift, series_terms, taylor_shift,
@@ -337,6 +338,13 @@ def test_lift_all_true_double_root():
     f = polys.mul([-3, 1], [-3, 1])   # (x-3)^2 never separates
     with pytest.raises(DerivativeNotUnit):
         lift_all(f, 0, 3, 8)
+
+
+def test_lift_all_zero_polynomial():
+    # every element is a root, so no class ever separates: refuse at once
+    for f in ([0], [0, 0], [0, 0, 0, 0]):
+        with pytest.raises(ZeroPolynomial, match="every element"):
+            lift_all(f, 0, 5, 3)
 
 
 def test_lift_all_complete_against_enumeration():
