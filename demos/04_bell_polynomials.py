@@ -9,7 +9,7 @@ partition-sum definition as a slow independent oracle.
 
 from fractions import Fraction
 
-from padiclift import BellTable, bell, bell_falling, bell_oracle
+from padiclift.bell import BellTable, bell, bell_falling, bell_oracle
 from padiclift.bigmath import falling
 
 # On the all-ones sequence, B(n, k) counts set partitions: Stirling numbers.

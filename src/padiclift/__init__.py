@@ -16,7 +16,7 @@ The pieces, bottom up:
 """
 
 from .bigmath import INFINITY, binom, falling, is_prime, vp, vp_factorial, vp_rat
-from .bell import BellTable, bell, bell_falling, bell_oracle
+from .bell import BellTable, bell_falling, bell_oracle
 from .padic import AtLeast, DigitVector, PadicInt
 from .series import (InversionProblem, Series, formal_root_brackets,
                      formal_root_brackets_alt, formal_root_series,

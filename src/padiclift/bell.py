@@ -1,13 +1,16 @@
 """Partial Bell polynomials evaluated exactly on numeric sequences.
 
 ``B(n, k)`` of a sequence x_1, x_2, ... is computed with the standard
-binomial recurrence
+binomial recurrence (Comtet, *Advanced Combinatorics*, 1974, 3.3)
 
     B(n, k) = sum_{j>=1} C(n-1, j-1) * x_j * B(n-j, k-1),
 
-which is polynomial-time; the defining sum over the partition index set
-pi(n, k) is kept as :func:`bell_oracle`, an independent reference used by
-the test-suite only (it is exponential and refuses n > 14).
+which is polynomial-time.  The recurrence runs on plain ``int``: rational
+inputs are first cleared to y = D*x with D the lcm of their denominators,
+and since B(n, k) is homogeneous of degree k, B(n, k)(x) = B(n, k)(y) / D^k.
+The defining sum over the partition index set pi(n, k) is kept as
+:func:`bell_oracle`, an independent reference used by the test-suite only
+(it is exponential and refuses n > 14).
 
 Inputs beyond the end of the given sequence count as zero, which is the
 right convention for the coefficient sequences of polynomials.
@@ -31,37 +34,43 @@ class OracleTooLarge(DomainError):
 class BellTable:
     """Memo of B(n, k) for all 0 <= k <= n <= n_max on a fixed sequence.
 
-    Built once, then read-only; the whole triangle costs O(n_max^2 * L)
-    exact multiplications where L = len(xs).
-    """
+    Built once, then read-only, at a cost of O(n_max^2 * len(xs)) integer
+    multiply-adds.  :meth:`int_value` reads the stored integer D^k B(n, k)
+    = B(n, k)(D x_1, D x_2, ...), where D = :attr:`denominator` is the lcm
+    of the denominators of xs; :meth:`value` divides it by D^k."""
 
     def __init__(self, xs, n_max: int):
-        self.xs = tuple(Fraction(x) for x in xs)
+        xs = [Fraction(x) for x in xs]
+        D = math.lcm(*(x.denominator for x in xs))
+        ys = [x.numerator * (D // x.denominator) for x in xs]
         self.n_max = n_max
-        zero = Fraction(0)
-        rows = [[zero] * (n + 1) for n in range(n_max + 1)]
-        rows[0][0] = Fraction(1)
-        xs_ = self.xs
-        L = len(xs_)
+        self.denominator = D
+        rows = [[1]]
         for n in range(1, n_max + 1):
-            row = rows[n]
-            for k in range(1, n + 1):
-                acc = Fraction(0)
-                # x_j = 0 past the end of the sequence
-                for j in range(1, min(n - k + 1, L) + 1):
-                    x = xs_[j - 1]
-                    if x:
-                        acc += binom(n - 1, j - 1) * x * rows[n - j][k - 1]
-                row[k] = acc
+            row = [0] * (n + 1)
+            # y_j = 0 past the end of the sequence
+            for j, y in enumerate(ys[:n], start=1):
+                if y:
+                    c = math.comb(n - 1, j - 1) * y
+                    prev = rows[n - j]
+                    for k in range(1, n - j + 2):
+                        b = prev[k - 1]
+                        if b:
+                            row[k] += c * b
+            rows.append(row)
         self._rows = rows
 
-    def value(self, n: int, k: int) -> Fraction:
-        """B(n, k); zero outside 0 <= k <= n by convention."""
+    def int_value(self, n: int, k: int) -> int:
+        """D^k B(n, k); zero outside 0 <= k <= n by convention."""
         if k < 0 or n < 0 or k > n:
-            return Fraction(0)
+            return 0
         if n > self.n_max:
             raise IndexError(f"table built to n_max={self.n_max}, asked for n={n}")
         return self._rows[n][k]
+
+    def value(self, n: int, k: int) -> Fraction:
+        """B(n, k); zero outside 0 <= k <= n by convention."""
+        return Fraction(self.int_value(n, k), self.denominator ** max(k, 0))
 
 
 def bell(n: int, k: int, xs) -> Fraction:

@@ -428,8 +428,9 @@ def teichmuller(q: int, p: int, N: int) -> PadicInt:
     xi = q - (c0/c1) sum_n [ sum_k sum_j (-1)^(n-j) / ((p-1)^k (n+1)! k!)
          C(2n+1, n-k) C(k, j) (j(p-1))_(n+k) ] (c0/(q c1))^n.
 
-    The result is checked on the spot: xi = q mod p and xi^(p-1) = 1
-    mod p**N.
+    Each bracket is summed in ``int`` over the common denominator
+    (n+1)! n! (p-1)^n, and only over the j with (j(p-1))_(n+k) != 0.  The
+    result is checked on the spot: xi = q mod p and xi^(p-1) = 1 mod p**N.
     """
     if p <= 2 or not 1 <= q <= p - 1:
         raise OutOfRange(f"need p an odd prime and 1 <= q <= p-1, got q={q}, p={p}")
@@ -454,17 +455,16 @@ def teichmuller(q: int, p: int, N: int) -> PadicInt:
     front = -Fraction(c0, c1)
     ratio = Fraction(c0, q * c1)
     for n in range(count):
-        bracket = Fraction(0)
-        np1fac = math.factorial(n + 1)
+        acc_n = 0
         for k in range(n + 1):
-            b2 = binom(2 * n + 1, n - k)
-            kfac = math.factorial(k)
-            for j in range(k + 1):
-                fa = falling_of(j * (p - 1), n + k)
-                if fa == 0:
-                    continue
-                bracket += Fraction((-1) ** (n - j) * b2 * binom(k, j) * fa,
-                                    (p - 1) ** k * np1fac * kfac)
+            inner = 0
+            # (a)_(n+k) = 0 for integers 0 <= a < n+k
+            for j in range(-(-(n + k) // (p - 1)), k + 1):
+                inner += (-1) ** (n - j) * binom(k, j) * falling_of(j * (p - 1), n + k)
+            if inner:
+                # over (n+1)! n! (p-1)^n: the k-term gains n!/k! (p-1)^(n-k)
+                acc_n += binom(2 * n + 1, n - k) * math.perm(n, n - k) * (p - 1) ** (n - k) * inner
+        bracket = Fraction(acc_n, math.factorial(n + 1) * math.factorial(n) * (p - 1) ** n)
         term = front * bracket * ratio ** n
         if term:
             acc = (acc + _reduce_mod(term, modulus)) % modulus

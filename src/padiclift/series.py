@@ -197,15 +197,17 @@ class Series:
 def lagrange_sum(table: BellTable, n: int, k: int) -> Fraction:
     """sum_{j=1..k} (-1)^j (n+j)!/(n+1)! B(k, j), B read from ``table``: the
     Lagrange-inversion sum behind :func:`lagrange_invert` (k = n) and the
-    factorization streams a_n, t_n and T_n."""
-    acc = Fraction(0)
+    factorization streams a_n, t_n and T_n.  Summed in ``int`` over the
+    common denominator D^k of the table's entries D^j B(k, j)."""
+    D = table.denominator
+    acc = 0
     rising = 1  # (n+j)!/(n+1)!
     for j in range(1, k + 1):
-        b = table.value(k, j)
+        b = table.int_value(k, j)
         if b:
-            acc += (-1) ** j * rising * b
+            acc += (-1) ** j * rising * b * D ** (k - j)
         rising *= n + j + 1
-    return acc
+    return Fraction(acc, D ** k)
 
 
 def lagrange_invert(alphas) -> list[Fraction]:
@@ -274,22 +276,24 @@ def formal_root_brackets(a, n_max: int) -> list[Fraction]:
     bracket_n = sum_{k=0..n} (-1)^(n-k+1) / (a1^k (n+1)!) * C(2n+1, n-k)
                 * B(n+k, k)(1! a1, 2! a2, ...).
 
-    Only a[1:] enters the brackets; a[0] only scales the terms.
+    Only a[1:] enters the brackets; a[0] only scales the terms.  The table
+    stores D^k B(n+k, k) and y1 = D a1 is its first integer argument, so
+    each bracket is summed in ``int`` over (n+1)! y1^n and divided once.
     """
     a = [Fraction(c) for c in a]
     if len(a) < 2 or a[1] == 0:
         raise LinearCoefficientZero("need a nonzero linear coefficient a1")
-    a1 = a[1]
     table = BellTable(_bell_args_shift0(a), 2 * n_max)
+    y1 = int(table.denominator * a[1])
+    y1_pows = [y1 ** i for i in range(n_max + 1)]
     out = []
     for n in range(n_max + 1):
-        acc = Fraction(0)
-        fac = math.factorial(n + 1)
+        acc = 0
         for k in range(n + 1):
-            b = table.value(n + k, k)
+            b = table.int_value(n + k, k)
             if b:
-                acc += (-1) ** (n - k + 1) * binom(2 * n + 1, n - k) * b / (a1 ** k * fac)
-        out.append(acc)
+                acc += (-1) ** (n - k + 1) * binom(2 * n + 1, n - k) * b * y1_pows[n - k]
+        out.append(Fraction(acc, math.factorial(n + 1) * y1_pows[n]))
     return out
 
 

@@ -1,0 +1,148 @@
+"""Property tests of the integer Bell kernel and the sums that read it.
+
+The reference below is the exact-Fraction form of the binomial recurrence:
+every entry is summed as a reduced rational, with no cleared denominator.
+Unlike ``bell_oracle`` it is polynomial, so it covers n up to 40.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import padiclift
+from padiclift import polys
+from padiclift.bell import BellTable
+from padiclift.bigmath import binom
+from padiclift.hensel import (lift_general, lift_simple, newton_lift, teichmuller,
+                              teichmuller_oracle)
+from padiclift.series import (InversionProblem, formal_root_brackets,
+                              formal_root_brackets_alt, lagrange_invert)
+
+
+def fraction_bell_rows(xs, n_max):
+    """B(n, k) for 0 <= k <= n <= n_max by the recurrence, in Fraction."""
+    xs = tuple(Fraction(x) for x in xs)
+    rows = [[Fraction(0)] * (n + 1) for n in range(n_max + 1)]
+    rows[0][0] = Fraction(1)
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            acc = Fraction(0)
+            for j in range(1, min(n - k + 1, len(xs)) + 1):
+                if xs[j - 1]:
+                    acc += binom(n - 1, j - 1) * xs[j - 1] * rows[n - j][k - 1]
+            rows[n][k] = acc
+    return rows
+
+
+def fraction_lagrange_invert(alphas):
+    """beta_n = sum_j (-1)^j (n+j)!/(n+1)! B(n, j), summed entry by entry."""
+    rows = fraction_bell_rows(alphas, len(alphas))
+    return [sum((-1) ** j * Fraction(math.factorial(n + j), math.factorial(n + 1)) * rows[n][j]
+                for j in range(1, n + 1))
+            for n in range(1, len(alphas) + 1)]
+
+
+small_ints = st.integers(-9, 9)
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+# integer sequences (D = 1) and rational ones (D > 1 most of the time);
+# both draw zeros and negatives
+sequences = st.one_of(st.lists(small_ints, max_size=10),
+                      st.lists(st.one_of(small_ints, rationals), max_size=10))
+
+
+def test_bell_module_is_not_shadowed():
+    assert padiclift.bell.BellTable is padiclift.BellTable
+
+
+@settings(max_examples=60)
+@given(sequences, st.integers(0, 40))
+def test_table_matches_fraction_recurrence(xs, n_max):
+    table = BellTable(xs, n_max)
+    D = math.lcm(*(Fraction(x).denominator for x in xs))
+    assert table.denominator == D
+    for n, row in enumerate(fraction_bell_rows(xs, n_max)):
+        for k, b in enumerate(row):
+            assert table.value(n, k) == b
+            assert table.int_value(n, k) == b * D ** k
+
+
+def test_long_sequence_at_n_40():
+    xs = [(-1) ** j * Fraction(j % 5, 1 + j % 3) for j in range(40)]
+    table = BellTable(xs, 40)
+    assert table.denominator == 6
+    for n, row in enumerate(fraction_bell_rows(xs, 40)):
+        assert [table.value(n, k) for k in range(n + 1)] == row
+
+
+@settings(max_examples=60)
+@given(st.lists(st.one_of(small_ints, rationals), min_size=2, max_size=8),
+       st.integers(0, 12))
+def test_brackets_match_the_alternative_form(a, n_max):
+    if a[1] == 0:
+        a[1] = Fraction(-3, 2)
+    assert formal_root_brackets(a, n_max) == formal_root_brackets_alt(a, n_max)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.one_of(small_ints, rationals), max_size=6))
+def test_lagrange_inversion_on_rational_alphas(alphas):
+    assert lagrange_invert(alphas) == fraction_lagrange_invert(alphas)
+    assert InversionProblem(alphas).roundtrip_is_identity()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_teichmuller_every_residue_at_n_40(p):
+    for q in range(1, p):
+        assert teichmuller(q, p, 40) == teichmuller_oracle(q, p, 40)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 12), st.integers(1, 40))
+def test_teichmuller_matches_powering(p, q, N):
+    q = 1 + (q - 1) % (p - 1)
+    assert teichmuller(q, p, N) == teichmuller_oracle(q, p, N)
+
+
+def from_taylor(cs, r0):
+    """Integer coefficients of sum_j cs[j] (x - r0)^j."""
+    f = [0]
+    for c in reversed(cs):
+        f = polys.add(polys.mul(f, [-r0, 1]), [c])
+    return f
+
+
+primes = st.sampled_from([3, 5, 7])
+units = st.integers(1, 40)
+
+
+@settings(max_examples=40)
+@given(primes, st.integers(0, 6), units, units, st.lists(small_ints, max_size=4),
+       st.integers(1, 30))
+def test_lift_simple_matches_newton(p, r0, u0, u1, rest, N):
+    # f(r0 + t) = p u0 + u1' t + ..., u1' a unit
+    r0 %= p
+    u1 += u1 % p == 0
+    f = from_taylor([p * u0, u1] + rest, r0)
+    assert lift_simple(f, r0, p, N).root == newton_lift(f, r0, p, N)
+
+
+@settings(max_examples=40)
+@given(primes, st.integers(0, 50), st.integers(0, 2), st.integers(1, 3), units, units,
+       st.lists(small_ints, max_size=3), st.integers(1, 20))
+def test_lift_general_matches_newton_on_the_rescaled_polynomial(p, r0, kappa, margin,
+                                                                u0, u1, rest, extra):
+    # f(r0 + t) = p^nu u0 + p^kappa u1 t + ..., with nu = 2 kappa + margin
+    u0 += u0 % p == 0
+    u1 += u1 % p == 0
+    nu = 2 * kappa + margin
+    N = nu + extra
+    cs = [p ** nu * u0, p ** kappa * u1] + rest
+    f = from_taylor(cs, r0)
+    # g(x) = p^(-2 kappa) f(r0 + p^kappa x) has the simple root over 0 mod p
+    g = [c * p ** ((j - 2) * kappa) for j, c in enumerate(cs[2:], start=2)]
+    g = [p ** (nu - 2 * kappa) * u0, u1] + g
+    x = newton_lift(g, 0, p, N - kappa).residue
+    assert lift_general(f, r0, p, N).root.residue == (r0 + p ** kappa * x) % p ** N
