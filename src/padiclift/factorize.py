@@ -512,14 +512,18 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
     A = tuple(A_ext[: M + 1])
     B = tuple(B_ext[: M + 1])
 
-    checks = _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, digits, root)
+    checks = _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root)
     if not checks.all_passed():
         raise PrecisionExhausted(f"internal lemma checks failed: {checks}")
     return FactorPair(A, B, M, p, w, m, ell, root, dM, si, scale, checks)
 
 
-def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, digits, root) -> FactorChecks:
+def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> FactorChecks:
     product = check_product(A_ext, B_ext, si, M, p ** w)
+
+    # divisibility: integer coefficients, and b_n = bhat_n / p^(ell n) exactly
+    div_ok = product.integral_ok and all(bhat[n - 1] == B_ext[n + 1] * p ** (ell * n)
+                                         for n in range(1, M + 1))
 
     # reciprocal: Ahat * (1 + x + x sum t_n x^n) = 1 mod x^(M+2)
     ahat = Series([1, -1] + [-(p ** (ell * n)) * a[n - 1] for n in range(1, M + 1)], M + 1)
@@ -529,14 +533,14 @@ def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, digits, root) -> FactorChe
     # recurrence T_(n-1) = E * T_n on a sample of indices
     order = len(digits.digits)
     E = e_series(digits, order)
-    rec_ok = all(tn_series(digits, n - 1, order) == (E * tn_series(digits, n, order)).truncate(order)
-                 for n in range(-2, min(5, M) + 1))
+    T = {n: tn_series(digits, n, order) for n in range(-3, min(5, M) + 1)}
+    rec_ok = all(T[n - 1] == (E * T[n]).truncate(order) for n in range(-2, min(5, M) + 1))
 
     # A annihilates the root mod p^(ell(M+2))
     mod_ann = p ** (ell * (M + 2))
     ann_ok = polys.evaluate(A_ext, root.residue) % mod_ann == 0
 
-    return FactorChecks(product.product_ok, product.constant_ok, True, recip_ok,
+    return FactorChecks(product.product_ok, product.constant_ok, div_ok, recip_ok,
                         _tn_congruences(E, p ** ell, t), rec_ok, ann_ok, 2 * ell <= w)
 
 

@@ -2,7 +2,11 @@
 
 The :class:`Series` type is dense with exact Fraction coefficients and an
 explicit truncation order: a series of order M is known modulo x**(M+1).
-Binary operations truncate to the smaller order.
+Binary operations truncate to the smaller order.  Products, reciprocals
+and evaluation clear each operand's denominators once (D = the lcm of its
+coefficient denominators, 1 for an integer series), run the convolution,
+the reciprocal recurrence or Horner's rule on plain ``int``, and build one
+Fraction per output coefficient, so no gcd runs inside their loops.
 
 On top of the ring operations sit the three series engines used by the
 lifting and factorization code:
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .bell import BellTable
 from .bigmath import binom
@@ -50,13 +55,23 @@ class DegenerateExponent(DomainError):
     """Trinomial root series needs exponent m > 1."""
 
 
+def _cleared(coeffs) -> tuple[list[int], int]:
+    """(C, D) with coeffs[i] = C[i] / D, D the lcm of the denominators."""
+    dens = [c.denominator for c in coeffs]
+    D = math.lcm(*dens)
+    return [c.numerator * (D // d) for c, d in zip(coeffs, dens)], D
+
+
 class Series:
-    """Power series known modulo x**(order+1), coefficients exact Fractions."""
+    """Power series known modulo x**(order+1): dense, with exact Fraction
+    coefficients.  Products, reciprocals and evaluation are summed in
+    ``int`` over each operand's common denominator, with one Fraction
+    built per output coefficient."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
@@ -122,15 +137,11 @@ class Series:
         if isinstance(other, (int, Fraction)):
             return Series([c * other for c in self.coeffs])
         M = min(self.order, other.order)
-        out = [Fraction(0)] * (M + 1)
-        for i, a in enumerate(self.coeffs[: M + 1]):
-            if a == 0:
-                continue
-            for j in range(M + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return Series(out)
+        F, DF = _cleared(self.coeffs[: M + 1])
+        G, DG = _cleared(other.coeffs[M::-1])  # reversed: G[M - j] = other_j
+        D = DF * DG
+        return Series([Fraction(sum(map(mul, F[: n + 1], G[M - n:])), D)
+                       for n in range(M + 1)])
 
     __rmul__ = __mul__
 
@@ -163,18 +174,17 @@ class Series:
 
     def reciprocal(self) -> "Series":
         """Series g with self * g = 1 + O(x**(order+1)); needs f(0) != 0."""
-        f0 = self.coeffs[0]
+        F, D = _cleared(self.coeffs)
+        f0 = F[0]
         if f0 == 0:
             raise NotInvertible("constant term is zero")
-        M = self.order
-        out = [Fraction(0)] * (M + 1)
-        out[0] = 1 / f0
-        for n in range(1, M + 1):
-            acc = Fraction(0)
-            for i in range(1, n + 1):
-                acc += self.coeffs[i] * out[n - i]
-            out[n] = -acc / f0
-        return Series(out)
+        # self = F/D; h_n = f0^(n+1) (1/F)_n has h_0 = 1 and
+        # h_n = -sum_{i=1..n} F_i f0^(i-1) h_(n-i), so g_n = D h_n / f0^(n+1)
+        W = [F[i] * f0 ** (i - 1) for i in range(1, len(F))]
+        h = [1]
+        for n in range(1, len(F)):
+            h.append(-sum(map(mul, W[:n], reversed(h))))
+        return Series([Fraction(D * hn, f0 ** (n + 1)) for n, hn in enumerate(h)])
 
     def derivative(self) -> "Series":
         if self.order == 0:
@@ -183,10 +193,14 @@ class Series:
 
     def evaluate(self, x) -> Fraction:
         """Partial-sum value at a concrete rational point (no convergence claims)."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        C, D = _cleared(self.coeffs)
+        # Horner on x = u/v, scaled by v^order: sum_k C_k u^k v^(order-k)
+        u, v = Fraction(x).as_integer_ratio()
+        acc, vk = 0, 1
+        for c in reversed(C):
+            acc = acc * u + c * vk
+            vk *= v
+        return Fraction(acc, D * v ** self.order)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,31 @@ def test_bhat_divisibility_violation():
         bhat_coeffs(prob, 1, [1, 1, 1], 1)
 
 
+def test_divisibility_check_catches_a_tampered_bhat(monkeypatch):
+    # the lemma check compares every bhat_n with b_n p^(ell n), so a bhat
+    # that no longer matches the b it produced must fail it
+    honest, run_checks = factorize.bhat_coeffs, factorize._run_checks
+    seen = []
+
+    def tampered(prob, ell, t, M):
+        bhat, b = honest(prob, ell, t, M)
+        bhat[2] += 1
+        return bhat, b
+
+    def recording(*args):
+        seen.append(run_checks(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(factorize, "_run_checks", recording)
+    assert factor(GEOM_F, 8).checks.divisibility
+    monkeypatch.setattr(factorize, "bhat_coeffs", tampered)
+    with pytest.raises(factorize.PrecisionExhausted, match="divisibility=False"):
+        factor(GEOM_F, 8)
+    checks = seen[-1]
+    assert not checks.divisibility and not checks.all_passed()
+    assert checks.product and checks.reciprocal and checks.tn_recurrence
+
+
 # ---------------------------------------------------------------------------
 # factor: geometric tail, planted, rescaled, failures
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Property tests of the integer Bell kernel and the sums that read it.
+"""Property tests of the integer kernels: the Bell table, the sums that
+read it, and the Series ring operations.
 
-The reference below is the exact-Fraction form of the binomial recurrence:
-every entry is summed as a reduced rational, with no cleared denominator.
-Unlike ``bell_oracle`` it is polynomial, so it covers n up to 40.
+The references below are the exact-Fraction forms: the binomial
+recurrence, the Lagrange sum, and the Series product, reciprocal and
+evaluation, with every partial sum a reduced rational and no cleared
+denominator.  Unlike ``bell_oracle`` the recurrence is polynomial, so it
+covers n up to 40.
 """
 
 import math
@@ -18,7 +21,7 @@ from padiclift.bell import BellTable
 from padiclift.bigmath import binom
 from padiclift.hensel import (lift_general, lift_simple, newton_lift, teichmuller,
                               teichmuller_oracle)
-from padiclift.series import (InversionProblem, formal_root_brackets,
+from padiclift.series import (InversionProblem, Series, formal_root_brackets,
                               formal_root_brackets_alt, lagrange_invert)
 
 
@@ -45,12 +48,57 @@ def fraction_lagrange_invert(alphas):
             for n in range(1, len(alphas) + 1)]
 
 
+def fraction_mul(f, g):
+    """Coefficients of the product of two coefficient lists, truncated to
+    the shorter one, summed term by term in Fraction."""
+    M = min(len(f), len(g)) - 1
+    out = [Fraction(0)] * (M + 1)
+    for i, a in enumerate(f[: M + 1]):
+        if a == 0:
+            continue
+        for j in range(M + 1 - i):
+            b = g[j]
+            if b:
+                out[i + j] += a * b
+    return out
+
+
+def fraction_reciprocal(f):
+    """1/f to the same order, by the recurrence in Fraction; needs f[0] != 0."""
+    out = [Fraction(0)] * len(f)
+    out[0] = 1 / f[0]
+    for n in range(1, len(f)):
+        acc = Fraction(0)
+        for i in range(1, n + 1):
+            acc += f[i] * out[n - i]
+        out[n] = -acc / f[0]
+    return out
+
+
+def fraction_evaluate(f, x):
+    """Horner's rule in Fraction."""
+    acc = Fraction(0)
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
 small_ints = st.integers(-9, 9)
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 # integer sequences (D = 1) and rational ones (D > 1 most of the time);
 # both draw zeros and negatives
 sequences = st.one_of(st.lists(small_ints, max_size=10),
                       st.lists(st.one_of(small_ints, rationals), max_size=10))
+# Series coefficients the same way; independent lengths give mismatched orders
+coeff_lists = st.one_of(st.lists(small_ints, min_size=1, max_size=14),
+                        st.lists(st.one_of(small_ints, rationals), min_size=1, max_size=14))
+# a nonzero constant term, often not a unit: 1/f has growing denominators
+invertible = st.tuples(st.one_of(small_ints, rationals).filter(bool),
+                       st.lists(st.one_of(small_ints, rationals), max_size=12))
+
+
+def all_fractions(s):
+    return all(type(c) is Fraction for c in s.coeffs)
 
 
 def test_bell_module_is_not_shadowed():
@@ -146,3 +194,43 @@ def test_lift_general_matches_newton_on_the_rescaled_polynomial(p, r0, kappa, ma
     g = [p ** (nu - 2 * kappa) * u0, u1] + g
     x = newton_lift(g, 0, p, N - kappa).residue
     assert lift_general(f, r0, p, N).root.residue == (r0 + p ** kappa * x) % p ** N
+
+
+@settings(max_examples=150)
+@given(coeff_lists, coeff_lists)
+def test_series_product_matches_fraction_convolution(f, g):
+    prod = Series(f) * Series(g)
+    assert list(prod.coeffs) == fraction_mul([Fraction(c) for c in f], [Fraction(c) for c in g])
+    assert all_fractions(prod)
+
+
+@settings(max_examples=100)
+@given(invertible)
+def test_series_reciprocal_matches_fraction_recurrence(f):
+    f0, rest = f
+    cs = [Fraction(c) for c in (f0, *rest)]
+    recip = Series(cs).reciprocal()
+    assert list(recip.coeffs) == fraction_reciprocal(cs)
+    assert all_fractions(recip)
+
+
+@settings(max_examples=60)
+@given(invertible, st.integers(-4, 4))
+def test_series_powers_match_fraction_products(f, e):
+    f0, rest = f
+    cs = [Fraction(c) for c in (f0, *rest)]
+    base = fraction_reciprocal(cs) if e < 0 else cs
+    expected = [Fraction(1)] + [Fraction(0)] * (len(cs) - 1)
+    for _ in range(abs(e)):
+        expected = fraction_mul(expected, base)
+    power = Series(cs) ** e
+    assert list(power.coeffs) == expected
+    assert all_fractions(power)
+
+
+@settings(max_examples=100)
+@given(coeff_lists, st.one_of(small_ints, rationals, st.integers(-10 ** 6, 10 ** 6)))
+def test_series_evaluation_matches_fraction_horner(f, x):
+    value = Series(f).evaluate(x)
+    assert value == fraction_evaluate([Fraction(c) for c in f], x)
+    assert type(value) is Fraction
