@@ -295,19 +295,17 @@ def e_series(e: RootDigits, order: int) -> Series:
 
 
 def tn_series(e: RootDigits, n: int, order: int) -> Series:
-    """T_n(x), integer coefficients, satisfying T_(n-1) = E * T_n.
+    """T_n(x) = 1 + sum_k (n+1-k)/k! lagrange_sum(B, n, k) x^k, B(k, j) the
+    Bell table on (1! e_1, 2! e_2, ...): integer coefficients, T_(n-1) = E * T_n.
 
-    Closed form for n >= 1, T_n = 1 + sum_k (n+1-k)/k! sum_j (-1)^j
-    (n+j)!/(n+1)! B(k,j)(1! e_1, 2! e_2, ...) x^k; for n <= 0 defined by
-    E-multiplication: T_n = E^(1-n) * T_1.
+    One formula for every integer n.  For each k, the x^k coefficients of this
+    closed form and of E^(-n-2) (E + x E') are polynomials in n of degree <= k
+    (the rising product (n+2)...(n+j) inside lagrange_sum is one); they agree
+    for every n >= 1, so they agree for all n, negative n included.
     """
-    if n >= 1:
-        table = e.bell_table(order)
-        s = Series([1] + [Fraction(n + 1 - k, math.factorial(k)) * lagrange_sum(table, n, k)
-                          for k in range(1, order + 1)], order)
-    else:
-        E = e_series(e, order)
-        s = tn_series(e, 1, order) * E ** (1 - n)
+    table = e.bell_table(order)
+    s = Series([1] + [Fraction(n + 1 - k, math.factorial(k)) * lagrange_sum(table, n, k)
+                      for k in range(1, order + 1)], order)
     for c in s.coeffs:
         if c.denominator != 1:
             raise IntegralityViolation(f"T_{n} coefficient {c} not integral")
@@ -530,7 +528,8 @@ def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> Fac
     that = Series([1, 1] + t, M + 1)
     recip_ok = (ahat * that) == Series.one(M + 1)
 
-    # recurrence T_(n-1) = E * T_n on a sample of indices
+    # recurrence T_(n-1) = E * T_n on a sample of indices, negative ones
+    # included: each side is the closed form at its own index
     order = len(digits.digits)
     E = e_series(digits, order)
     T = {n: tn_series(digits, n, order) for n in range(-3, min(5, M) + 1)}

@@ -252,20 +252,20 @@ def lift_general(f, r0: int, p: int, N: int,
     return _report(f, p, N, (r0 + p ** kappa * rho) % p ** N, terms)
 
 
-def lift_all(f, r0: int, p: int, N: int, max_depth: int | None = None) -> list[LiftReport]:
+def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
     """All roots of f in Z_p lying over the seed class r0 mod p.
 
     Refines the seed modulo growing powers of p until each surviving
     class satisfies the lift_general hypotheses with room to spare
     (depth > 2*kappa guarantees a unique root per class), then lifts.
     Classes that never separate (multiple p-adic roots) raise
-    DerivativeNotUnit at the depth cap.
+    DerivativeNotUnit at the depth cap max(2N, 16).
     """
     f = [int(c) for c in f]
     if not any(f):
         raise ZeroPolynomial("f = 0: every element of Z_p is a root")
-    if max_depth is None:
-        max_depth = max(2 * N, 16)
+    max_depth = max(2 * N, 16)
+    margin = 2 if p == 2 else 1
     df = polys.derivative(f)
     r0 %= p
     if polys.evaluate(f, r0) % p != 0:
@@ -279,7 +279,6 @@ def lift_all(f, r0: int, p: int, N: int, max_depth: int | None = None) -> list[L
             fc = polys.evaluate(f, c)
             kc = vp(polys.evaluate(df, c), p)
             nc = vp(fc, p)
-            margin = 2 if p == 2 else 1
             if kc is not INFINITY and nc > 2 * kc + (margin - 1) and depth > 2 * kc:
                 rep = lift_general(f, c, p, N)
                 found.setdefault(rep.root.residue, rep)

@@ -148,13 +148,13 @@ class Series:
     def __pow__(self, e: int):
         if e < 0:
             return self.reciprocal() ** (-e)
-        out = Series.one(self.order)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
+        if e == 0:
+            return Series.one(self.order)
+        out = self  # left to right over the bits of e below the leading one
+        for bit in bin(e)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def compose(self, g: "Series") -> "Series":

@@ -196,13 +196,13 @@ def test_tn_series_unit_digits():
 
 
 def test_tn_series_closed_form_vs_e_formula():
-    # T_n = E^(-n-2) (E + x E') for n >= 1
+    # T_n = E^(-n-2) (E + x E') for every n, negative n included
     rng = random.Random(77)
     for _ in range(8):
         d = rand_digits(rng, 5, 1, 8)
         E = e_series(d, 8)
         dxE = Series.x(8) * E.derivative().truncate(8)
-        for n in range(1, 5):
+        for n in range(-6, 7):
             expect = (E.reciprocal() ** (n + 2)) * (E + dxE)
             assert tn_series(d, n, 8) == expect, n
 
@@ -215,6 +215,30 @@ def test_tn_series_recurrence():
         lhs = tn_series(d, n - 1, 8)
         rhs = (E * tn_series(d, n, 8)).truncate(8)
         assert lhs == rhs, n
+
+
+def test_recurrence_check_tests_the_closed_form_at_negative_indices(monkeypatch):
+    # T_n for n <= 0 is the same Lagrange sum as for n >= 1, so a sum skewed
+    # only there (by k!, which keeps T_n integral) fails the recurrence check
+    honest, run_checks = factorize.lagrange_sum, factorize._run_checks
+    seen = []
+
+    def skewed(table, n, k):
+        return honest(table, n, k) + (math.factorial(k) if n <= 0 else 0)
+
+    def recording(*args):
+        seen.append(run_checks(*args))
+        return seen[-1]
+
+    f = polys.mul(polys.add([7], [0, -1, 3, -2]), [49, 3, -5])
+    monkeypatch.setattr(factorize, "_run_checks", recording)
+    assert all(factor(f, 8).digits.digits)
+    monkeypatch.setattr(factorize, "lagrange_sum", skewed)
+    with pytest.raises(factorize.PrecisionExhausted, match="tn_recurrence=False"):
+        factor(f, 8)
+    checks = seen[-1]
+    assert not checks.tn_recurrence
+    assert checks.product and checks.divisibility and checks.reciprocal and checks.tn_congruences
 
 
 def test_tn_congruences_random():

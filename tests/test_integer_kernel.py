@@ -228,6 +228,25 @@ def test_series_powers_match_fraction_products(f, e):
     assert all_fractions(power)
 
 
+def test_series_power_spends_no_idle_products(monkeypatch):
+    # left-to-right binary powering from the base itself: E ** k costs
+    # bit_length - 1 squarings and popcount - 1 multiplications by E
+    mul, calls = Series.__mul__, []
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counting)
+    E = Series([1, 2, -3, 5], 6)
+    counts = []
+    for k in range(10):
+        calls.clear()
+        E ** k
+        counts.append(len(calls))
+    assert counts == [0, 0, 1, 2, 2, 3, 3, 4, 3, 4]
+
+
 @settings(max_examples=100)
 @given(coeff_lists, st.one_of(small_ints, rationals, st.integers(-10 ** 6, 10 ** 6)))
 def test_series_evaluation_matches_fraction_horner(f, x):
