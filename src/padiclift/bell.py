@@ -1,13 +1,20 @@
 """Partial Bell polynomials evaluated exactly on numeric sequences.
 
-``B(n, k)`` of a sequence x_1, x_2, ... is computed with the standard
-binomial recurrence (Comtet, *Advanced Combinatorics*, 1974, 3.3)
+For a sequence x_1, x_2, ... put a_j = x_j / j! and A(x) = sum_j a_j x^j.
+Then (Comtet, *Advanced Combinatorics*, 1974, 3.3)
 
-    B(n, k) = sum_{j>=1} C(n-1, j-1) * x_j * B(n-j, k-1),
+    B(n, k) = n!/k! [x^n] A(x)^k,
 
-which is polynomial-time.  The recurrence runs on plain ``int``: rational
-inputs are first cleared to y = D*x with D the lcm of their denominators,
-and since B(n, k) is homogeneous of degree k, B(n, k)(x) = B(n, k)(y) / D^k.
+so a table of B(n, k) is a table of the ordinary power coefficients
+[x^n] A(x)^k, which :class:`BellTable` builds by the convolution
+
+    [x^n] A^k = sum_{j>=1} a_j [x^(n-j)] A^(k-1).
+
+That recurrence has no binomial, and its cells grow like powers of the
+a_j, not like n!.  It runs on plain ``int``: the a_j are first cleared to
+E a_j with E the lcm of their denominators, and since [x^n] A^k is
+homogeneous of degree k in the a_j, the table stores E^k [x^n] A^k.  The
+engines read those stored values; B(n, k) itself is rebuilt on read.
 The defining sum over the partition index set pi(n, k) is kept as
 :func:`bell_oracle`, an independent reference used by the test-suite only
 (it is exponential and refuses n > 14).
@@ -32,45 +39,67 @@ class OracleTooLarge(DomainError):
 
 
 class BellTable:
-    """Memo of B(n, k) for all 0 <= k <= n <= n_max on a fixed sequence.
+    """B(n, k) for all 0 <= k <= n <= n_max on a fixed sequence x_1, x_2, ...,
+    stored as ordinary power coefficients.
 
     Built once, then read-only, at a cost of O(n_max^2 * len(xs)) integer
-    multiply-adds.  :meth:`int_value` reads the stored integer D^k B(n, k)
-    = B(n, k)(D x_1, D x_2, ...), where D = :attr:`denominator` is the lcm
-    of the denominators of xs; :meth:`value` divides it by D^k."""
+    multiply-adds.  :meth:`ordinary` reads the stored integer
+    E^k [x^n] A(x)^k = E^k k!/n! B(n, k), where a_j = x_j / j!,
+    A(x) = sum_j a_j x^j and E = :attr:`ordinary_denominator` is the lcm of
+    the denominators of the a_j (1 whenever every x_j / j! is an integer).
+    :meth:`int_value` and :meth:`value` rebuild D^k B(n, k) and B(n, k) from
+    it on read, D = :attr:`denominator` being the lcm of the denominators of
+    the x_j."""
 
     def __init__(self, xs, n_max: int):
         xs = [Fraction(x) for x in xs]
-        D = math.lcm(*(x.denominator for x in xs))
-        ys = [x.numerator * (D // x.denominator) for x in xs]
+        a = [x / math.factorial(j) for j, x in enumerate(xs, start=1)]
+        E = math.lcm(*(c.denominator for c in a))
+        ys = [c.numerator * (E // c.denominator) for c in a]
         self.n_max = n_max
-        self.denominator = D
-        rows = [[1]]
+        self.denominator = math.lcm(*(x.denominator for x in xs))
+        self.ordinary_denominator = E
+        rows = [(1,)]
         for n in range(1, n_max + 1):
             row = [0] * (n + 1)
             # y_j = 0 past the end of the sequence
             for j, y in enumerate(ys[:n], start=1):
                 if y:
-                    c = math.comb(n - 1, j - 1) * y
                     prev = rows[n - j]
                     for k in range(1, n - j + 2):
                         b = prev[k - 1]
                         if b:
-                            row[k] += c * b
-            rows.append(row)
+                            row[k] += y * b
+            rows.append(tuple(row))
         self._rows = rows
 
-    def int_value(self, n: int, k: int) -> int:
-        """D^k B(n, k); zero outside 0 <= k <= n by convention."""
+    def ordinary_row(self, n: int) -> tuple:
+        """The stored row (E^k [x^n] A(x)^k for k = 0..n), 0 <= n <= n_max."""
+        if not 0 <= n <= self.n_max:
+            raise IndexError(f"table built to n_max={self.n_max}, asked for n={n}")
+        return self._rows[n]
+
+    def ordinary(self, n: int, k: int) -> int:
+        """E^k [x^n] A(x)^k; zero outside 0 <= k <= n by convention."""
         if k < 0 or n < 0 or k > n:
             return 0
-        if n > self.n_max:
-            raise IndexError(f"table built to n_max={self.n_max}, asked for n={n}")
-        return self._rows[n][k]
+        return self.ordinary_row(n)[k]
+
+    def int_value(self, n: int, k: int) -> int:
+        """D^k B(n, k), an integer; zero outside 0 <= k <= n by convention."""
+        b = self.ordinary(n, k)
+        if not b:
+            return 0
+        return (self.denominator ** k * math.factorial(n) * b
+                // (math.factorial(k) * self.ordinary_denominator ** k))
 
     def value(self, n: int, k: int) -> Fraction:
         """B(n, k); zero outside 0 <= k <= n by convention."""
-        return Fraction(self.int_value(n, k), self.denominator ** max(k, 0))
+        b = self.ordinary(n, k)
+        if not b:
+            return Fraction(0)
+        return Fraction(math.factorial(n) * b,
+                        math.factorial(k) * self.ordinary_denominator ** k)
 
 
 def bell(n: int, k: int, xs) -> Fraction:

@@ -97,6 +97,9 @@ def _cmd_lift(args) -> int:
         "roots": [_report_json(rep) for rep in reports],
     }
     lines = []
+    if not reports:
+        classes = ", ".join(str(r % p) for r in seeds)
+        lines.append(f"no root in Z_{p} lies over the seeds {classes} mod {p}")
     for rep in reports:
         lines.append(f"root = {rep.root}")
         lines.append(f"  residue {rep.root.residue} mod {p}^{N}, "

@@ -101,10 +101,6 @@ class SeriesInput:
     def geometric(cls, coeffs, ratio: int) -> "SeriesInput":
         return cls(tuple(int(c) for c in coeffs), int(ratio))
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.tail_ratio is None
-
     def coeff(self, j: int) -> int:
         if j < len(self.head):
             return self.head[j]

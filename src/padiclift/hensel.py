@@ -153,7 +153,10 @@ def _root_series_residue(cs, p: int, N: int) -> tuple[int, int]:
     """Sum the root series of the Taylor data cs modulo p**N.
 
     Requires vp(cs[0]) >= 1 and vp(cs[1]) = 0; returns (residue in
-    p*Z/p^N, number of terms summed).
+    p*Z/p^N, number of terms summed).  Each bracket is reduced mod p**N
+    and multiplied by a running power of c0/c1 mod p**N: the reduction is
+    a ring map on the rationals whose denominators are prime to p, so the
+    residue is that of the exact :func:`series_terms`.
     """
     c0 = cs[0]
     if c0 == 0:
@@ -161,11 +164,13 @@ def _root_series_residue(cs, p: int, N: int) -> tuple[int, int]:
     v0 = vp(int(c0), p)
     count = _term_count(v0, p, N)
     modulus = p ** N
-    acc = 0
-    for term in series_terms(cs, p, count):
-        if term:
-            acc = (acc + _reduce_mod(term, modulus)) % modulus
-    return acc, count
+    ratio = _reduce_mod(Fraction(c0, cs[1]), modulus)
+    acc, power = 0, 1
+    for br in formal_root_brackets(cs, count - 1):
+        power = power * ratio % modulus
+        if br:
+            acc += _reduce_mod(br, modulus) * power
+    return acc % modulus, count
 
 
 def _validate_simple(f, r0: int, p: int):
@@ -363,30 +368,58 @@ def _sparse_sum(a0: int, a1: int, al: int, am: int, l: int, m: int,
                 p: int, N: int) -> tuple[int, int]:
     """The double sum of :func:`lift_sparse` mod p**N, as (residue, terms).
 
+    Summed on ``int`` mod p**N: a1 is inverted once, and the powers of
+    al, a0^(m-l) am / a1^(m-l) and a0^(l-1) / a1^l are running products.
     A zero al leaves only the j = 0 term of each inner sum and a zero am
     only j = k (the Catalan case), so only that term is summed.
+
+    The weight C(k,j) C(e,k) / (e-k+1), e = m(k-j) + l j, is an integer,
+    and is divided exactly; within each k, C(k,j) and C(e,k) are stepped
+    along j by exact small divisions, not recomputed.  Proof of
+    integrality: with a1 = 1, the root x of a0 + x + al x^l + am x^m is
+    the limit of the fixed-point iteration x <- -(a0 + al x^l + am x^m)
+    from x = 0, whose iterates are polynomials in a0, al, am with integer
+    coefficients that agree in ever higher a0-degree; so the root has
+    integer coefficients as a power series in a0, al, am.  In the closed
+    form the (k, j) term is (-1)^(e+1) C(k,j) C(e,k)/(e-k+1) times the
+    monomial al^j am^(k-j) a0^(1 + (l-1)k + (m-l)(k-j)), and distinct
+    (k, j) give distinct monomials, so each weight is a coefficient of the
+    root.
     """
     if a0 == 0:
         return 0, 0
     v0 = vp(a0, p)
     modulus = p ** N
+    inv = pow(a1, -1, modulus)
+    inner_base = pow(a0 * inv, m - l, modulus) * am % modulus
+    outer_base = pow(a0, l - 1, modulus) * pow(inv, l, modulus) % modulus
+    al_pows, inner_pows = [1], [1]
+    outer = -a0 * inv % modulus  # front * outer_base^k
     acc = 0
-    front = -Fraction(a0, a1)
-    inner_base = Fraction(a0) ** (m - l) * am / Fraction(a1) ** (m - l)
-    outer_base = Fraction(a0) ** (l - 1) / Fraction(a1) ** l
     k = 0
     while True:
-        bracket = Fraction(0)
-        for j in (0,) if al == 0 else (k,) if am == 0 else range(k + 1):
-            e = m * (k - j) + l * j
-            bracket += (Fraction((-1) ** e * binom(k, j) * binom(e, k), e - k + 1)
-                        * Fraction(al) ** j * inner_base ** (k - j))
-        term = front * bracket * outer_base ** k
-        if term:
-            acc = (acc + _reduce_mod(term, modulus)) % modulus
+        bracket = 0
+        js = (0,) if al == 0 else (k,) if am == 0 else range(k + 1)
+        e = m * (k - js[0]) + l * js[0]
+        ckj, cek = math.comb(k, js[0]), math.comb(e, k)
+        for j in js:
+            if j > js[0]:  # step C(k, j-1) -> C(k, j) and C(e, k) -> C(e - m + l, k)
+                ckj = ckj * (k - j + 1) // j
+                for _ in range(m - l):
+                    cek = cek * (e - k) // e
+                    e -= 1
+            c, r = divmod(ckj * cek, e - k + 1)
+            if r:
+                raise DomainError(f"internal error: sparse weight ({k}, {j}) is not an integer")
+            c = c * al_pows[j] * inner_pows[k - j]
+            bracket += -c if e & 1 else c
+        acc = (acc + bracket % modulus * outer) % modulus
         k += 1
         if (k + 1) * v0 - _ilog(m * k + 1, p) >= N:
             return acc, k
+        outer = outer * outer_base % modulus
+        al_pows.append(al_pows[-1] * al % modulus)
+        inner_pows.append(inner_pows[-1] * inner_base % modulus)
 
 
 def lift_sparse(a0: int, a1: int, al: int, am: int, l: int, m: int,

@@ -18,8 +18,11 @@ lifting and factorization code:
 * :func:`formal_root_brackets` / :func:`formal_root_brackets_alt` (and
   :func:`formal_root_terms`, with ``alt=True`` for the second) - the term
   stream of the formal root of a_0 + a_1 x + a_2 x^2 + ... when a_1 is
-  invertible, in two algebraically-equal forms (kept separate so each can
-  cross-check the other);
+  invertible, in two algebraically-equal forms.  The engine is the
+  intermediate form, which reads the ordinary entries [x^n] S^j of one
+  n_max-row table on (a_2, a_3, ...); the regrouped form on
+  B(n+k, k)(1! a_1, 2! a_2, ...), over 2 n_max rows, is kept as the
+  cross-check of the regrouping identity;
 * :func:`trinomial_root_terms` - the sparse specialization for
   x^m + p*x = q, whose m = 5 case is Eisenstein's classical series.
 
@@ -211,17 +214,25 @@ class Series:
 def lagrange_sum(table: BellTable, n: int, k: int) -> Fraction:
     """sum_{j=1..k} (-1)^j (n+j)!/(n+1)! B(k, j), B read from ``table``: the
     Lagrange-inversion sum behind :func:`lagrange_invert` (k = n) and the
-    factorization streams a_n, t_n and T_n.  Summed in ``int`` over the
-    common denominator D^k of the table's entries D^j B(k, j)."""
-    D = table.denominator
+    factorization streams a_n, t_n and T_n.
+
+    B(k, j) = k!/j! [x^k] A^j, and the table stores E^j [x^k] A^j, so the
+    sum is summed in ``int`` over E^k with the weight
+    c_j = (n+j)!/(n+1)! k!/j! kept as a running product,
+    c_(j+1) = c_j (n+j+1)/(j+1), an exact division.  (n+j)!/(n+1)! is the
+    product (n+2)...(n+j), so negative n works too."""
+    row = table.ordinary_row(k)
+    E = table.ordinary_denominator
+    if E != 1:
+        row = [b * E ** (k - j) for j, b in enumerate(row)]
     acc = 0
-    rising = 1  # (n+j)!/(n+1)!
+    c = math.factorial(k)  # c_1 = k!/1!
     for j in range(1, k + 1):
-        b = table.int_value(k, j)
+        b = row[j]
         if b:
-            acc += (-1) ** j * rising * b * D ** (k - j)
-        rising *= n + j + 1
-    return Fraction(acc, D ** k)
+            acc += -c * b if j & 1 else c * b
+        c = c * (n + j + 1) // (j + 1)
+    return Fraction(acc, E ** k)
 
 
 def lagrange_invert(alphas) -> list[Fraction]:
@@ -277,66 +288,68 @@ class InversionProblem:
 # ---------------------------------------------------------------------------
 
 
-def _bell_args_shift0(a):
-    """x_j = j! a_j for j = 1, 2, ... from the coefficient list a (a[0] unused)."""
-    return [math.factorial(j) * Fraction(a[j]) for j in range(1, len(a))]
+def _bell_args(cs):
+    """x_j = j! cs[j-1] for j = 1, 2, ...: the Bell arguments whose ordinary
+    generating function is sum_j cs[j-1] x^j."""
+    return [math.factorial(j) * c for j, c in enumerate(cs, start=1)]
 
 
-def formal_root_brackets(a, n_max: int) -> list[Fraction]:
-    """Bracket_n of the formal root, for n = 0..n_max.
-
-    The root is sum_n bracket_n * (a0/a1)^(n+1);
-
-    bracket_n = sum_{k=0..n} (-1)^(n-k+1) / (a1^k (n+1)!) * C(2n+1, n-k)
-                * B(n+k, k)(1! a1, 2! a2, ...).
-
-    Only a[1:] enters the brackets; a[0] only scales the terms.  The table
-    stores D^k B(n+k, k) and y1 = D a1 is its first integer argument, so
-    each bracket is summed in ``int`` over (n+1)! y1^n and divided once.
-    """
+def _checked(a) -> list[Fraction]:
     a = [Fraction(c) for c in a]
     if len(a) < 2 or a[1] == 0:
         raise LinearCoefficientZero("need a nonzero linear coefficient a1")
-    table = BellTable(_bell_args_shift0(a), 2 * n_max)
-    y1 = int(table.denominator * a[1])
-    y1_pows = [y1 ** i for i in range(n_max + 1)]
+    return a
+
+
+def formal_root_brackets(a, n_max: int) -> list[Fraction]:
+    """Bracket_n of the formal root, for n = 0..n_max: the engine.
+
+    The root is sum_n bracket_n * (a0/a1)^(n+1), with
+
+    bracket_n = (-1)^(n+1)/(n+1) * sum_{j=0..n} (-1)^j C(n+j, j)
+                [x^n] S(x)^j / a1^j,   S(x) = a2 x + a3 x^2 + ...,
+
+    the intermediate (pre-regrouping) form; [x^n] S^j = j!/n! B(n, j)(1! a2,
+    2! a3, ...).  Only a[1:] enters the brackets; a[0] only scales the
+    terms.  The entries E^j [x^n] S^j are read from one Bell table of
+    n_max rows, and with E a1 = u/v each bracket is summed in ``int`` over
+    (n+1) u^n and divided once, so a rational a1 stays exact.
+    """
+    a = _checked(a)
+    table = BellTable(_bell_args(a[2:]), n_max)
+    u, v = (table.ordinary_denominator * a[1]).as_integer_ratio()
+    u_pows = [u ** i for i in range(n_max + 1)]
+    v_pows = [v ** i for i in range(n_max + 1)]
     out = []
     for n in range(n_max + 1):
         acc = 0
-        for k in range(n + 1):
-            b = table.int_value(n + k, k)
+        for j, b in enumerate(table.ordinary_row(n)):
             if b:
-                acc += (-1) ** (n - k + 1) * binom(2 * n + 1, n - k) * b * y1_pows[n - k]
-        out.append(Fraction(acc, math.factorial(n + 1) * y1_pows[n]))
+                t = math.comb(n + j, j) * b * v_pows[j] * u_pows[n - j]
+                acc += -t if j & 1 else t
+        out.append(Fraction((-1) ** (n + 1) * acc, (n + 1) * u_pows[n]))
     return out
 
 
 def formal_root_brackets_alt(a, n_max: int) -> list[Fraction]:
-    """Same brackets via the intermediate (pre-regrouping) form.
+    """Same brackets via the regrouped form: the cross-check.
 
-    bracket_n = sum_{j=0..n} (-1)^(n+j+1) / (a1^j n!) * (n+j)!/(n+1)!
-                * B(n, j)(1! a2, 2! a3, ...).
+    bracket_n = sum_{k=0..n} (-1)^(n-k+1) / (a1^k (n+1)!) * C(2n+1, n-k)
+                * B(n+k, k)(1! a1, 2! a2, ...).
 
-    Algebraically equal to :func:`formal_root_brackets`; kept as an
-    independent cross-check of the regrouping identity.
+    Algebraically equal to :func:`formal_root_brackets`, but it reads a
+    table of 2 n_max rows on the other argument sequence, so it checks the
+    regrouping identity; summed entry by entry in Fraction.
     """
-    a = [Fraction(c) for c in a]
-    if len(a) < 2 or a[1] == 0:
-        raise LinearCoefficientZero("need a nonzero linear coefficient a1")
-    a1 = a[1]
-    shifted = [math.factorial(j) * Fraction(a[j + 1]) for j in range(1, len(a) - 1)]
-    table = BellTable(shifted, n_max)
+    a = _checked(a)
+    table = BellTable(_bell_args(a[1:]), 2 * n_max)
     out = []
     for n in range(n_max + 1):
         acc = Fraction(0)
-        nfac = math.factorial(n)
-        np1fac = math.factorial(n + 1)
-        for j in range(n + 1):
-            b = table.value(n, j)
-            if b:
-                acc += ((-1) ** (n + j + 1) * Fraction(math.factorial(n + j))
-                        / (a1 ** j * nfac * np1fac) * b)
-        out.append(acc)
+        for k in range(n + 1):
+            acc += ((-1) ** (n - k + 1) * binom(2 * n + 1, n - k)
+                    * table.value(n + k, k) / a[1] ** k)
+        out.append(acc / math.factorial(n + 1))
     return out
 
 

@@ -26,6 +26,16 @@ def test_lift_json(capsys):
     assert payload["input"] == {"poly": [1, 11, -5], "prime": 7, "precision": 3}
 
 
+def test_lift_with_no_root_over_the_seeds_says_so(capsys):
+    argv = ("lift", "--poly", "1,0,1", "--prime", "2", "--precision", "3")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert out == "no root in Z_2 lies over the seeds 1 mod 2\n"
+    rc, out, _ = run(capsys, *argv, "--json")
+    assert rc == 0
+    assert json.loads(out)["roots"] == []
+
+
 def test_lift_scan_mode(capsys):
     rc, out, _ = run(capsys, "lift", "--poly", "1,11,-5", "--prime", "7",
                      "--precision", "2", "--json")

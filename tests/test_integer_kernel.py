@@ -1,11 +1,11 @@
 """Property tests of the integer kernels: the Bell table, the sums that
-read it, and the Series ring operations.
+read it, the modular series sums, and the Series ring operations.
 
 The references below are the exact-Fraction forms: the binomial
-recurrence, the Lagrange sum, and the Series product, reciprocal and
-evaluation, with every partial sum a reduced rational and no cleared
-denominator.  Unlike ``bell_oracle`` the recurrence is polynomial, so it
-covers n up to 40.
+recurrence, the Lagrange sum, the regrouped bracket sum, the sparse double
+sum, and the Series product, reciprocal and evaluation, with every partial
+sum a reduced rational and no cleared denominator.  Unlike ``bell_oracle``
+the recurrence is polynomial, so it covers n up to 40.
 """
 
 import math
@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 import padiclift
 from padiclift import polys
 from padiclift.bell import BellTable
-from padiclift.bigmath import binom
-from padiclift.hensel import (lift_general, lift_simple, newton_lift, teichmuller,
-                              teichmuller_oracle)
+from padiclift.bigmath import binom, vp
+from padiclift.hensel import (_ilog, _root_series_residue, _sparse_sum, _term_count,
+                              lift_general, lift_simple, newton_lift, series_terms,
+                              teichmuller, teichmuller_oracle)
 from padiclift.series import (InversionProblem, Series, formal_root_brackets,
                               formal_root_brackets_alt, lagrange_invert)
 
@@ -46,6 +47,46 @@ def fraction_lagrange_invert(alphas):
     return [sum((-1) ** j * Fraction(math.factorial(n + j), math.factorial(n + 1)) * rows[n][j]
                 for j in range(1, n + 1))
             for n in range(1, len(alphas) + 1)]
+
+
+def regrouped_brackets(a, n_max):
+    """bracket_n = sum_k (-1)^(n-k+1) C(2n+1, n-k) B(n+k, k)(1! a1, 2! a2, ...)
+    / (a1^k (n+1)!), on the Fraction recurrence's B."""
+    a = [Fraction(c) for c in a]
+    rows = fraction_bell_rows([math.factorial(j) * a[j] for j in range(1, len(a))], 2 * n_max)
+    return [sum((-1) ** (n - k + 1) * binom(2 * n + 1, n - k) * rows[n + k][k] / a[1] ** k
+                for k in range(n + 1)) / math.factorial(n + 1)
+            for n in range(n_max + 1)]
+
+
+def reduce_mod(x, modulus):
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+
+def fraction_sparse_sum(a0, a1, al, am, l, m, p, N):
+    """The sparse double sum with a Fraction per inner term, reduced per term."""
+    if a0 == 0:
+        return 0, 0
+    v0 = vp(a0, p)
+    modulus = p ** N
+    acc = 0
+    front = -Fraction(a0, a1)
+    inner_base = Fraction(a0) ** (m - l) * am / Fraction(a1) ** (m - l)
+    outer_base = Fraction(a0) ** (l - 1) / Fraction(a1) ** l
+    k = 0
+    while True:
+        bracket = Fraction(0)
+        for j in (0,) if al == 0 else (k,) if am == 0 else range(k + 1):
+            e = m * (k - j) + l * j
+            bracket += (Fraction((-1) ** e * binom(k, j) * binom(e, k), e - k + 1)
+                        * Fraction(al) ** j * inner_base ** (k - j))
+        term = front * bracket * outer_base ** k
+        if term:
+            acc = (acc + reduce_mod(term, modulus)) % modulus
+        k += 1
+        if (k + 1) * v0 - _ilog(m * k + 1, p) >= N:
+            return acc, k
 
 
 def fraction_mul(f, g):
@@ -117,6 +158,31 @@ def test_table_matches_fraction_recurrence(xs, n_max):
             assert table.int_value(n, k) == b * D ** k
 
 
+@settings(max_examples=60)
+@given(sequences, st.integers(0, 40))
+def test_ordinary_entries_match_the_fraction_recurrence(xs, n_max):
+    # the stored entry is E^k [x^n] A(x)^k = E^k k!/n! B(n, k), A = sum x_j/j! x^j
+    table = BellTable(xs, n_max)
+    E = math.lcm(*(Fraction(x, math.factorial(j)).denominator
+                   for j, x in enumerate(xs, start=1)))
+    assert table.ordinary_denominator == E
+    for n, row in enumerate(fraction_bell_rows(xs, n_max)):
+        assert len(table.ordinary_row(n)) == n + 1
+        for k, b in enumerate(row):
+            assert table.ordinary(n, k) == b * math.factorial(k) / math.factorial(n) * E ** k
+
+
+def test_ordinary_denominator_on_integer_input():
+    # a = (1, 1/2, 1/6): E = 6 although every x_j is an integer, and
+    # 36 [x^4] (x + x^2/2 + x^3/6)^2 = 36 (2/6 + 1/4) = 21 = 36 * 2!/4! * B(4, 2)
+    table = BellTable((1, 1, 1), 6)
+    assert (table.denominator, table.ordinary_denominator) == (1, 6)
+    assert table.ordinary(4, 2) == 21 and table.value(4, 2) == 7 == table.int_value(4, 2)
+    assert table.ordinary(2, 3) == 0 and table.ordinary(-1, 0) == 0
+    with pytest.raises(IndexError):
+        table.ordinary(7, 1)
+
+
 def test_long_sequence_at_n_40():
     xs = [(-1) ** j * Fraction(j % 5, 1 + j % 3) for j in range(40)]
     table = BellTable(xs, 40)
@@ -131,7 +197,9 @@ def test_long_sequence_at_n_40():
 def test_brackets_match_the_alternative_form(a, n_max):
     if a[1] == 0:
         a[1] = Fraction(-3, 2)
-    assert formal_root_brackets(a, n_max) == formal_root_brackets_alt(a, n_max)
+    brackets = formal_root_brackets(a, n_max)
+    assert brackets == formal_root_brackets_alt(a, n_max)
+    assert brackets == regrouped_brackets(a, n_max)
 
 
 @settings(max_examples=40)
@@ -194,6 +262,41 @@ def test_lift_general_matches_newton_on_the_rescaled_polynomial(p, r0, kappa, ma
     g = [p ** (nu - 2 * kappa) * u0, u1] + g
     x = newton_lift(g, 0, p, N - kappa).residue
     assert lift_general(f, r0, p, N).root.residue == (r0 + p ** kappa * x) % p ** N
+
+
+maybe_zero = st.one_of(st.just(0), st.integers(-9, 9))
+
+
+@settings(max_examples=150)
+@given(primes, st.integers(-30, 30), st.integers(-40, 40), maybe_zero, maybe_zero,
+       st.integers(2, 5), st.integers(1, 3), st.integers(1, 30))
+def test_sparse_sum_matches_fraction_reference(p, u0, a1, al, am, l, gap, N):
+    a1 += a1 % p == 0
+    args = (p * u0, a1, al, am, l, l + gap, p, N)
+    assert _sparse_sum(*args) == fraction_sparse_sum(*args)
+
+
+def test_sparse_weights_are_integers():
+    # C(k,j) C(e,k) / (e-k+1), e = m(k-j) + l j: coefficients of the root of
+    # a0 + x + al x^l + am x^m, so _sparse_sum divides them exactly
+    for m in range(3, 10):
+        for l in range(2, m):
+            for k in range(61):
+                for j in range(k + 1):
+                    e = m * (k - j) + l * j
+                    assert math.comb(k, j) * math.comb(e, k) % (e - k + 1) == 0, (l, m, k, j)
+
+
+@settings(max_examples=60)
+@given(primes, st.integers(1, 2), units, st.integers(-40, 40), st.lists(small_ints, max_size=4),
+       st.integers(1, 30))
+def test_root_series_residue_matches_term_by_term_reduction(p, v0, u0, c1, rest, N):
+    c1 += c1 % p == 0
+    cs = [p ** v0 * u0, c1] + rest
+    modulus = p ** N
+    count = _term_count(vp(cs[0], p), p, N)
+    expected = sum(reduce_mod(t, modulus) for t in series_terms(cs, p, count)) % modulus
+    assert _root_series_residue(cs, p, N) == (expected, count)
 
 
 @settings(max_examples=150)

@@ -1,0 +1,57 @@
+"""The oracles name no engine, so each check stays independent of what it checks.
+
+``newton_lift``, ``teichmuller_oracle`` and ``bell_oracle`` still sit in the
+engine modules; this reads their source, and that of every helper of the
+same module they call, and looks for the engines' names.
+"""
+
+import ast
+import inspect
+
+import pytest
+
+from padiclift import bell, hensel, series
+
+ENGINES = {"BellTable", "lagrange_sum", "formal_root_brackets", "_sparse_sum",
+           "_root_series_residue"}
+
+
+def names_used(module, name):
+    """Every name and attribute read by module.name and, transitively, by the
+    functions of the same module that it names."""
+    seen, todo, names = set(), [name], set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(ast.parse(inspect.getsource(getattr(module, fn)))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+                obj = vars(module).get(node.id)
+                if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                    todo.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module, name", [(hensel, "newton_lift"),
+                                          (hensel, "teichmuller_oracle"),
+                                          (bell, "bell_oracle")])
+def test_oracle_names_no_engine(module, name):
+    assert not names_used(module, name) & ENGINES
+
+
+def test_regrouping_cross_check_reads_a_table_but_no_other_engine():
+    # formal_root_brackets_alt is exempt from the rule above: it checks the
+    # regrouping identity, not the Bell table, so it reads a BellTable on
+    # purpose (2 n_max rows on another sequence); it calls no other engine
+    used = names_used(series, "formal_root_brackets_alt")
+    assert "BellTable" in used
+    assert not used & (ENGINES - {"BellTable"})
+
+
+def test_the_scan_follows_helpers_of_the_same_module():
+    # lift_simple reaches the brackets only through _root_series_residue
+    assert "formal_root_brackets" in names_used(hensel, "lift_simple")
