@@ -5,8 +5,10 @@ Every q in {1, ..., p-1} is a (p-1)-st root of unity mod p and lifts to a
 unique true root of unity xi_q in Z_p with xi_q = q mod p.  Two ways to
 get there:
 
-* a closed triple-sum series in Bell-polynomial style (what this library
-  evaluates), and
+* the closed series of the simple root of x^(p-1) - 1 above q; the paper
+  writes it as a triple sum in Bell-polynomial style, and this library
+  sums it with the root-series engine of ``lift_simple`` on the
+  normalized equation (1+y)^(p-1) = q^(1-p), x = q(1+y), and
 * the folklore iteration xi = lim q^(p^k), which stabilizes once the
   p-th-power map becomes the identity on the residue.
 

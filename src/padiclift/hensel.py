@@ -13,6 +13,7 @@ Degenerate seeds (f(r0) = 0 mod p**nu only, derivative of valuation
 kappa > 0) go through the rescaled expansion c_j = p^((j-2)kappa)
 f^(j)(r0)/j! with 2*kappa < nu; see :func:`lift_general`.  Seeds that do
 not separate (double roots mod p) can be refined with :func:`lift_all`.
+:func:`teichmuller` is the same simple-root series, on x^(p-1) - 1 at q.
 
 Every closed-form path has an independent check: :func:`newton_lift` is
 the classical quadratically-convergent iteration, kept free of any Bell
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .bigmath import INFINITY, binom, vp
+from .bigmath import INFINITY, vp
 from .errors import DomainError
 from .padic import PadicInt
 from .series import formal_root_brackets
@@ -53,7 +54,7 @@ class NonIntegralShift(DomainError):
 
 
 class OutOfRange(DomainError):
-    """Teichmuller argument outside {1, ..., p-1} or p not an odd prime."""
+    """Teichmuller argument outside {1, ..., p-1}, p not an odd prime, or N < 1."""
 
 
 class BadExponents(DomainError):
@@ -138,17 +139,6 @@ def _term_count(v0: int, p: int, N: int) -> int:
     return -(-N * (p - 1) // denom)  # ceil
 
 
-def series_terms(cs, p: int, count: int) -> list[Fraction]:
-    """First ``count`` exact terms bracket_n * (c0/c1)^(n+1) of the root series.
-
-    Exposed so tests can check the term-valuation growth directly.
-    """
-    cs = [Fraction(c) for c in cs]
-    brackets = formal_root_brackets(cs, count - 1)
-    ratio = cs[0] / cs[1]
-    return [br * ratio ** (n + 1) for n, br in enumerate(brackets)]
-
-
 def _root_series_residue(cs, p: int, N: int) -> tuple[int, int]:
     """Sum the root series of the Taylor data cs modulo p**N.
 
@@ -156,7 +146,8 @@ def _root_series_residue(cs, p: int, N: int) -> tuple[int, int]:
     p*Z/p^N, number of terms summed).  Each bracket is reduced mod p**N
     and multiplied by a running power of c0/c1 mod p**N: the reduction is
     a ring map on the rationals whose denominators are prime to p, so the
-    residue is that of the exact :func:`series_terms`.
+    residue is that of the exact terms of
+    :func:`~padiclift.series.formal_root_terms`.
     """
     c0 = cs[0]
     if c0 == 0:
@@ -454,55 +445,31 @@ def lift_sparse(a0: int, a1: int, al: int, am: int, l: int, m: int,
 def teichmuller(q: int, p: int, N: int) -> PadicInt:
     """The (p-1)-st root of unity in Z_p congruent to q mod p (p odd).
 
-    Triple-sum root-of-unity series: with c0 = q^(p-1) - 1 and
-    c1 = (p-1) q^(p-2),
+    The paper's triple sum, with c0 = q^(p-1) - 1 and c1 = (p-1) q^(p-2),
+    xi = q - (c0/c1) sum_n bracket'_n (c0/(q c1))^n, where bracket'_n =
+    sum_k sum_j (-1)^(n-j) C(2n+1, n-k) C(k, j) (j(p-1))_(n+k) / ((p-1)^k (n+1)! k!),
+    is the root series of x^(p-1) - 1 at q: bracket'_n = -q^n bracket_n on
+    its Taylor data.  It is summed here on normalized data: x = q(1+y) gives
+    x^(p-1) - 1 = q^(p-1) g(y), g(y) = (1+y)^(p-1) - q^(1-p), so c0 = 1 - q^(1-p)
+    and c_j = C(p-1, j), read for j <= count only; xi = q(1 + rho).
 
-    xi = q - (c0/c1) sum_n [ sum_k sum_j (-1)^(n-j) / ((p-1)^k (n+1)! k!)
-         C(2n+1, n-k) C(k, j) (j(p-1))_(n+k) ] (c0/(q c1))^n.
-
-    Each bracket is summed in ``int`` over the common denominator
-    (n+1)! n! (p-1)^n, and only over the j with (j(p-1))_(n+k) != 0.  The
-    result is checked on the spot: xi = q mod p and xi^(p-1) = 1 mod p**N.
+    Reducing c0 mod p^N shifts g by a constant in p^N Z_p; on pZ_p,
+    g'(y) = (p-1)(1+y)^(p-2) is a unit, so the simple root rho moves only
+    within p^N Z_p.  If vp(c0) < N the reduction keeps vp(c0); otherwise the
+    reduced c0 is 0 and xi = q.  Checked: xi = q mod p, xi^(p-1) = 1 mod p**N.
     """
     if p <= 2 or not 1 <= q <= p - 1:
         raise OutOfRange(f"need p an odd prime and 1 <= q <= p-1, got q={q}, p={p}")
+    if N < 1:
+        raise OutOfRange(f"need precision N >= 1, got N={N}")
     modulus = p ** N
-    c0 = q ** (p - 1) - 1
-    c1 = (p - 1) * q ** (p - 2)
-    if c0 == 0:
-        return PadicInt(p, N, q % modulus)
-    v0 = vp(c0, p)
-    count = _term_count(v0, p, N)
-    # prefix products of falling factorials (a)_i for each a = j*(p-1)
-    fall: dict[int, list[int]] = {}
-
-    def falling_of(a: int, n: int) -> int:
-        row = fall.setdefault(a, [1])
-        while len(row) <= n:
-            i = len(row)
-            row.append(row[-1] * (a - i + 1))
-        return row[n]
-
-    acc = q % modulus
-    front = -Fraction(c0, c1)
-    ratio = Fraction(c0, q * c1)
-    for n in range(count):
-        acc_n = 0
-        for k in range(n + 1):
-            inner = 0
-            # (a)_(n+k) = 0 for integers 0 <= a < n+k
-            for j in range(-(-(n + k) // (p - 1)), k + 1):
-                inner += (-1) ** (n - j) * binom(k, j) * falling_of(j * (p - 1), n + k)
-            if inner:
-                # over (n+1)! n! (p-1)^n: the k-term gains n!/k! (p-1)^(n-k)
-                acc_n += binom(2 * n + 1, n - k) * math.perm(n, n - k) * (p - 1) ** (n - k) * inner
-        bracket = Fraction(acc_n, math.factorial(n + 1) * math.factorial(n) * (p - 1) ** n)
-        term = front * bracket * ratio ** n
-        if term:
-            acc = (acc + _reduce_mod(term, modulus)) % modulus
-    if acc % p != q % p or pow(acc, p - 1, modulus) != 1 % modulus:
+    c0 = (1 - pow(q, 1 - p, modulus)) % modulus
+    top = min(p - 1, _term_count(vp(c0, p), p, N)) if c0 else 1
+    rho, _ = _root_series_residue([c0] + [math.comb(p - 1, j) for j in range(1, top + 1)], p, N)
+    xi = q * (1 + rho) % modulus
+    if xi % p != q % p or pow(xi, p - 1, modulus) != 1:
         raise DomainError("teichmuller series failed its root-of-unity check")
-    return PadicInt(p, N, acc)
+    return PadicInt(p, N, xi)
 
 
 def teichmuller_oracle(q: int, p: int, N: int) -> PadicInt:

@@ -16,13 +16,13 @@ lifting and factorization code:
   sum itself is :func:`lagrange_sum`, which the factorization streams
   share;
 * :func:`formal_root_brackets` / :func:`formal_root_brackets_alt` (and
-  :func:`formal_root_terms`, with ``alt=True`` for the second) - the term
-  stream of the formal root of a_0 + a_1 x + a_2 x^2 + ... when a_1 is
-  invertible, in two algebraically-equal forms.  The engine is the
-  intermediate form, which reads the ordinary entries [x^n] S^j of one
-  n_max-row table on (a_2, a_3, ...); the regrouped form on
-  B(n+k, k)(1! a_1, 2! a_2, ...), over 2 n_max rows, is kept as the
-  cross-check of the regrouping identity;
+  :func:`formal_root_terms` on the first) - the term stream of the formal
+  root of a_0 + a_1 x + a_2 x^2 + ... when a_1 is invertible, in two
+  algebraically-equal forms.  The engine is the intermediate form, which
+  reads the ordinary entries [x^n] S^j of one n_max-row table on
+  (a_2, a_3, ...); the regrouped form on B(n+k, k)(1! a_1, 2! a_2, ...),
+  over 2 n_max rows, is kept as the cross-check of the regrouping
+  identity;
 * :func:`trinomial_root_terms` - the sparse specialization for
   x^m + p*x = q, whose m = 5 case is Eisenstein's classical series.
 
@@ -353,7 +353,7 @@ def formal_root_brackets_alt(a, n_max: int) -> list[Fraction]:
     return out
 
 
-def formal_root_terms(a, n_max: int, alt: bool = False) -> list[tuple[Fraction, Fraction]]:
+def formal_root_terms(a, n_max: int) -> list[tuple[Fraction, Fraction]]:
     """Per-n (bracket, term) pairs of the formal root of f(x) = 0.
 
     term_n = bracket_n * (a0/a1)^(n+1); the partial sums converge to the
@@ -361,7 +361,7 @@ def formal_root_terms(a, n_max: int, alt: bool = False) -> list[tuple[Fraction, 
     with vp(a0) >= 1).
     """
     a = [Fraction(c) for c in a]
-    brackets = (formal_root_brackets_alt if alt else formal_root_brackets)(a, n_max)
+    brackets = formal_root_brackets(a, n_max)
     ratio = a[0] / a[1]
     return [(br, br * ratio ** (n + 1)) for n, br in enumerate(brackets)]
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from padiclift.cli import main
+from padiclift.hensel import teichmuller_oracle
 
 
 def run(capsys, *argv):
@@ -57,6 +58,20 @@ def test_teichmuller(capsys):
                      "--precision", "2", "--json")
     assert rc == 0
     assert json.loads(out)["residue"] == "7"
+
+
+def test_teichmuller_at_a_large_prime(capsys):
+    rc, out, _ = run(capsys, "teichmuller", "--prime", "1000003", "--q", "123456",
+                     "--precision", "4", "--json")
+    assert rc == 0
+    want = teichmuller_oracle(123456, 1000003, 4).residue
+    assert json.loads(out)["residue"] == str(want)
+
+
+def test_teichmuller_refuses_precision_zero(capsys):
+    rc, out, err = run(capsys, "teichmuller", "--prime", "5", "--q", "1", "--precision", "0")
+    assert rc == 1 and out == ""
+    assert "OutOfRange" in err and "Traceback" not in err
 
 
 def test_classify(capsys):

@@ -11,8 +11,9 @@ from padiclift.hensel import (BadExponents, DerivativeNotUnit, EvenPrime,
                               ZeroPolynomial,
                               lift_all, lift_cubic, lift_general,
                               lift_quadratic, lift_simple, lift_sparse,
-                              newton_lift, series_terms, taylor_shift,
+                              newton_lift, taylor_shift,
                               teichmuller, teichmuller_oracle)
+from padiclift.series import formal_root_terms
 
 EX1 = [1, 11, -5]    # two simple roots mod 7: 1 and 4
 EX2 = [17, 6, 2]     # double root 1 mod 5
@@ -82,7 +83,7 @@ def test_simple_errors():
 def test_term_valuation_growth():
     cs = polys.taylor_coeffs(EX1, 1)
     v0 = vp(cs[0], 7)
-    terms = series_terms(cs, 7, 12)
+    terms = [t for _, t in formal_root_terms(cs, 11)]
     bounds = [(n + 1) * v0 - vp_factorial(n + 1, 7) for n in range(12)]
     for n, t in enumerate(terms):
         assert vp_rat(t, 7) >= bounds[n]
@@ -421,3 +422,5 @@ def test_teichmuller_out_of_range():
         teichmuller(7, 7, 5)
     with pytest.raises(OutOfRange):
         teichmuller(1, 2, 5)
+    with pytest.raises(OutOfRange):
+        teichmuller(1, 5, 0)

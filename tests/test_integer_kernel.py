@@ -3,12 +3,14 @@ read it, the modular series sums, and the Series ring operations.
 
 The references below are the exact-Fraction forms: the binomial
 recurrence, the Lagrange sum, the regrouped bracket sum, the sparse double
-sum, and the Series product, reciprocal and evaluation, with every partial
-sum a reduced rational and no cleared denominator.  Unlike ``bell_oracle``
-the recurrence is polynomial, so it covers n up to 40.
+sum, the Teichmuller triple sum, and the Series product, reciprocal and
+evaluation, with every partial sum a reduced rational and no cleared
+denominator.  Unlike ``bell_oracle`` the recurrence is polynomial, so it
+covers n up to 40.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,12 +20,13 @@ from hypothesis import strategies as st
 import padiclift
 from padiclift import polys
 from padiclift.bell import BellTable
-from padiclift.bigmath import binom, vp
+from padiclift.bigmath import binom, falling, vp
 from padiclift.hensel import (_ilog, _root_series_residue, _sparse_sum, _term_count,
-                              lift_general, lift_simple, newton_lift, series_terms,
+                              lift_general, lift_simple, newton_lift,
                               teichmuller, teichmuller_oracle)
 from padiclift.series import (InversionProblem, Series, formal_root_brackets,
-                              formal_root_brackets_alt, lagrange_invert)
+                              formal_root_brackets_alt, formal_root_terms,
+                              lagrange_invert)
 
 
 def fraction_bell_rows(xs, n_max):
@@ -56,6 +59,21 @@ def regrouped_brackets(a, n_max):
     rows = fraction_bell_rows([math.factorial(j) * a[j] for j in range(1, len(a))], 2 * n_max)
     return [sum((-1) ** (n - k + 1) * binom(2 * n + 1, n - k) * rows[n + k][k] / a[1] ** k
                 for k in range(n + 1)) / math.factorial(n + 1)
+            for n in range(n_max + 1)]
+
+
+def triple_sum_brackets(p, n_max):
+    """The Teichmuller brackets of the paper's triple sum, term by term:
+
+    bracket'_n = sum_k sum_j (-1)^(n-j) / ((p-1)^k (n+1)! k!)
+                 C(2n+1, n-k) C(k, j) (j(p-1))_(n+k),
+
+    with xi = q - (c0/c1) sum_n bracket'_n (c0/(q c1))^n, c0 = q^(p-1) - 1
+    and c1 = (p-1) q^(p-2).  They do not depend on q."""
+    return [sum(Fraction((-1) ** (n - j) * binom(2 * n + 1, n - k) * binom(k, j)
+                         * falling(j * (p - 1), n + k),
+                         (p - 1) ** k * math.factorial(n + 1) * math.factorial(k))
+                for k in range(n + 1) for j in range(k + 1))
             for n in range(n_max + 1)]
 
 
@@ -222,6 +240,25 @@ def test_teichmuller_matches_powering(p, q, N):
     assert teichmuller(q, p, N) == teichmuller_oracle(q, p, N)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_triple_sum_is_the_root_series_of_x_p_minus_1(p):
+    # bracket'_n = -q^n bracket_n of the Taylor data of x^(p-1) - 1 at q
+    reference = triple_sum_brackets(p, 15)
+    f = [-1] + [0] * (p - 2) + [1]
+    for q in range(1, p):
+        brackets = formal_root_brackets(polys.taylor_coeffs(f, q), 15)
+        for n in range(16):
+            assert reference[n] == -q ** n * brackets[n], (q, p, n)
+
+
+@pytest.mark.parametrize("p", [1009, 10007, 1000003])
+def test_teichmuller_at_large_primes(p):
+    rng = random.Random(p)
+    for q in (1, 2, p - 1, rng.randint(3, p - 2), rng.randint(3, p - 2)):
+        for N in range(1, 7):
+            assert teichmuller(q, p, N) == teichmuller_oracle(q, p, N), (q, N)
+
+
 def from_taylor(cs, r0):
     """Integer coefficients of sum_j cs[j] (x - r0)^j."""
     f = [0]
@@ -295,7 +332,7 @@ def test_root_series_residue_matches_term_by_term_reduction(p, v0, u0, c1, rest,
     cs = [p ** v0 * u0, c1] + rest
     modulus = p ** N
     count = _term_count(vp(cs[0], p), p, N)
-    expected = sum(reduce_mod(t, modulus) for t in series_terms(cs, p, count)) % modulus
+    expected = sum(reduce_mod(t, modulus) for _, t in formal_root_terms(cs, count - 1)) % modulus
     assert _root_series_residue(cs, p, N) == (expected, count)
 
 

@@ -199,4 +199,4 @@ def test_formal_root_terms_scaling():
     for n, (br, val) in enumerate(terms):
         assert br == brackets[n]
         assert val == br * Fraction(5, 2) ** (n + 1)
-    assert formal_root_terms(a, 4, alt=True) == terms
+    assert formal_root_brackets_alt(a, 4) == brackets
