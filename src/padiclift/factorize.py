@@ -117,26 +117,49 @@ class SeriesInput:
         For a geometric tail the sum closes to h*r*c^H/(1 - r*c); that
         rational equals the p-adic sum whenever vp(r*c) >= 1, which holds
         for every scan point (c in p*Z).
+
+        With c = u/v in lowest terms, Horner's rule runs on ``int`` scaled
+        by v^(H-1), and the tail joins it over the single denominator
+        v^(H-1) (v - r u), so one Fraction is built per call.  On the scan
+        c is an integer in p*Z, so v = 1 and v - r u = 1 - r c has
+        vp = 0: the denominator is a p-adic unit and vp(f(c)) is the
+        valuation of the numerator alone.
         """
-        c = Fraction(c)
-        acc = Fraction(0)
+        u, v = (c, 1) if isinstance(c, int) else Fraction(c).as_integer_ratio()
+        H = len(self.head)
+        acc, vk = 0, 1  # acc = v^(H-1) * (head part); vk ends at v^H
         for a in reversed(self.head):
-            acc = acc * c + a
+            acc = acc * u + a * vk
+            vk *= v
+        if H == 0:
+            return Fraction(0)
+        den = vk // v
         if self.tail_ratio is not None:
-            h, r, H = self.head[-1], self.tail_ratio, len(self.head)
-            acc += h * r * c ** H / (1 - r * c)
-        return acc
+            h, r = self.head[-1], self.tail_ratio
+            g = v - r * u
+            acc = acc * g + h * r * u ** H
+            den *= g
+        return Fraction(acc, den)
 
     def eval_derivative_exact(self, c) -> Fraction:
-        c = Fraction(c)
-        acc = Fraction(0)
-        for j in range(len(self.head) - 1, 0, -1):
-            acc = acc * c + j * self.head[j]
-        if self.tail_ratio is not None:
-            # d/dx [ h r x^H / (1 - r x) ]
-            h, r, H = self.head[-1], self.tail_ratio, len(self.head)
-            acc += h * r * (H * c ** (H - 1) * (1 - r * c) + r * c ** H) / (1 - r * c) ** 2
-        return acc
+        """f'(c) as an exact rational, over v^(H-2) (v - r u)^2 as in
+        :meth:`eval_exact` (with a factor v moved up when H = 1)."""
+        u, v = (c, 1) if isinstance(c, int) else Fraction(c).as_integer_ratio()
+        H = len(self.head)
+        acc, vk = 0, 1  # acc = v^(H-2) * (head part); vk ends at v^(H-1)
+        for j in range(H - 1, 0, -1):
+            acc = acc * u + j * self.head[j] * vk
+            vk *= v
+        if self.tail_ratio is None:
+            return Fraction(acc, vk // v) if H > 1 else Fraction(0)
+        # d/dx [ h r x^H / (1 - r x) ] = h r (H u^(H-1) g + r u^H) / (v^(H-2) g^2)
+        h, r = self.head[-1], self.tail_ratio
+        g = v - r * u
+        uh = u ** (H - 1)
+        tail = h * r * (H * uh * g + r * uh * u)
+        if H == 1:
+            return Fraction(tail * v, g * g)
+        return Fraction(acc * g * g + tail, vk // v * g * g)
 
     def rescaled(self, scale: int) -> "SeriesInput":
         """The input for g(x) = f(scale * x)."""
@@ -279,10 +302,51 @@ def a_coeffs(e: RootDigits, M: int) -> list[int]:
 
 
 def t_coeffs(e: RootDigits, M: int) -> list[int]:
-    """Reciprocal coefficients t_n of Ahat = 1 - x - x sum p^(ell n) a_n x^n:
-    t_n = T_n(p^ell), integers by the reciprocal lemma (T_n: :func:`tn_series`)."""
-    pl = e.p ** e.ell
-    return [int(tn_series(e, n, n).evaluate(pl)) for n in range(1, M + 1)]
+    """Reciprocal coefficients t_n of Ahat = 1 - x - x sum p^(ell n) a_n x^n,
+    n = 1..M: t_n = T_n(P) with P = p^ell, T_n truncated at x^n (T_n:
+    :func:`tn_series`), summed in O(M^2) integer operations.
+
+    On the digits the Bell arguments are x_j = j! e_j, so a_j = x_j / j! = e_j,
+    A(x) = E(x) - 1 and the ordinary denominator is 1: the stored entry
+    W(k, j) = table.ordinary(k, j) is the integer [x^k] (E - 1)^j.  With
+    B(k, j) = k!/j! W(k, j) and (n+j)!/((n+1)! j!) = C(n+j, j)/(n+1), the
+    x^k coefficient of T_n is (n+1-k)/(n+1) sum_j (-1)^j C(n+j, j) W(k, j),
+    and swapping the sums gives
+
+        (n+1)(t_n - 1) = sum_j (-1)^j C(n+j, j) ((n+1) U_j(n) - V_j(n)),
+
+    U_j(n) = sum_{k=j..n} W(k, j) P^k,  V_j(n) = sum_{k=j..n} k W(k, j) P^k.
+    Each U_j gains one term per n, and (n+1) U_j(n) - V_j(n) =
+    sum_{i=j..n} U_j(i) is a running sum of running sums, so n = 1..M costs
+    O(M^2) additions on one table.  Every coefficient of T_n is an integer
+    (it is the x^k coefficient of E^(-n-2) (E + x E'), E(0) = 1), so the
+    right side is (n+1) times an integer and the division by n+1 is exact;
+    a remainder raises IntegralityViolation.
+    """
+    table = e.bell_table(M)
+    P = e.p ** e.ell
+    U = [0] * (M + 1)  # U[j] = U_j(n)
+    S = [0] * (M + 1)  # S[j] = (n+1) U_j(n) - V_j(n)
+    out = []
+    Pn = 1
+    for n in range(1, M + 1):
+        Pn *= P
+        row = table.ordinary_row(n)
+        acc = 0
+        c = 1  # C(n+j, j), stepped along j
+        for j in range(1, n + 1):
+            w = row[j]
+            if w:
+                U[j] += w * Pn
+            S[j] += U[j]
+            c = c * (n + j) // j
+            if S[j]:
+                acc += -c * S[j] if j & 1 else c * S[j]
+        q, r = divmod(acc, n + 1)
+        if r:
+            raise IntegralityViolation(f"t_{n} = 1 + {Fraction(acc, n + 1)} is not an integer")
+        out.append(1 + q)
+    return out
 
 
 def e_series(e: RootDigits, order: int) -> Series:
@@ -300,12 +364,16 @@ def tn_series(e: RootDigits, n: int, order: int) -> Series:
     for every n >= 1, so they agree for all n, negative n included.
     """
     table = e.bell_table(order)
-    s = Series([1] + [Fraction(n + 1 - k, math.factorial(k)) * lagrange_sum(table, n, k)
-                      for k in range(1, order + 1)], order)
-    for c in s.coeffs:
-        if c.denominator != 1:
-            raise IntegralityViolation(f"T_{n} coefficient {c} not integral")
-    return s
+    cs, fact = [1], 1
+    for k in range(1, order + 1):
+        fact *= k
+        L = lagrange_sum(table, n, k)
+        num, den = (n + 1 - k) * L.numerator, fact * L.denominator
+        c, r = divmod(num, den)
+        if r:
+            raise IntegralityViolation(f"T_{n} coefficient {Fraction(num, den)} not integral")
+        cs.append(c)
+    return Series(cs, order)
 
 
 @dataclass(frozen=True)
@@ -525,11 +593,14 @@ def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> Fac
     recip_ok = (ahat * that) == Series.one(M + 1)
 
     # recurrence T_(n-1) = E * T_n on a sample of indices, negative ones
-    # included: each side is the closed form at its own index
+    # included: each side is the closed form at its own index; on the same
+    # sample the closed form and the running-sum stream agree, t_n = T_n(p^ell)
     order = len(digits.digits)
     E = e_series(digits, order)
     T = {n: tn_series(digits, n, order) for n in range(-3, min(5, M) + 1)}
-    rec_ok = all(T[n - 1] == (E * T[n]).truncate(order) for n in range(-2, min(5, M) + 1))
+    rec_ok = (all(T[n - 1] == (E * T[n]).truncate(order) for n in range(-2, min(5, M) + 1))
+              and all(T[n].truncate(n).evaluate(p ** ell) == t[n - 1]
+                      for n in range(1, min(5, M) + 1)))
 
     # A annihilates the root mod p^(ell(M+2))
     mod_ann = p ** (ell * (M + 2))

@@ -90,12 +90,14 @@ class LiftReport:
 
 
 def taylor_shift(f, r0: int, kappa: int = 0, p: int | None = None) -> ShiftedTaylor:
-    """Taylor data of g(x) = p^(-2*kappa) f(r0 + p^kappa x).
+    """Taylor data of g(x) = p^(-2*kappa) f(r0 + p^kappa x), f in Z[x].
 
     With kappa = 0 this is the plain shift c_j = f^(j)(r0)/j!.  For
-    kappa > 0 the prime must be supplied; if any c_j has negative
-    valuation the pair (r0, kappa) is inconsistent and NonIntegralShift
-    is raised.
+    kappa > 0 the prime must be supplied, and c_j = f^(j)(r0)/j! *
+    p^((j-2) kappa) is an integer product for j >= 2 and an exact integer
+    division by p^((2-j) kappa) for j < 2; if that division leaves a
+    remainder, c_j has negative valuation, the pair (r0, kappa) is
+    inconsistent and NonIntegralShift is raised.
     """
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
@@ -104,14 +106,17 @@ def taylor_shift(f, r0: int, kappa: int = 0, p: int | None = None) -> ShiftedTay
     base = polys.taylor_coeffs(list(f), r0)
     if kappa == 0:
         return ShiftedTaylor(tuple(Fraction(c) for c in base), r0, 0)
+    pk = p ** kappa
     cs = []
     for j, c in enumerate(base):
-        cs.append(Fraction(c) * Fraction(p) ** ((j - 2) * kappa))
-    for j, c in enumerate(cs):
-        if c.denominator % p == 0:
+        d = pk ** max(2 - j, 0)
+        q, r = divmod(c * pk ** max(j - 2, 0), d)
+        if r:
             raise NonIntegralShift(
-                f"c_{j} = {c} has negative valuation; 2*kappa={2 * kappa} exceeds vp(f^({j})(r0)/{j}!)"
+                f"c_{j} = {Fraction(c, d)} has negative valuation; "
+                f"2*kappa={2 * kappa} exceeds vp(f^({j})(r0)/{j}!)"
             )
+        cs.append(Fraction(q))
     return ShiftedTaylor(tuple(cs), r0, kappa)
 
 
@@ -476,6 +481,8 @@ def teichmuller_oracle(q: int, p: int, N: int) -> PadicInt:
     """Iterated powering: xi = lim q^(p^k) mod p**N, the independent check."""
     if p <= 2 or not 1 <= q <= p - 1:
         raise OutOfRange(f"need p an odd prime and 1 <= q <= p-1, got q={q}, p={p}")
+    if N < 1:
+        raise OutOfRange(f"need precision N >= 1, got N={N}")
     modulus = p ** N
     x = q % modulus
     while True:

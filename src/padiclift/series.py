@@ -1,12 +1,13 @@
 """Truncated formal power series over Q, and series solutions of f(x) = 0.
 
-The :class:`Series` type is dense with exact Fraction coefficients and an
-explicit truncation order: a series of order M is known modulo x**(M+1).
-Binary operations truncate to the smaller order.  Products, reciprocals
-and evaluation clear each operand's denominators once (D = the lcm of its
-coefficient denominators, 1 for an integer series), run the convolution,
-the reciprocal recurrence or Horner's rule on plain ``int``, and build one
-Fraction per output coefficient, so no gcd runs inside their loops.
+The :class:`Series` type is dense and exact, with an explicit truncation
+order: a series of order M is known modulo x**(M+1).  Binary operations
+truncate to the smaller order.  A series is stored as integer numerators
+over one common denominator D (the lcm of its coefficient denominators, 1
+for an integer series), so products, sums, reciprocals and evaluation run
+the convolution, the reciprocal recurrence or Horner's rule on plain
+``int``; one multi-argument gcd brings each result back to its least D,
+and the Fraction coefficients are built only when read.
 
 On top of the ring operations sit the three series engines used by the
 lifting and factorization code:
@@ -58,34 +59,60 @@ class DegenerateExponent(DomainError):
     """Trinomial root series needs exponent m > 1."""
 
 
-def _cleared(coeffs) -> tuple[list[int], int]:
-    """(C, D) with coeffs[i] = C[i] / D, D the lcm of the denominators."""
-    dens = [c.denominator for c in coeffs]
-    D = math.lcm(*dens)
-    return [c.numerator * (D // d) for c, d in zip(coeffs, dens)], D
-
-
 class Series:
-    """Power series known modulo x**(order+1): dense, with exact Fraction
-    coefficients.  Products, reciprocals and evaluation are summed in
-    ``int`` over each operand's common denominator, with one Fraction
-    built per output coefficient."""
+    """Power series known modulo x**(order+1), dense and exact.
 
-    __slots__ = ("coeffs",)
+    Stored as integer numerators over one common denominator D > 0 with
+    gcd(D, numerators) = 1, which makes D the lcm of the reduced coefficient
+    denominators (1 for an integer series), so the stored form is unique
+    and equality compares integers.  The ring operations run on that form;
+    :attr:`coeffs` builds the Fraction coefficients on first read."""
+
+    __slots__ = ("_num", "_den", "_coeffs")
 
     def __init__(self, coeffs, order: int | None = None):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
-            cs = cs[: order + 1] + [Fraction(0)] * (order + 1 - len(cs))
+            cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
         elif not cs:
             raise ValueError("empty coefficient list and no order")
-        self.coeffs = tuple(cs)
+        if all(type(c) is int for c in cs):
+            self._num, self._den, self._coeffs = tuple(cs), 1, None
+        else:
+            fr = tuple(c if type(c) is Fraction else Fraction(c) for c in cs)
+            D = math.lcm(*(c.denominator for c in fr))
+            self._num = tuple(c.numerator * (D // c.denominator) for c in fr)
+            self._den, self._coeffs = D, fr
+
+    @classmethod
+    def _of(cls, num, den: int) -> "Series":
+        """The series num[i] / den (den != 0), brought to the stored form."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        s = object.__new__(cls)
+        s._num, s._den, s._coeffs = tuple(num), den, None
+        return s
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced Fractions."""
+        cs = self._coeffs
+        if cs is None:
+            D = self._den
+            cs = self._coeffs = (tuple(map(Fraction, self._num)) if D == 1
+                                 else tuple(Fraction(c, D) for c in self._num))
+        return cs
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @classmethod
     def zero(cls, order: int) -> "Series":
@@ -103,32 +130,39 @@ class Series:
         return self.coeffs[n]
 
     def __eq__(self, other):
-        return isinstance(other, Series) and self.coeffs == other.coeffs
+        return (isinstance(other, Series) and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self):
         return f"Series({list(self.coeffs)!r})"
 
     def truncate(self, order: int) -> "Series":
-        return Series(self.coeffs, order)
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        num = self._num
+        return Series._of(num[: order + 1] + (0,) * (order + 1 - len(num)), self._den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            cs = list(self.coeffs)
-            cs[0] += other
-            return Series(cs)
+            u, v = other.as_integer_ratio()
+            num = [c * v for c in self._num]
+            num[0] += u * self._den
+            return Series._of(num, self._den * v)
         M = min(self.order, other.order)
-        return Series([self.coeffs[i] + other.coeffs[i] for i in range(M + 1)])
+        D = math.lcm(self._den, other._den)
+        sf, sg = D // self._den, D // other._den
+        return Series._of([f * sf + g * sg for f, g in zip(self._num[: M + 1], other._num)], D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs])
+        return Series._of([-c for c in self._num], self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -138,13 +172,13 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Series([c * other for c in self.coeffs])
+            u, v = other.as_integer_ratio()
+            return Series._of([c * u for c in self._num], self._den * v)
         M = min(self.order, other.order)
-        F, DF = _cleared(self.coeffs[: M + 1])
-        G, DG = _cleared(other.coeffs[M::-1])  # reversed: G[M - j] = other_j
-        D = DF * DG
-        return Series([Fraction(sum(map(mul, F[: n + 1], G[M - n:])), D)
-                       for n in range(M + 1)])
+        F = self._num[: M + 1]
+        G = other._num[M::-1]  # reversed: G[M - j] = other_j
+        return Series._of([sum(map(mul, F[: n + 1], G[M - n:])) for n in range(M + 1)],
+                          self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -162,7 +196,7 @@ class Series:
 
     def compose(self, g: "Series") -> "Series":
         """self(g(x)) truncated at min(orders); needs g(0) = 0."""
-        if g.coeffs[0] != 0:
+        if g._num[0] != 0:
             raise CompositionNeedsZeroConstant("inner series must have zero constant term")
         M = min(self.order, g.order)
         out = Series.zero(M)
@@ -177,33 +211,37 @@ class Series:
 
     def reciprocal(self) -> "Series":
         """Series g with self * g = 1 + O(x**(order+1)); needs f(0) != 0."""
-        F, D = _cleared(self.coeffs)
+        F, D = self._num, self._den
         f0 = F[0]
         if f0 == 0:
             raise NotInvertible("constant term is zero")
         # self = F/D; h_n = f0^(n+1) (1/F)_n has h_0 = 1 and
-        # h_n = -sum_{i=1..n} F_i f0^(i-1) h_(n-i), so g_n = D h_n / f0^(n+1)
+        # h_n = -sum_{i=1..n} F_i f0^(i-1) h_(n-i), so g_n = D h_n / f0^(n+1),
+        # which is D h_n f0^(M-n) over the common denominator f0^(M+1)
         W = [F[i] * f0 ** (i - 1) for i in range(1, len(F))]
         h = [1]
         for n in range(1, len(F)):
             h.append(-sum(map(mul, W[:n], reversed(h))))
-        return Series([Fraction(D * hn, f0 ** (n + 1)) for n, hn in enumerate(h)])
+        num, fk = [], D
+        for hn in reversed(h):
+            num.append(hn * fk)
+            fk *= f0
+        return Series._of(num[::-1], fk // D)
 
     def derivative(self) -> "Series":
         if self.order == 0:
             return Series.zero(0)
-        return Series([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Series._of([i * c for i, c in enumerate(self._num)][1:], self._den)
 
     def evaluate(self, x) -> Fraction:
         """Partial-sum value at a concrete rational point (no convergence claims)."""
-        C, D = _cleared(self.coeffs)
         # Horner on x = u/v, scaled by v^order: sum_k C_k u^k v^(order-k)
-        u, v = Fraction(x).as_integer_ratio()
+        u, v = (x, 1) if isinstance(x, int) else Fraction(x).as_integer_ratio()
         acc, vk = 0, 1
-        for c in reversed(C):
+        for c in reversed(self._num):
             acc = acc * u + c * vk
             vk *= v
-        return Fraction(acc, D * v ** self.order)
+        return Fraction(acc, self._den * (vk // v))
 
 
 # ---------------------------------------------------------------------------

@@ -267,15 +267,63 @@ def test_tn_congruences_catch_a_corrupted_t(monkeypatch):
         bad = list(t)
         bad[nu - 1] += p ** (ell * (nu + 1))
         assert not factorize._tn_congruences(E, p ** ell, bad), nu
-    # a wrong closed form: t_coeffs reads T_n from tn_series, the check does not
-    closed_form = factorize.tn_series
+    # a wrong stream: t_coeffs reads W(k, j) from the Bell table, the check
+    # does not.  W(M, 1) += M + 1 keeps the division by M + 1 exact and moves
+    # t_M by C(M+1, 1) p^(ell M) = 7 * 5^6, which is not 0 mod 5^8
+    honest_row = factorize.BellTable.ordinary_row
 
-    def skewed(e, n, order):
-        s = closed_form(e, n, order)
-        return Series([1] + [c + 1 for c in s.coeffs[1:]], order) if n >= 1 else s
+    def skewed(table, n):
+        row = honest_row(table, n)
+        return (row[0], row[1] + M + 1) + row[2:] if n == M else row
 
-    monkeypatch.setattr(factorize, "tn_series", skewed)
+    monkeypatch.setattr(factorize.BellTable, "ordinary_row", skewed)
     assert not factorize._tn_congruences(E, p ** ell, t_coeffs(d, M))
+
+
+def test_recurrence_check_ties_the_stream_to_the_closed_form(monkeypatch):
+    # t_2 moved by p^(4 ell) passes the congruence T_2(p^ell) = t_2 mod
+    # p^(4 ell), but not the exact sample t_n = T_n(p^ell), n <= 5
+    honest, run_checks = factorize.t_coeffs, factorize._run_checks
+    seen = []
+
+    def skewed(e, M):
+        t = honest(e, M)
+        t[1] += e.p ** (4 * e.ell)
+        return t
+
+    def recording(*args):
+        seen.append(run_checks(*args))
+        return seen[-1]
+
+    f = polys.mul(polys.add([7], [0, -1, 3, -2]), [49, 3, -5])
+    monkeypatch.setattr(factorize, "_run_checks", recording)
+    assert factor(f, 8).checks.tn_recurrence
+    monkeypatch.setattr(factorize, "t_coeffs", skewed)
+    with pytest.raises(factorize.PrecisionExhausted, match="tn_recurrence=False"):
+        factor(f, 8)
+    checks = seen[-1]
+    assert not checks.tn_recurrence
+    assert checks.tn_congruences
+
+
+def test_t_stream_reads_no_closed_form(monkeypatch):
+    # t_coeffs(d, 40) is the running-sum stream: one Bell table, no T_n
+    built, closed_forms = [], []
+
+    class Counting(factorize.BellTable):
+        def __init__(self, xs, n_max):
+            built.append(n_max)
+            super().__init__(xs, n_max)
+
+    def counting_tn(*args):
+        closed_forms.append(args)
+        return tn_series(*args)
+
+    monkeypatch.setattr(factorize, "BellTable", Counting)
+    monkeypatch.setattr(factorize, "tn_series", counting_tn)
+    d = rand_digits(random.Random(83), 5, 1, 41)
+    assert len(t_coeffs(d, 40)) == 40
+    assert built == [41] and closed_forms == []
 
 
 def test_streams_share_one_bell_table(monkeypatch):

@@ -424,3 +424,10 @@ def test_teichmuller_out_of_range():
         teichmuller(1, 2, 5)
     with pytest.raises(OutOfRange):
         teichmuller(1, 5, 0)
+
+
+def test_teichmuller_oracle_out_of_range():
+    # the oracle refuses what the engine refuses, with the same error
+    for q, p, N in ((0, 7, 5), (7, 7, 5), (1, 2, 5), (1, 5, 0), (3, 7, -1)):
+        with pytest.raises(OutOfRange):
+            teichmuller_oracle(q, p, N)

@@ -3,10 +3,12 @@ read it, the modular series sums, and the Series ring operations.
 
 The references below are the exact-Fraction forms: the binomial
 recurrence, the Lagrange sum, the regrouped bracket sum, the sparse double
-sum, the Teichmuller triple sum, and the Series product, reciprocal and
-evaluation, with every partial sum a reduced rational and no cleared
-denominator.  Unlike ``bell_oracle`` the recurrence is polynomial, so it
-covers n up to 40.
+sum, the Teichmuller triple sum, the Series product, reciprocal and
+evaluation, and the evaluators of a factorization input, with every
+partial sum a reduced rational and no cleared denominator.  Unlike
+``bell_oracle`` the recurrence is polynomial, so it covers n up to 40.
+The running-sum t stream is checked against the per-coefficient one,
+t_n = T_n(p^ell) from one closed form per n.
 """
 
 import math
@@ -21,6 +23,7 @@ import padiclift
 from padiclift import polys
 from padiclift.bell import BellTable
 from padiclift.bigmath import binom, falling, vp
+from padiclift.factorize import RootDigits, SeriesInput, t_coeffs, tn_series
 from padiclift.hensel import (_ilog, _root_series_residue, _sparse_sum, _term_count,
                               lift_general, lift_simple, newton_lift,
                               teichmuller, teichmuller_oracle)
@@ -139,6 +142,37 @@ def fraction_evaluate(f, x):
     acc = Fraction(0)
     for c in reversed(f):
         acc = acc * x + c
+    return acc
+
+
+def per_coefficient_t(e, M):
+    """t_n = T_n(p^ell), n = 1..M, one closed form T_n truncated at x^n per n:
+    O(M^3) work in the Lagrange sums."""
+    P = e.p ** e.ell
+    return [int(tn_series(e, n, n).evaluate(P)) for n in range(1, M + 1)]
+
+
+def fraction_eval(si, c):
+    """f(c) by Horner's rule in Fraction, plus the closed geometric tail."""
+    c = Fraction(c)
+    acc = Fraction(0)
+    for a in reversed(si.head):
+        acc = acc * c + a
+    if si.tail_ratio is not None:
+        h, r, H = si.head[-1], si.tail_ratio, len(si.head)
+        acc += h * r * c ** H / (1 - r * c)
+    return acc
+
+
+def fraction_eval_derivative(si, c):
+    """f'(c) the same way, with the quotient rule on the tail."""
+    c = Fraction(c)
+    acc = Fraction(0)
+    for j in range(len(si.head) - 1, 0, -1):
+        acc = acc * c + j * si.head[j]
+    if si.tail_ratio is not None:
+        h, r, H = si.head[-1], si.tail_ratio, len(si.head)
+        acc += h * r * (H * c ** (H - 1) * (1 - r * c) + r * c ** H) / (1 - r * c) ** 2
     return acc
 
 
@@ -352,6 +386,7 @@ def test_series_reciprocal_matches_fraction_recurrence(f):
     recip = Series(cs).reciprocal()
     assert list(recip.coeffs) == fraction_reciprocal(cs)
     assert all_fractions(recip)
+    assert recip == Series(fraction_reciprocal(cs))  # a positive least denominator
 
 
 @settings(max_examples=60)
@@ -393,3 +428,72 @@ def test_series_evaluation_matches_fraction_horner(f, x):
     value = Series(f).evaluate(x)
     assert value == fraction_evaluate([Fraction(c) for c in f], x)
     assert type(value) is Fraction
+
+
+@settings(max_examples=150)
+@given(coeff_lists, coeff_lists, st.one_of(small_ints, rationals), st.integers(0, 14))
+def test_series_ring_operations_match_fraction_arithmetic(f, g, s, k):
+    # sums, negation, scalars, derivative and truncation on the stored
+    # numerators over one denominator, against entry-by-entry Fraction work
+    F, G = [Fraction(c) for c in f], [Fraction(c) for c in g]
+    M = min(len(F), len(G)) - 1
+    sf, sg = Series(f), Series(g)
+    cases = [
+        (sf + sg, [F[i] + G[i] for i in range(M + 1)]),
+        (sf - sg, [F[i] - G[i] for i in range(M + 1)]),
+        (-sf, [-c for c in F]),
+        (sf * s, [c * s for c in F]),
+        (s * sf, [c * s for c in F]),
+        (sf + s, [F[0] + s] + F[1:]),
+        (s - sf, [s - F[0]] + [-c for c in F[1:]]),
+        (sf.derivative(), [i * c for i, c in enumerate(F)][1:] or [Fraction(0)]),
+        (sf.truncate(k), (F + [Fraction(0)] * k)[: k + 1]),
+    ]
+    for got, want in cases:
+        assert list(got.coeffs) == want and all_fractions(got)
+        # one stored form per series: equal series built any way compare
+        # and hash equal
+        assert got == Series(want) and hash(got) == hash(Series(want))
+    assert (sf * sg - sg * sf).is_zero() and (sf * sg - sg * sf) == Series.zero(M)
+
+
+# ---------------------------------------------------------------------------
+# factorization streams and evaluators
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60)
+@given(st.sampled_from([3, 5, 7, 11]), st.integers(1, 2), st.integers(0, 40), st.data())
+def test_t_stream_matches_the_per_coefficient_closed_form(p, ell, M, data):
+    blk = p ** ell
+    digits = data.draw(st.lists(st.integers(0, blk - 1), min_size=M, max_size=M + 2))
+    e = RootDigits(p, ell, tuple(digits))
+    assert t_coeffs(e, M) == per_coefficient_t(e, M)
+
+
+scan_primes = st.sampled_from([3, 5, 7, 11])
+# points in pZ (every scan point is one) and rational points
+eval_points = st.one_of(st.builds(lambda p, k: (p, p * k), scan_primes, st.integers(-60, 60)),
+                        st.tuples(st.none(), st.one_of(rationals, small_ints)))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-50, 50), max_size=8), st.one_of(st.none(), st.integers(-6, 6)),
+       eval_points)
+def test_input_evaluators_match_fraction_horner(head, ratio, point):
+    # polynomial (ratio None) and geometric inputs; 1 - r c may vanish at a
+    # rational point, and then both forms divide by zero
+    si = SeriesInput(tuple(head), ratio if head else None)
+    p, c = point
+    for fast, ref in ((si.eval_exact, fraction_eval),
+                      (si.eval_derivative_exact, fraction_eval_derivative)):
+        try:
+            want = ref(si, c)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                fast(c)
+            continue
+        got = fast(c)
+        assert got == want and type(got) is Fraction
+        if p is not None:
+            # on p*Z the single denominator v^(H-1) (v - r u) = 1 - r c is a unit
+            assert got.denominator % p != 0
