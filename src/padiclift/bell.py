@@ -42,34 +42,43 @@ class BellTable:
     """B(n, k) for all 0 <= k <= n <= n_max on a fixed sequence x_1, x_2, ...,
     stored as ordinary power coefficients.
 
-    Built once, then read-only, at a cost of O(n_max^2 * len(xs)) integer
-    multiply-adds.  :meth:`ordinary` reads the stored integer
+    Built once, then read-only.  :meth:`ordinary` reads the stored integer
     E^k [x^n] A(x)^k = E^k k!/n! B(n, k), where a_j = x_j / j!,
     A(x) = sum_j a_j x^j and E = :attr:`ordinary_denominator` is the lcm of
     the denominators of the a_j (1 whenever every x_j / j! is an integer).
     :meth:`int_value` and :meth:`value` rebuild D^k B(n, k) and B(n, k) from
     it on read, D = :attr:`denominator` being the lcm of the denominators of
-    the x_j."""
+    the x_j.
+
+    Only a band of each row is built: with L = :attr:`degree` the index of
+    the last nonzero a_j (1 if none), A^k has no term above x^(kL), so
+    [x^n] A^k = 0 for k < n/L, and the build loop starts each row at
+    k = ceil(n/L).  The stored rows keep their length n + 1."""
 
     def __init__(self, xs, n_max: int):
-        xs = [Fraction(x) for x in xs]
-        a = [x / math.factorial(j) for j, x in enumerate(xs, start=1)]
-        E = math.lcm(*(c.denominator for c in a))
-        ys = [c.numerator * (E // c.denominator) for c in a]
+        ratios = [x.as_integer_ratio() for x in xs]
+        a, fact = [], 1
+        for j, (u, v) in enumerate(ratios, start=1):
+            fact *= j
+            g = math.gcd(u, fact)  # a_j = u / (v j!) with gcd(u, v) = 1
+            a.append((u // g, v * (fact // g)))
+        E = math.lcm(*(d for _, d in a))
+        ys = [u * (E // d) for u, d in a]
+        L = self.degree = max((j for j, y in enumerate(ys, start=1) if y), default=1)
         self.n_max = n_max
-        self.denominator = math.lcm(*(x.denominator for x in xs))
+        self.denominator = math.lcm(*(v for _, v in ratios))
         self.ordinary_denominator = E
         rows = [(1,)]
         for n in range(1, n_max + 1):
             row = [0] * (n + 1)
-            # y_j = 0 past the end of the sequence
-            for j, y in enumerate(ys[:n], start=1):
+            # row[k] = sum_j y_j [x^(n-j)] A^(k-1), over the band of row n - j
+            for j, y in enumerate(ys[:min(n, L)], start=1):
                 if y:
                     prev = rows[n - j]
-                    for k in range(1, n - j + 2):
-                        b = prev[k - 1]
+                    for i in range(-(-(n - j) // L), n - j + 1):
+                        b = prev[i]
                         if b:
-                            row[k] += y * b
+                            row[i + 1] += y * b
             rows.append(tuple(row))
         self._rows = rows
 

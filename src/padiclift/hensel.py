@@ -30,7 +30,8 @@ from . import polys
 from .bigmath import INFINITY, vp
 from .errors import DomainError
 from .padic import PadicInt
-from .series import formal_root_brackets
+# formal_root_brackets stays bound: bench/tracer.py:layer_patches patches it here
+from .series import formal_root_brackets, formal_root_numerators  # noqa: F401
 
 
 class NotARootModP(DomainError):
@@ -125,11 +126,6 @@ def taylor_shift(f, r0: int, kappa: int = 0, p: int | None = None) -> ShiftedTay
 # ---------------------------------------------------------------------------
 
 
-def _reduce_mod(x: Fraction, modulus: int) -> int:
-    """Reduce a rational with denominator coprime to the modulus."""
-    return x.numerator * pow(x.denominator, -1, modulus) % modulus
-
-
 def _term_count(v0: int, p: int, N: int) -> int:
     """Terms needed so every omitted term has valuation >= N.
 
@@ -145,27 +141,35 @@ def _term_count(v0: int, p: int, N: int) -> int:
 
 
 def _root_series_residue(cs, p: int, N: int) -> tuple[int, int]:
-    """Sum the root series of the Taylor data cs modulo p**N.
+    """Sum the root series of the integer Taylor data cs modulo p**N.
 
     Requires vp(cs[0]) >= 1 and vp(cs[1]) = 0; returns (residue in
-    p*Z/p^N, number of terms summed).  Each bracket is reduced mod p**N
-    and multiplied by a running power of c0/c1 mod p**N: the reduction is
-    a ring map on the rationals whose denominators are prime to p, so the
-    residue is that of the exact terms of
-    :func:`~padiclift.series.formal_root_terms`.
+    p*Z/p^N, number of terms summed).  Term n is (-1)^(n+1) X_n c0^(n+1)
+    c1^-(2n+1) / (n+1), X_n from :func:`~padiclift.series.formal_root_numerators`
+    (u = c1 on integer data), with running powers and one inverse of c1.
+    The sum runs mod p^(N+S), S = floor(log_p(count)): with n + 1 = p^s w,
+    s <= S, dividing a term's residue by p^s leaves it known mod p^N, and
+    the division is exact because vp(c0^(n+1)) >= n + 1 > s.  The unit w
+    is inverted mod p^N.
     """
     c0 = cs[0]
     if c0 == 0:
         return 0, 0
-    v0 = vp(int(c0), p)
-    count = _term_count(v0, p, N)
+    count = _term_count(vp(c0, p), p, N)
     modulus = p ** N
-    ratio = _reduce_mod(Fraction(c0, cs[1]), modulus)
-    acc, power = 0, 1
-    for br in formal_root_brackets(cs, count - 1):
-        power = power * ratio % modulus
-        if br:
-            acc += _reduce_mod(br, modulus) * power
+    top = p ** _ilog(count, p)  # p^S
+    wide = modulus * top
+    c1, X = formal_root_numerators(cs, count - 1)
+    inv = pow(c1, -1, wide)
+    power = c0 * inv % wide  # c0^(n+1) c1^-(2n+1)
+    step = power * inv % wide
+    acc = 0
+    for n, x in enumerate(X):
+        if x:
+            ps = math.gcd(n + 1, top)  # p^s
+            t = (x * power % wide // ps) * pow((n + 1) // ps, -1, modulus)
+            acc += t if n & 1 else -t
+        power = power * step % wide
     return acc % modulus, count
 
 
@@ -257,10 +261,14 @@ def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
     """All roots of f in Z_p lying over the seed class r0 mod p.
 
     Refines the seed modulo growing powers of p until each surviving
-    class satisfies the lift_general hypotheses with room to spare
-    (depth > 2*kappa guarantees a unique root per class), then lifts.
-    Classes that never separate (multiple p-adic roots) raise
-    DerivativeNotUnit at the depth cap max(2N, 16).
+    class satisfies the lift_general hypotheses with room to spare, then
+    lifts it.  Classes that never separate (multiple p-adic roots) raise
+    DerivativeNotUnit at the depth cap max(2N, 16).  Each Z_p root is
+    lifted once: a class c with nc > 2 kc holds exactly one root in its
+    Newton ball c + p^(kc+1) Z_p (Hensel's lemma in Newton's form: vp(f')
+    = kc on the ball, and Newton's iteration from c converges to a root r
+    with vp(r - c) >= nc - kc > kc), so a class whose ball
+    (kc, c mod p^(kc+1)) was already lifted is skipped.
     """
     f = [int(c) for c in f]
     if not any(f):
@@ -273,6 +281,7 @@ def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
         raise NotARootModP(f"f({r0}) != 0 mod {p}")
     live = [r0]
     found: dict[int, LiftReport] = {}
+    balls = set()
     depth = 1
     while live and depth <= max_depth:
         nxt = []
@@ -281,8 +290,11 @@ def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
             kc = vp(polys.evaluate(df, c), p)
             nc = vp(fc, p)
             if kc is not INFINITY and nc > 2 * kc + (margin - 1) and depth > 2 * kc:
-                rep = lift_general(f, c, p, N)
-                found.setdefault(rep.root.residue, rep)
+                ball = (kc, c % p ** (kc + 1))
+                if ball not in balls:
+                    balls.add(ball)
+                    rep = lift_general(f, c, p, N)
+                    found.setdefault(rep.root.residue, rep)
                 continue
             step = p ** depth
             for t in range(p):

@@ -21,9 +21,9 @@ lifting and factorization code:
   root of a_0 + a_1 x + a_2 x^2 + ... when a_1 is invertible, in two
   algebraically-equal forms.  The engine is the intermediate form, which
   reads the ordinary entries [x^n] S^j of one n_max-row table on
-  (a_2, a_3, ...); the regrouped form on B(n+k, k)(1! a_1, 2! a_2, ...),
-  over 2 n_max rows, is kept as the cross-check of the regrouping
-  identity;
+  (a_2, a_3, ...), through the integer kernel :func:`formal_root_numerators`;
+  the regrouped form on B(n+k, k)(1! a_1, 2! a_2, ...), over 2 n_max rows,
+  is kept as the cross-check of the regrouping identity;
 * :func:`trinomial_root_terms` - the sparse specialization for
   x^m + p*x = q, whose m = 5 case is Eisenstein's classical series.
 
@@ -339,8 +339,39 @@ def _checked(a) -> list[Fraction]:
     return a
 
 
+def formal_root_numerators(a, n_max: int) -> tuple[int, list[int]]:
+    """The integer kernel of the brackets: (u, [X_0, ..., X_n_max]) with
+
+    bracket_n = (-1)^(n+1) X_n / ((n+1) u^n),
+    X_n = sum_j (-1)^j C(n+j, j) E^j [x^n] S(x)^j v^j u^(n-j),
+
+    where E a1 = u/v in lowest terms (u = a1 on integer data) and the
+    entries E^j [x^n] S^j are read over the band j >= ceil(n/L) of one Bell
+    table of n_max rows; C(n+j, j) is stepped along j by exact divisions.
+    """
+    a = _checked(a)
+    table = BellTable(_bell_args(a[2:]), n_max)
+    u, v = (table.ordinary_denominator * a[1]).as_integer_ratio()
+    u_pows = [u ** i for i in range(n_max + 1)]
+    v_pows = [v ** i for i in range(n_max + 1)]
+    X = []
+    for n in range(n_max + 1):
+        row = table.ordinary_row(n)
+        lo = -(-n // table.degree)
+        c = math.comb(n + lo, lo)
+        acc = 0
+        for j in range(lo, n + 1):
+            b = row[j]
+            if b:
+                t = c * b * v_pows[j] * u_pows[n - j]
+                acc += -t if j & 1 else t
+            c = c * (n + j + 1) // (j + 1)
+        X.append(acc)
+    return u, X
+
+
 def formal_root_brackets(a, n_max: int) -> list[Fraction]:
-    """Bracket_n of the formal root, for n = 0..n_max: the engine.
+    """Bracket_n of the formal root, for n = 0..n_max.
 
     The root is sum_n bracket_n * (a0/a1)^(n+1), with
 
@@ -349,24 +380,11 @@ def formal_root_brackets(a, n_max: int) -> list[Fraction]:
 
     the intermediate (pre-regrouping) form; [x^n] S^j = j!/n! B(n, j)(1! a2,
     2! a3, ...).  Only a[1:] enters the brackets; a[0] only scales the
-    terms.  The entries E^j [x^n] S^j are read from one Bell table of
-    n_max rows, and with E a1 = u/v each bracket is summed in ``int`` over
-    (n+1) u^n and divided once, so a rational a1 stays exact.
+    terms.  Each bracket is one Fraction over the integer X_n of
+    :func:`formal_root_numerators`, so a rational a1 stays exact.
     """
-    a = _checked(a)
-    table = BellTable(_bell_args(a[2:]), n_max)
-    u, v = (table.ordinary_denominator * a[1]).as_integer_ratio()
-    u_pows = [u ** i for i in range(n_max + 1)]
-    v_pows = [v ** i for i in range(n_max + 1)]
-    out = []
-    for n in range(n_max + 1):
-        acc = 0
-        for j, b in enumerate(table.ordinary_row(n)):
-            if b:
-                t = math.comb(n + j, j) * b * v_pows[j] * u_pows[n - j]
-                acc += -t if j & 1 else t
-        out.append(Fraction((-1) ** (n + 1) * acc, (n + 1) * u_pows[n]))
-    return out
+    u, X = formal_root_numerators(a, n_max)
+    return [Fraction(x if n & 1 else -x, (n + 1) * u ** n) for n, x in enumerate(X)]
 
 
 def formal_root_brackets_alt(a, n_max: int) -> list[Fraction]:

@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from padiclift import polys
+from padiclift import hensel, polys
 from padiclift.bigmath import INFINITY, vp, vp_factorial, vp_rat
+from padiclift.cli import main
 from padiclift.hensel import (BadExponents, DerivativeNotUnit, EvenPrime,
                               InsufficientCongruence, NonIntegralShift,
                               NotARootModP, NotDivisible, OutOfRange,
@@ -369,6 +371,45 @@ def test_lift_all_complete_against_enumeration():
             in_class = [x for x in brute if x % p == r0]
             assert [rep.root.residue for rep in lifted] == in_class
             checked += 1
+
+
+def test_lift_all_lists_each_root_once(capsys):
+    # (x - 5)(x - 32): vp(5 - 32) = 3, so at N = 5 the classes 86, 113, ...
+    # satisfy f = 0 mod 3^5 without being roots mod 3^5; each lies in the
+    # Newton ball of 5 or of 32 and adds no root of its own
+    f = [160, -37, 1]
+    assert [rep.root.residue for rep in lift_all(f, 2, 3, 5)] == [5, 32]
+    assert main(["lift", "--poly", "160,-37,1", "--prime", "3", "--precision", "5",
+                 "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["residue"] for r in payload["roots"]] == ["5", "32"]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("v", [1, 2, 3])
+def test_lift_all_lifts_once_per_newton_ball(p, v, monkeypatch):
+    # planted close pair a, b with vp(a - b) = v, and a root c in another class
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lift_general(*args, **kwargs)
+
+    monkeypatch.setattr(hensel, "lift_general", counting)
+    rng = random.Random(1000 * p + v)
+    for _ in range(6):
+        a = rng.randint(-50, 50)
+        b = a + p ** v * rng.choice([u for u in range(1, 3 * p) if u % p])
+        c = a + rng.randint(1, p - 1)
+        f = polys.mul(polys.mul([-a, 1], [-b, 1]), [-c, 1])
+        for N in (v + 1, 2 * v + 3, 12):
+            calls.clear()
+            reports = lift_all(f, a, p, N)
+            assert 1 <= len(calls) <= len(reports)
+            residues = [rep.root.residue for rep in reports]
+            assert residues == sorted(set(residues)) and len(residues) <= 2  # a and b
+            for r in residues:
+                assert polys.evaluate(f, r) % p ** N == 0
 
 
 def test_p2_policy():

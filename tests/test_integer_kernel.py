@@ -2,9 +2,10 @@
 read it, the modular series sums, and the Series ring operations.
 
 The references below are the exact-Fraction forms: the binomial
-recurrence, the Lagrange sum, the regrouped bracket sum, the sparse double
-sum, the Teichmuller triple sum, the Series product, reciprocal and
-evaluation, and the evaluators of a factorization input, with every
+recurrence, the Lagrange sum, the regrouped bracket sum, the root-series
+residue with a Fraction per bracket, the sparse double sum, the
+Teichmuller triple sum, the Series product, reciprocal and evaluation,
+and the evaluators of a factorization input, with every
 partial sum a reduced rational and no cleared denominator.  Unlike
 ``bell_oracle`` the recurrence is polynomial, so it covers n up to 40.
 The running-sum t stream is checked against the per-coefficient one,
@@ -83,6 +84,23 @@ def triple_sum_brackets(p, n_max):
 def reduce_mod(x, modulus):
     x = Fraction(x)
     return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+
+def fraction_root_series_residue(cs, p, N):
+    """The root series mod p**N with a Fraction per bracket: each bracket is
+    reduced mod p**N and multiplied by a running power of c0/c1 mod p**N."""
+    c0 = cs[0]
+    if c0 == 0:
+        return 0, 0
+    count = _term_count(vp(c0, p), p, N)
+    modulus = p ** N
+    ratio = reduce_mod(Fraction(c0, cs[1]), modulus)
+    acc, power = 0, 1
+    for br in formal_root_brackets(cs, count - 1):
+        power = power * ratio % modulus
+        if br:
+            acc += reduce_mod(br, modulus) * power
+    return acc % modulus, count
 
 
 def fraction_sparse_sum(a0, a1, al, am, l, m, p, N):
@@ -368,6 +386,37 @@ def test_root_series_residue_matches_term_by_term_reduction(p, v0, u0, c1, rest,
     count = _term_count(vp(cs[0], p), p, N)
     expected = sum(reduce_mod(t, modulus) for _, t in formal_root_terms(cs, count - 1)) % modulus
     assert _root_series_residue(cs, p, N) == (expected, count)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([(3, 82), (5, 26)]), st.integers(1, 2), units,
+       st.integers(-40, 40), st.lists(small_ints, max_size=3), st.integers(0, 8))
+def test_root_series_residue_divides_out_high_powers_of_p(p_count, v0, u0, c1, rest, extra):
+    # count >= 82 at p = 3 and >= 26 at p = 5, so vp(n+1) reaches 4 and 2
+    p, min_count = p_count
+    c1 += c1 % p == 0
+    u0 += u0 % p == 0
+    N = next(N for N in range(1, 200) if _term_count(v0, p, N) >= min_count) + extra
+    cs = [p ** v0 * u0, c1] + rest
+    assert _root_series_residue(cs, p, N) == fraction_root_series_residue(cs, p, N)
+
+
+@pytest.mark.parametrize("xs", [
+    (3,),                                     # a lone x_1: one entry per row
+    (1, 2, 0, 0),                             # trailing zeros: L = 2
+    (0, 3, 1),                                # x_1 = 0: rows start late
+    (2, 0, 0, 5, 0, -1),                      # interior zeros
+    (Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 7)),  # E > 1
+    (0, 0),                                   # A = 0: only row 0 is nonzero
+])
+def test_banded_table_matches_fraction_recurrence(xs):
+    table = BellTable(xs, 24)
+    L = max((j for j, x in enumerate(xs, start=1) if x), default=1)
+    assert table.degree == L
+    for n, row in enumerate(fraction_bell_rows(xs, 24)):
+        assert len(table.ordinary_row(n)) == n + 1
+        assert [table.value(n, k) for k in range(n + 1)] == row
+        assert not any(row[:-(-n // L)])
 
 
 @settings(max_examples=150)

@@ -12,8 +12,8 @@ import pytest
 
 from padiclift import bell, hensel, series
 
-ENGINES = {"BellTable", "lagrange_sum", "formal_root_brackets", "_sparse_sum",
-           "_root_series_residue"}
+ENGINES = {"BellTable", "lagrange_sum", "formal_root_brackets", "formal_root_numerators",
+           "_sparse_sum", "_root_series_residue"}
 
 
 def names_used(module, name):
@@ -53,7 +53,7 @@ def test_regrouping_cross_check_reads_a_table_but_no_other_engine():
 
 
 def test_the_scan_follows_helpers_of_the_same_module():
-    # lift_simple reaches the brackets only through _root_series_residue
-    assert "formal_root_brackets" in names_used(hensel, "lift_simple")
+    # lift_simple reaches the bracket kernel only through _root_series_residue
+    assert "formal_root_numerators" in names_used(hensel, "lift_simple")
     # teichmuller sums the same root series, on the data of x^(p-1) - 1
     assert "_root_series_residue" in names_used(hensel, "teichmuller")
