@@ -50,10 +50,9 @@ class BellTable:
     it on read, D = :attr:`denominator` being the lcm of the denominators of
     the x_j.
 
-    Only a band of each row is built: with L = :attr:`degree` the index of
-    the last nonzero a_j (1 if none), A^k has no term above x^(kL), so
-    [x^n] A^k = 0 for k < n/L, and the build loop starts each row at
-    k = ceil(n/L).  The stored rows keep their length n + 1."""
+    With L the index of the last nonzero a_j (1 if none), [x^n] A^k = 0 for
+    k < n/L, so row n is built from k = :meth:`band_start` (n) = ceil(n/L)
+    on; the stored rows keep their length n + 1."""
 
     def __init__(self, xs, n_max: int):
         ratios = [x.as_integer_ratio() for x in xs]
@@ -64,7 +63,7 @@ class BellTable:
             a.append((u // g, v * (fact // g)))
         E = math.lcm(*(d for _, d in a))
         ys = [u * (E // d) for u, d in a]
-        L = self.degree = max((j for j, y in enumerate(ys, start=1) if y), default=1)
+        L = self._degree = max((j for j, y in enumerate(ys, start=1) if y), default=1)
         self.n_max = n_max
         self.denominator = math.lcm(*(v for _, v in ratios))
         self.ordinary_denominator = E
@@ -75,12 +74,16 @@ class BellTable:
             for j, y in enumerate(ys[:min(n, L)], start=1):
                 if y:
                     prev = rows[n - j]
-                    for i in range(-(-(n - j) // L), n - j + 1):
+                    for i in range(self.band_start(n - j), n - j + 1):
                         b = prev[i]
                         if b:
                             row[i + 1] += y * b
             rows.append(tuple(row))
         self._rows = rows
+
+    def band_start(self, n: int) -> int:
+        """ceil(n/L): every entry of row n below this k is zero."""
+        return -(-n // self._degree)
 
     def ordinary_row(self, n: int) -> tuple:
         """The stored row (E^k [x^n] A(x)^k for k = 0..n), 0 <= n <= n_max."""

@@ -145,31 +145,29 @@ def _root_series_residue(cs, p: int, N: int) -> tuple[int, int]:
 
     Requires vp(cs[0]) >= 1 and vp(cs[1]) = 0; returns (residue in
     p*Z/p^N, number of terms summed).  Term n is (-1)^(n+1) X_n c0^(n+1)
-    c1^-(2n+1) / (n+1), X_n from :func:`~padiclift.series.formal_root_numerators`
-    (u = c1 on integer data), with running powers and one inverse of c1.
-    The sum runs mod p^(N+S), S = floor(log_p(count)): with n + 1 = p^s w,
-    s <= S, dividing a term's residue by p^s leaves it known mod p^N, and
-    the division is exact because vp(c0^(n+1)) >= n + 1 > s.  The unit w
-    is inverted mod p^N.
+    c1^-(2n+1) / (n+1), X_n from :func:`~padiclift.series.formal_root_numerators`.
+    With n + 1 = p^s w, X_n is divided exactly by p^s and w is inverted
+    mod p^N: as a series in c0 the root has coefficients in Z[1/c1] (the
+    argument of :func:`_sparse_sum`), so p^s divides X_n.
     """
     c0 = cs[0]
     if c0 == 0:
         return 0, 0
     count = _term_count(vp(c0, p), p, N)
     modulus = p ** N
-    top = p ** _ilog(count, p)  # p^S
-    wide = modulus * top
     c1, X = formal_root_numerators(cs, count - 1)
-    inv = pow(c1, -1, wide)
-    power = c0 * inv % wide  # c0^(n+1) c1^-(2n+1)
-    step = power * inv % wide
+    inv = pow(c1, -1, modulus)
+    power = c0 * inv % modulus  # c0^(n+1) c1^-(2n+1)
+    step = power * inv % modulus
     acc = 0
     for n, x in enumerate(X):
         if x:
-            ps = math.gcd(n + 1, top)  # p^s
-            t = (x * power % wide // ps) * pow((n + 1) // ps, -1, modulus)
+            w = n + 1
+            while w % p == 0:
+                w, x = w // p, x // p
+            t = x % modulus * power % modulus * pow(w, -1, modulus)
             acc += t if n & 1 else -t
-        power = power * step % wide
+        power = power * step % modulus
     return acc % modulus, count
 
 
@@ -233,8 +231,11 @@ def lift_general(f, r0: int, p: int, N: int,
     if kappa is not None and kappa_true != kappa:
         raise DerivativeNotUnit(f"vp(f'({r0})) = {kappa_true}, not the requested {kappa}")
     if nu is None and kappa is None and nu_true >= N:
-        # the seed is already a root to target precision (includes exact roots)
-        return _report(f, p, N, r0 % p ** N, 0)
+        # vp(root - r0) = nu - kappa for the root of r0's Newton ball (2 kappa
+        # < nu); kappa + kappa since INFINITY has no product
+        if not kappa_true + kappa_true < nu_true < N + kappa_true:
+            return _report(f, p, N, r0 % p ** N, 0)
+        nu = nu_true
     if nu is None:
         nu = N if nu_true is INFINITY else min(nu_true, N)
     if kappa is None:
@@ -263,12 +264,10 @@ def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
     Refines the seed modulo growing powers of p until each surviving
     class satisfies the lift_general hypotheses with room to spare, then
     lifts it.  Classes that never separate (multiple p-adic roots) raise
-    DerivativeNotUnit at the depth cap max(2N, 16).  Each Z_p root is
-    lifted once: a class c with nc > 2 kc holds exactly one root in its
-    Newton ball c + p^(kc+1) Z_p (Hensel's lemma in Newton's form: vp(f')
-    = kc on the ball, and Newton's iteration from c converges to a root r
-    with vp(r - c) >= nc - kc > kc), so a class whose ball
-    (kc, c mod p^(kc+1)) was already lifted is skipped.
+    DerivativeNotUnit at the depth cap max(2N, 16).  A class c with
+    nc > 2 kc holds one root r in its Newton ball c + p^(kc+1) Z_p, with
+    vp(r - c) = nc - kc (Hensel's lemma in Newton's form), which
+    lift_general returns; so each ball (kc, c mod p^(kc+1)) is lifted once.
     """
     f = [int(c) for c in f]
     if not any(f):

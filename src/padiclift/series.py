@@ -345,9 +345,8 @@ def formal_root_numerators(a, n_max: int) -> tuple[int, list[int]]:
     bracket_n = (-1)^(n+1) X_n / ((n+1) u^n),
     X_n = sum_j (-1)^j C(n+j, j) E^j [x^n] S(x)^j v^j u^(n-j),
 
-    where E a1 = u/v in lowest terms (u = a1 on integer data) and the
-    entries E^j [x^n] S^j are read over the band j >= ceil(n/L) of one Bell
-    table of n_max rows; C(n+j, j) is stepped along j by exact divisions.
+    where E a1 = u/v in lowest terms; E^j [x^n] S^j is read over the band of
+    one n_max-row Bell table and C(n+j, j) is stepped along j exactly.
     """
     a = _checked(a)
     table = BellTable(_bell_args(a[2:]), n_max)
@@ -357,7 +356,7 @@ def formal_root_numerators(a, n_max: int) -> tuple[int, list[int]]:
     X = []
     for n in range(n_max + 1):
         row = table.ordinary_row(n)
-        lo = -(-n // table.degree)
+        lo = table.band_start(n)
         c = math.comb(n + lo, lo)
         acc = 0
         for j in range(lo, n + 1):

@@ -406,10 +406,21 @@ def test_lift_all_lifts_once_per_newton_ball(p, v, monkeypatch):
             calls.clear()
             reports = lift_all(f, a, p, N)
             assert 1 <= len(calls) <= len(reports)
-            residues = [rep.root.residue for rep in reports]
-            assert residues == sorted(set(residues)) and len(residues) <= 2  # a and b
-            for r in residues:
-                assert polys.evaluate(f, r) % p ** N == 0
+            # c lies in another class mod p, so the roots over a are a and b
+            assert [rep.root.residue for rep in reports] == sorted({a % p ** N, b % p ** N})
+
+
+def test_lift_all_returns_the_root_of_each_newton_ball():
+    # at depth 7 the ball (3, 125) of the root 750 is first met at 125,
+    # which is a root mod 5^7 but agrees with 750 only mod 5^4
+    f = [0, -750, 1]
+    assert [rep.root.residue for rep in lift_all(f, 0, 5, 7)] == [0, 750]
+    rep = lift_general(f, 125, 5, 7)
+    assert rep.root.residue == 750 and rep.terms_used > 0
+    # vp(f(625)) = 7 > 2 kappa = 6 but N = 5 <= 2 kappa: summed with nu = 7
+    assert lift_general([0, -125, 1], 625, 5, 5).root.residue == 0
+    # seeds that already equal the root mod p^N are still returned as they are
+    assert lift_general(f, 750 + 5 ** 9, 5, 7).terms_used == 0
 
 
 def test_p2_policy():

@@ -412,11 +412,11 @@ def test_root_series_residue_divides_out_high_powers_of_p(p_count, v0, u0, c1, r
 def test_banded_table_matches_fraction_recurrence(xs):
     table = BellTable(xs, 24)
     L = max((j for j, x in enumerate(xs, start=1) if x), default=1)
-    assert table.degree == L
     for n, row in enumerate(fraction_bell_rows(xs, 24)):
+        assert table.band_start(n) == -(-n // L)
         assert len(table.ordinary_row(n)) == n + 1
         assert [table.value(n, k) for k in range(n + 1)] == row
-        assert not any(row[:-(-n // L)])
+        assert not any(row[:table.band_start(n)])
 
 
 @settings(max_examples=150)
