@@ -42,3 +42,13 @@ g = [17, 6, 2]
 print("g(x) = 17 + 6x + 2x^2 over Z_5: 1 is a double root mod 5")
 for rep in lift_all(g, 1, 5, 10):
     print(f"  root = {rep.root}   (= {rep.root.residue % 25} mod 25)")
+print()
+
+# Repeated and close roots: h = (x - 3)^2 (x - 3 - 3^6) has the double root 3
+# and a neighbour that agrees with it to six 3-adic digits.  lift_all works
+# on the squarefree part, so it returns each root once, certified on h.
+h = polys.mul(polys.mul([-3, 1], [-3, 1]), [-3 - 3 ** 6, 1])
+print("h(x) = (x - 3)^2 (x - 732) over Z_3: a double root and a close neighbour")
+for rep in lift_all(h, 0, 3, 10):
+    print(f"  root = {rep.root}   residue {rep.root.residue}, "
+          f"residual valuation {rep.residual_valuation}")

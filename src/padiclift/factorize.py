@@ -14,9 +14,7 @@ the divisibility p^(ell n) | bhat_n is a theorem that the code asserts
 on every coefficient it produces.
 
 Inputs may be polynomials or power series with an eventually-geometric
-tail; the geometric closed form lets the root scan evaluate f exactly,
-which is what finds exact small roots (where naive truncation would show
-a spuriously vanishing derivative and give up).
+tail, whose roots on p*Z_p are those of an integer numerator.
 """
 
 from __future__ import annotations
@@ -27,9 +25,9 @@ from fractions import Fraction
 
 from . import polys
 from .bell import BellTable
-from .bigmath import INFINITY, iroot, is_prime, vp, vp_rat
+from .bigmath import INFINITY, iroot, is_prime, vp
 from .errors import DomainError
-from .hensel import EvenPrime, LiftReport, lift_general
+from .hensel import EvenPrime, LiftReport, _ilog, _newton_balls, lift_general
 from .padic import PadicInt
 from .series import Series, lagrange_sum
 
@@ -107,9 +105,6 @@ class SeriesInput:
         if self.tail_ratio is None:
             return 0
         return self.head[-1] * self.tail_ratio ** (j - len(self.head) + 1)
-
-    def coeffs_upto(self, J: int) -> list[int]:
-        return [self.coeff(j) for j in range(J + 1)]
 
     def eval_exact(self, c) -> Fraction:
         """f(c) as an exact rational.
@@ -419,44 +414,37 @@ def bhat_coeffs(prob: FactorizationProblem, ell: int, t: list[int], M: int
 # ---------------------------------------------------------------------------
 
 
-def _exact_root_report(c: int, p: int, N: int) -> LiftReport:
-    return LiftReport(PadicInt(p, N, c % p ** N), 0, INFINITY)
-
-
 def _find_valuation_root(si: SeriesInput, p: int, ell: int, N: int) -> LiftReport | None:
-    """Deterministic scan for a root with vp = ell, refined as needed.
+    """The root r with vp(r) = ell that a digit scan meets first, or None.
 
-    Candidates start at granularity p^(2*ell+1); exact rational
-    evaluation decides admissibility (an exactly-vanishing f(c) is an
-    exact root and needs no lifting; truncation would mask these).  Classes
-    that stay congruent-to-zero but inadmissible are refined until N.
+    On p Z_p the roots of f are those of the integer numerator F: head, or
+    (1 - q x) head(x) + h q x^H for a tail of ratio q (1 - q x is a unit).
+    Each is found and lifted to p^N on the tree of hensel._newton_balls.
+    The scan visits the classes c mod p^D, vp(c) = ell, D = 2 ell + 1 .. N,
+    in increasing order, and stops at an exact root or in a root's Newton
+    ball with D > 2 kappa, kappa = vp(F'(r)).  So it meets r at
+    (max(2 ell + 1, 2 kappa + 1), r mod p^(kappa+1)); if kappa < ell, that
+    is (2 ell + 1, 0): every class lies in r's ball, and the first, p^ell,
+    meets r before any other root.  An integer root r >= 0 is also met at
+    (the first D >= 2 ell + 1 with r < p^D, r); a repeated root has kappa =
+    INFINITY.  The smallest key of depth <= N wins.
     """
-    base = p ** ell
-    cands = [base * u for u in range(1, p ** (ell + 1)) if u % p != 0]
-    depth = 2 * ell + 1
-    while cands and depth <= N:
-        nxt = []
-        for c in sorted(cands):
-            F = si.eval_exact(c)
-            if F == 0:
-                return _exact_root_report(c, p, N)
-            nu = vp_rat(F, p)
-            kappa = vp_rat(si.eval_derivative_exact(c), p)
-            if kappa is not INFINITY and kappa >= 0 and nu > 2 * kappa and depth > 2 * kappa:
-                # lift on a truncation deep enough that the tail is invisible
-                J = max(len(si.head), (N + kappa) // ell + 2)
-                rep = lift_general(si.coeffs_upto(J), c, p, N)
-                if rep.root.valuation() == ell:
-                    return rep
-                continue
-            step = p ** depth
-            for tt in range(p):
-                cand = c + tt * step
-                if vp_rat(si.eval_exact(cand), p) >= depth + 1:
-                    nxt.append(cand)
-        cands = nxt
-        depth += 1
-    return None
+    F = list(si.head)
+    if si.tail_ratio is not None:
+        F = polys.add(polys.mul([1, -si.tail_ratio], F), [0] * len(F) + [F[-1] * si.tail_ratio])
+    dF, g = polys.derivative(F), polys.squarefree(F)[1]
+    best = None
+    for x, _ in _newton_balls(g, p, 0, ell, range(1, p)):
+        rep = lift_general(g, x, p, N)
+        r = rep.root.residue
+        kappa = vp(polys.evaluate(dF, r), p)  # exact below N, as r = root mod p^N
+        keys = [(max(2 * ell, _ilog(r, p)) + 1, r)] if polys.evaluate(F, r) == 0 else []
+        if kappa < N:
+            keys.append((max(2 * ell, 2 * kappa) + 1, r % p ** (kappa + 1)))
+        for key in keys:
+            if key[0] <= N and (best is None or key < best[0]):
+                best = key, rep
+    return best and best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +653,9 @@ def factor_multiple_root(f) -> tuple[list[int], list[int]]:
     Raises NoMultipleRoot for squarefree f.
     """
     f = [int(c) for c in f]
-    G = polys.gcd_primitive(f, polys.derivative(f))
+    G, f_red = polys.squarefree(f)
     if polys.degree(G) < 1:
         raise NoMultipleRoot("gcd(f, f') is constant")
-    q, r = polys.divmod_exact(f, G)
-    if any(c != 0 for c in r):
-        raise DomainError("gcd does not divide f: inconsistent state")
-    f_red = [_as_int(Fraction(c), "f_red coefficient") for c in q]
     if polys.mul(G, f_red) != polys.trim(f):
         raise DomainError("G * f_red != f after normalization")
     return G, f_red

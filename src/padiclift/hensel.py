@@ -11,8 +11,9 @@ the result is certified by an exact residual check f(root) = 0 mod p**N.
 
 Degenerate seeds (f(r0) = 0 mod p**nu only, derivative of valuation
 kappa > 0) go through the rescaled expansion c_j = p^((j-2)kappa)
-f^(j)(r0)/j! with 2*kappa < nu; see :func:`lift_general`.  Seeds that do
-not separate (double roots mod p) can be refined with :func:`lift_all`.
+f^(j)(r0)/j! with 2*kappa < nu; see :func:`lift_general`.  :func:`lift_all`
+finds every root over a seed class, repeated and close roots included, on
+the rescaled root tree of the squarefree part (:func:`_newton_balls`).
 :func:`teichmuller` is the same simple-root series, on x^(p-1) - 1 at q.
 
 Every closed-form path has an independent check: :func:`newton_lift` is
@@ -72,7 +73,7 @@ class ZeroPolynomial(DomainError):
 
 @dataclass(frozen=True)
 class ShiftedTaylor:
-    """Coefficients c_j of p^(-2k) f(r0 + p^k x); all lie in Z_p."""
+    """Integer coefficients c_j of p^(-2k) f(r0 + p^k x)."""
 
     cs: tuple
     shift: int
@@ -90,34 +91,34 @@ class LiftReport:
     residual_valuation: object
 
 
+def _scaled_shift(f, c: int, s: int) -> list:
+    """Integer coefficients of f(c + s y), f in Z[x]."""
+    return [b * s ** j for j, b in enumerate(polys.taylor_coeffs(f, c))]
+
+
 def taylor_shift(f, r0: int, kappa: int = 0, p: int | None = None) -> ShiftedTaylor:
     """Taylor data of g(x) = p^(-2*kappa) f(r0 + p^kappa x), f in Z[x].
 
     With kappa = 0 this is the plain shift c_j = f^(j)(r0)/j!.  For
     kappa > 0 the prime must be supplied, and c_j = f^(j)(r0)/j! *
-    p^((j-2) kappa) is an integer product for j >= 2 and an exact integer
-    division by p^((2-j) kappa) for j < 2; if that division leaves a
-    remainder, c_j has negative valuation, the pair (r0, kappa) is
-    inconsistent and NonIntegralShift is raised.
+    p^(j kappa) / p^(2 kappa) is an exact integer division; if it leaves a
+    remainder (only possible for j < 2), c_j has negative valuation, the
+    pair (r0, kappa) is inconsistent and NonIntegralShift is raised.
     """
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     if kappa > 0 and p is None:
         raise ValueError("p is required when kappa > 0")
-    base = polys.taylor_coeffs(list(f), r0)
-    if kappa == 0:
-        return ShiftedTaylor(tuple(Fraction(c) for c in base), r0, 0)
-    pk = p ** kappa
+    pk = p ** kappa if kappa else 1
     cs = []
-    for j, c in enumerate(base):
-        d = pk ** max(2 - j, 0)
-        q, r = divmod(c * pk ** max(j - 2, 0), d)
+    for j, c in enumerate(_scaled_shift(f, r0, pk)):
+        q, r = divmod(c, pk * pk)
         if r:
             raise NonIntegralShift(
-                f"c_{j} = {Fraction(c, d)} has negative valuation; "
+                f"c_{j} = {Fraction(c, pk * pk)} has negative valuation; "
                 f"2*kappa={2 * kappa} exceeds vp(f^({j})(r0)/{j}!)"
             )
-        cs.append(Fraction(q))
+        cs.append(q)
     return ShiftedTaylor(tuple(cs), r0, kappa)
 
 
@@ -251,62 +252,76 @@ def lift_general(f, r0: int, p: int, N: int,
     if fr0 == 0:
         return _report(f, p, N, r0 % p ** N, 0)
     r0 %= p ** nu
-    shifted = taylor_shift(f, r0, kappa, p)
-    cs = [int(c) for c in shifted.cs]
+    cs = taylor_shift(f, r0, kappa, p).cs
     n_inner = max(N - kappa, 1)
     rho, terms = _root_series_residue(cs, p, n_inner)
     return _report(f, p, N, (r0 + p ** kappa * rho) % p ** N, terms)
 
 
-def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
-    """All roots of f in Z_p lying over the seed class r0 mod p.
+def _newton_balls(g, p: int, c: int, k: int, digits):
+    """Yield (x, kappa) for each root r of the squarefree g in Z[x] with
+    r = c + p^k a mod p^(k+1), a in ``digits``: kappa = vp(g'(r)), and
+    x = r mod p^(kappa+m) (m = 2 at p = 2, else 1) is the shortest
+    truncation of r in its Newton ball with vp(g(x)) > 2 kappa + m - 1.
 
-    Refines the seed modulo growing powers of p until each surviving
-    class satisfies the lift_general hypotheses with room to spare, then
-    lifts it.  Classes that never separate (multiple p-adic roots) raise
-    DerivativeNotUnit at the depth cap max(2N, 16).  A class c with
-    nc > 2 kc holds one root r in its Newton ball c + p^(kc+1) Z_p, with
-    vp(r - c) = nc - kc (Hensel's lemma in Newton's form), which
-    lift_general returns; so each ball (kc, c mod p^(kc+1)) is lifted once.
+    This is Panayi's rescaled root tree.  Node (c, k) is h(y) =
+    g(c + p^k y) / p^v, v the p-content, so h mod p != 0.  By Hensel's
+    factorization a root a of h mod p of multiplicity mu marks exactly mu
+    roots z of g in C_p with vp(z - c - p^k a) > k.  A simple root marks one
+    root r, in Z_p, and kappa = v - k (g'(c + p^k y) = p^(v-k) h'(y), h'(a)
+    a unit); Newton's iteration on h from a reads its digits.  A multiple
+    root is the child node (c + p^k a, k + 1), holding integral roots
+    z != z' with vp(disc g) >= 2 vp(z - z') > 2k (roots outside Z_p take
+    from vp(disc g) at most the (2 deg g - 2) vp(lc g) they add, by the
+    Gauss norm).  So nodes lie less than vp(disc g)/2 + 1 below the start,
+    and there are at most deg g leaves.
+    """
+    margin = 2 if p == 2 else 1
+    stack = [(c, k, digits)]
+    while stack:
+        c, k, digits = stack.pop()
+        pk = p ** k
+        h = _scaled_shift(g, c, pk)
+        v = vp(polys.content(h), p)
+        h = [b // p ** v for b in h]
+        dh = polys.derivative(h)
+        for a in digits:
+            if polys.evaluate(h, a) % p:
+                continue
+            if polys.evaluate(dh, a) % p == 0:
+                stack.append((c + pk * a, k + 1, range(p)))
+                continue
+            kappa = v - k
+            y, prec, need = a, 1, kappa + margin - k
+            while prec < need:
+                prec = min(2 * prec, need)
+                m = p ** prec
+                y = (y - polys.evaluate(h, y) * pow(polys.evaluate(dh, y), -1, m)) % m
+            yield (c + pk * y) % p ** (kappa + margin), kappa
+
+
+def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
+    """All roots of f in Z_p lying over the seed class r0 mod p, each once.
+
+    The roots of f, repeated ones too, are those of its squarefree part
+    g = f / G, G = gcd(f, f'): :func:`_newton_balls` isolates each, and
+    ``lift_general(g, x, p, N)`` lifts it to p^N, certified on f = G g.
+    Roots that agree mod p^N have vp(g') >= N, so each is returned as its
+    representative mod p^N with 0 terms: one report stands for them all.
     """
     f = [int(c) for c in f]
     if not any(f):
         raise ZeroPolynomial("f = 0: every element of Z_p is a root")
-    max_depth = max(2 * N, 16)
-    margin = 2 if p == 2 else 1
-    df = polys.derivative(f)
     r0 %= p
     if polys.evaluate(f, r0) % p != 0:
         raise NotARootModP(f"f({r0}) != 0 mod {p}")
-    live = [r0]
+    G, g = polys.squarefree(f)
     found: dict[int, LiftReport] = {}
-    balls = set()
-    depth = 1
-    while live and depth <= max_depth:
-        nxt = []
-        for c in live:
-            fc = polys.evaluate(f, c)
-            kc = vp(polys.evaluate(df, c), p)
-            nc = vp(fc, p)
-            if kc is not INFINITY and nc > 2 * kc + (margin - 1) and depth > 2 * kc:
-                ball = (kc, c % p ** (kc + 1))
-                if ball not in balls:
-                    balls.add(ball)
-                    rep = lift_general(f, c, p, N)
-                    found.setdefault(rep.root.residue, rep)
-                continue
-            step = p ** depth
-            for t in range(p):
-                cand = c + t * step
-                if polys.evaluate(f, cand) % (step * p) == 0:
-                    nxt.append(cand)
-        live = nxt
-        depth += 1
-    if live:
-        raise DerivativeNotUnit(
-            f"seed classes {sorted(set(x % p ** min(depth, 6) for x in live))} did not separate "
-            f"by depth {max_depth}: multiple p-adic root suspected"
-        )
+    for x, _ in _newton_balls(g, p, 0, 0, [r0]):
+        rep = lift_general(g, x, p, N)
+        if len(G) > 1:
+            rep = LiftReport(rep.root, rep.terms_used, residual_valuation(f, rep.root.residue, p))
+        found.setdefault(rep.root.residue, rep)
     return [found[k] for k in sorted(found)]
 
 

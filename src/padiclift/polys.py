@@ -1,14 +1,13 @@
 """Dense univariate polynomial helpers, coefficients ascending (constant first).
 
-Coefficients may be ints or Fractions; everything is exact.  Only what the
-lifting and factorization code needs: evaluation, derivatives, Taylor
-shifts, products, exact division, and a primitive gcd over Z[x].
+Exact, on ints (evaluation and Taylor shifts take Fractions too).  Only what
+the lifting and factorization code needs: evaluation, derivatives, Taylor
+shifts, products, exact division, and squarefree parts by a primitive gcd.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def degree(f) -> int:
@@ -66,25 +65,6 @@ def add(f, g) -> list:
     return [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
 
 
-def divmod_exact(f, g) -> tuple[list, list]:
-    """Quotient and remainder over Q (exact Fractions)."""
-    f = [Fraction(c) for c in trim(f)]
-    g = [Fraction(c) for c in trim(g)]
-    dg = degree(g)
-    if dg < 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    q = [Fraction(0)] * max(len(f) - dg, 1)
-    r = f
-    lead = g[dg]
-    while degree(r) >= dg:
-        dr = degree(r)
-        c = r[dr] / lead
-        q[dr - dg] = c
-        for i in range(dg + 1):
-            r[dr - dg + i] -= c * g[i]
-    return trim(q), trim(r)
-
-
 def content(f) -> int:
     """gcd of the integer coefficients (positive), 0 for the zero polynomial."""
     g = 0
@@ -93,25 +73,48 @@ def content(f) -> int:
     return g
 
 
-def primitive_int(f) -> list:
-    """Scale a rational polynomial to a primitive integer one, leading coeff > 0."""
+def primitive(f) -> list:
+    """f over its content, leading coefficient > 0; [0] for f = 0."""
     f = trim(f)
-    den = 1
-    for c in f:
-        den = den * Fraction(c).denominator // math.gcd(den, Fraction(c).denominator)
-    zf = [int(Fraction(c) * den) for c in f]
-    c = content(zf)
-    if c:
-        zf = [a // c for a in zf]
-    if zf[degree(zf)] < 0:
-        zf = [-a for a in zf]
-    return zf
+    c = content(f) if f[-1] > 0 else -content(f)
+    return [a // c for a in f] if c else f
+
+
+def quotient(f, g) -> list:
+    """f / g in Z[x]; ValueError unless g divides f there."""
+    r, dg = trim(f), degree(g)
+    if dg < 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    q = [0] * max(len(r) - dg, 1)
+    while degree(r) >= dg:
+        dr = degree(r)
+        q[dr - dg], rem = divmod(r[dr], g[dg])
+        if rem:
+            break
+        for i in range(dg + 1):
+            r[dr - dg + i] -= q[dr - dg] * g[i]
+    if any(r):
+        raise ValueError(f"{list(g)} does not divide {list(f)} in Z[x]")
+    return trim(q)
 
 
 def gcd_primitive(f, g) -> list:
-    """Primitive integer gcd of two integer polynomials (monic-free Euclid over Q)."""
-    a = [Fraction(c) for c in trim(f)]
-    b = [Fraction(c) for c in trim(g)]
-    while degree(b) >= 0 and any(c != 0 for c in b):
-        a, b = b, divmod_exact(a, b)[1]
-    return primitive_int(a)
+    """Primitive gcd of two integer polynomials, by primitive pseudo-remainders."""
+    a, b = primitive(f), primitive(g)
+    if degree(a) < degree(b):
+        a, b = b, a
+    while degree(b) >= 0:
+        r, db = a, degree(b)
+        while degree(r) >= db:  # r <- lc(b) r - r_top x^(dr-db) b
+            dr, top = degree(r), r[degree(r)]
+            r = [c * b[db] for c in r]
+            for i in range(db + 1):
+                r[dr - db + i] -= top * b[i]
+        a, b = b, primitive(r)
+    return a
+
+
+def squarefree(f) -> tuple[list, list]:
+    """(G, g): G = gcd(f, f') primitive, g = f / G with the roots of f, each once."""
+    G = gcd_primitive(f, derivative(f))
+    return G, quotient(f, G) if any(G) else [0]

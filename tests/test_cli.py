@@ -27,6 +27,23 @@ def test_lift_json(capsys):
     assert payload["input"] == {"poly": [1, 11, -5], "prime": 7, "precision": 3}
 
 
+def test_lift_returns_a_repeated_root(capsys, evaluation_budget):
+    # x^2 over Z_7: every class of the double root 0 stays a root mod 7^d
+    evaluation_budget(300)
+    rc, out, _ = run(capsys, "lift", "--poly", "0,0,1", "--prime", "7",
+                     "--precision", "3", "--json")
+    assert rc == 0
+    assert [entry["residue"] for entry in json.loads(out)["roots"]] == ["0"]
+
+
+def test_lift_returns_the_root_of_a_square(capsys, evaluation_budget):
+    # (1 + x)^2 over Z_3: -1 = 26 mod 27, a root of multiplicity 2
+    evaluation_budget(300)
+    rc, out, _ = run(capsys, "lift", "--poly", "1,2,1", "--prime", "3", "--precision", "3")
+    assert rc == 0
+    assert "residue 26 mod 3^3" in out
+
+
 def test_lift_with_no_root_over_the_seeds_says_so(capsys):
     argv = ("lift", "--poly", "1,0,1", "--prime", "2", "--precision", "3")
     rc, out, _ = run(capsys, *argv)

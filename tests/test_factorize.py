@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padiclift import factorize, polys
-from padiclift.bigmath import INFINITY
+from padiclift.bigmath import INFINITY, vp_rat
 from padiclift.factorize import (NEEDS_ROOT_ANALYSIS, Classification,
                                  DivisibilityViolation, FactorizationProblem,
                                  InsufficientPrecision, NoMultipleRoot,
@@ -14,6 +16,7 @@ from padiclift.factorize import (NEEDS_ROOT_ANALYSIS, Classification,
                                  a_coeffs, bhat_coeffs, classify, e_series,
                                  factor, factor_multiple_root, root_to_digits,
                                  t_coeffs, tn_series, verify_factorization)
+from padiclift.hensel import lift_general
 from padiclift.padic import PadicInt
 from padiclift.series import Series, lagrange_invert
 
@@ -562,6 +565,78 @@ def test_factor_no_root_fallback_flag():
     with pytest.raises(NoSuitableRoot) as exc:
         factor([27, 3, 0, 1], 6)
     assert exc.value.fallback_out_of_scope is True
+
+
+@pytest.mark.parametrize("k", [8, 12, 16, 13, 17, 21])
+def test_factor_near_two_close_roots(k, evaluation_budget):
+    # 9 - 6x + x^2 - 3^k x^3 is close to (x - 3)^2: two Z_3 roots near 3 for
+    # odd k, none for even k; a digit scan keeps about 3^(d/2) classes alive
+    evaluation_budget(500)
+    if k % 2 == 0:
+        with pytest.raises(NoSuitableRoot):
+            factor([9, -6, 1, -3 ** k], 30)
+    else:
+        pair = factor([9, -6, 1, -3 ** k], 30)
+        assert pair.checks.all_passed() and pair.root.residue % 9 == 3
+
+
+def _digit_scan(si, p, ell, N):
+    """Reference for the root choice of the factor scan: candidates c with
+    vp(c) = ell at depth 2 ell + 1, visited in increasing order and refined
+    one p-adic digit at a time up to depth N; returns the residue mod p^N of
+    the first exact root or Newton-ball root with vp = ell, else None."""
+    cands = [p ** ell * u for u in range(1, p ** (ell + 1)) if u % p != 0]
+    depth = 2 * ell + 1
+    while cands and depth <= N:
+        nxt = []
+        for c in sorted(cands):
+            F = si.eval_exact(c)
+            if F == 0:
+                return c % p ** N
+            nu, kappa = vp_rat(F, p), vp_rat(si.eval_derivative_exact(c), p)
+            if kappa is not INFINITY and nu > 2 * kappa and depth > 2 * kappa:
+                J = max(len(si.head), (N + kappa) // ell + 2)
+                rep = lift_general([si.coeff(j) for j in range(J + 1)], c, p, N)
+                if rep.root.valuation() == ell:
+                    return rep.root.residue
+                continue
+            nxt += [c + t * p ** depth for t in range(p)
+                    if vp_rat(si.eval_exact(c + t * p ** depth), p) >= depth + 1]
+        cands = nxt
+        depth += 1
+    return None
+
+
+@st.composite
+def scan_inputs(draw):
+    """(input, p, ell, N): planted roots of valuation ell, some repeated or
+    close, times a cofactor, perturbed, with a zero or geometric tail."""
+    p, ell = draw(st.sampled_from([3, 5])), draw(st.sampled_from([1, 2]))
+    head = [draw(st.integers(-9, 9).filter(bool)), draw(st.integers(-3, 3))]
+    for _ in range(draw(st.integers(0, 3))):
+        r = p ** ell * draw(st.integers(1, 2 * p).filter(lambda u: u % p))
+        if draw(st.booleans()):
+            r += p ** draw(st.integers(ell + 1, 7)) * draw(st.integers(-p, p))
+        head = polys.mul(head, [-r, 1])
+    if draw(st.booleans()):
+        head = polys.add(head, [p ** draw(st.integers(0, 8)) * draw(st.integers(-2, 2))]
+                         + [draw(st.integers(-3, 3)) for _ in range(draw(st.integers(0, 2)))])
+    ratio = draw(st.sampled_from([None, None, None, 0, 1, -1, 2, -4, 3]))
+    si = SeriesInput.polynomial(head) if ratio is None else SeriesInput.geometric(head, ratio)
+    return si, p, ell, draw(st.integers(2 * ell + 1, 10))
+
+
+@settings(max_examples=200)
+@given(scan_inputs())
+# integer roots r > p^(2 ell + 1): the scan meets them exactly only deeper than 2 ell + 1
+@example((SeriesInput.polynomial([-775260, 4557, -1]), 3, 1, 8))
+@example((SeriesInput.polynomial([859222631260500, -32977423400, 359445, -1]), 5, 1, 7))
+def test_scan_chooses_the_root_the_digit_scan_meets_first(case):
+    si, p, ell, N = case
+    if not any(si.head):
+        return
+    rep = factorize._find_valuation_root(si, p, ell, N)
+    assert (rep and rep.root.residue) == _digit_scan(si, p, ell, N)
 
 
 def test_factor_wrong_shape():

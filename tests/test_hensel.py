@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padiclift import hensel, polys
 from padiclift.bigmath import INFINITY, vp, vp_factorial, vp_rat
@@ -338,9 +340,10 @@ def test_lift_all_simple_seed():
 
 
 def test_lift_all_true_double_root():
-    f = polys.mul([-3, 1], [-3, 1])   # (x-3)^2 never separates
-    with pytest.raises(DerivativeNotUnit):
-        lift_all(f, 0, 3, 8)
+    f = polys.mul([-3, 1], [-3, 1])   # (x-3)^2: the double root 3, found once
+    reports = lift_all(f, 0, 3, 8)
+    assert [rep.root.residue for rep in reports] == [3]
+    assert reports[0].residual_valuation is INFINITY
 
 
 def test_lift_all_zero_polynomial():
@@ -421,6 +424,74 @@ def test_lift_all_returns_the_root_of_each_newton_ball():
     assert lift_general([0, -125, 1], 625, 5, 5).root.residue == 0
     # seeds that already equal the root mod p^N are still returned as they are
     assert lift_general(f, 750 + 5 ** 9, 5, 7).terms_used == 0
+
+
+def test_lift_all_separates_roots_that_agree_to_twenty_digits(evaluation_budget):
+    # x^2 - 3^40 is squarefree; its roots +-3^20 share their first 20 digits
+    evaluation_budget(500)
+    reports = lift_all([-3 ** 40, 0, 1], 0, 3, 50)
+    assert [rep.root.residue for rep in reports] == [3 ** 20, 3 ** 50 - 3 ** 20]
+
+
+def test_lift_all_lifts_each_ball_without_refining_it(evaluation_budget):
+    # vp(g'(-125)) = 4 for g = (x+125)(x-6735)(3x^2+3x+1): digit-by-digit
+    # refinement keeps about 7^4 classes alive per depth up to depth 9
+    f = polys.mul(polys.mul([125, 1], [-6735, 1]), [1, 3, 3])
+    evaluation_budget(300)
+    reports = lift_all(f, 1, 7, 7)
+    assert [(rep.root.residue, rep.terms_used) for rep in reports] == [
+        (6735, 0), (27560, 4), (823418, 3)]
+
+
+@st.composite
+def planted_roots(draw):
+    """(p, N, roots with repeats, f = lc * prod (x - a)): close pairs
+    a' = a + p^e u, multiplicities up to 3, lc possibly divisible by p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    roots = []
+    for a in draw(st.lists(st.integers(-40, 40), min_size=1, max_size=3)):
+        roots += [a] * draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            b = a + p ** draw(st.integers(1, 4)) * draw(st.integers(1, 2 * p))
+            roots += [b] * draw(st.integers(1, 3))
+    f = [draw(st.sampled_from([1, -1, 2, p, -3 * p]))]
+    for a in roots:
+        f = polys.mul(f, [-a, 1])
+    return p, draw(st.integers(1, 8)), roots, f
+
+
+@settings(max_examples=80)
+@given(planted_roots())
+def test_lift_all_returns_the_planted_roots(case):
+    p, N, roots, f = case
+    for r0 in range(p):
+        if polys.evaluate(f, r0) % p:
+            continue
+        reports = lift_all(f, r0, p, N)
+        assert [rep.root.residue for rep in reports] == sorted(
+            {a % p ** N for a in roots if a % p == r0})
+        for rep in reports:
+            assert rep.residual_valuation == hensel.residual_valuation(f, rep.root.residue, p)
+            assert rep.residual_valuation >= N
+
+
+@settings(max_examples=80)
+@given(planted_roots())
+def test_newton_balls_yield_each_root_with_its_newton_ball(case):
+    # (r mod p^(kappa+m), kappa = vp(g'(r))) per root, from the seed classes
+    # and from the start (0, ell) of the factor scan, digits 1..p-1
+    p, _, roots, f = case
+    g = polys.squarefree(f)[1]
+    m = 2 if p == 2 else 1
+    want = {}
+    for r in set(roots):
+        kappa = vp(polys.evaluate(polys.derivative(g), r), p)
+        want[r] = (r % p ** (kappa + m), kappa)
+    got = [ball for r0 in range(p) for ball in hensel._newton_balls(g, p, 0, 0, [r0])]
+    assert sorted(got) == sorted(want.values())
+    for ell in (1, 2):
+        got = hensel._newton_balls(g, p, 0, ell, range(1, p))
+        assert sorted(got) == sorted(b for r, b in want.items() if vp(r, p) == ell)
 
 
 def test_p2_policy():
