@@ -281,10 +281,12 @@ def root_to_digits(r: PadicInt, ell: int, M: int) -> RootDigits:
     return RootDigits(p, ell, tuple(es))
 
 
-def _as_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise IntegralityViolation(f"{what} = {x} is not an integer")
-    return x.numerator
+def _exact(num: int, den: int, what: str) -> int:
+    """num / den, an integer by a lemma; a remainder raises IntegralityViolation."""
+    q, r = divmod(num, den)
+    if r:
+        raise IntegralityViolation(f"{what} = {Fraction(num, den)} is not an integer")
+    return q
 
 
 def a_coeffs(e: RootDigits, M: int) -> list[int]:
@@ -292,7 +294,7 @@ def a_coeffs(e: RootDigits, M: int) -> list[int]:
     n = 1..M; these are the coefficients of the compositional inverse of
     x*E(x) and are provably integers."""
     table = e.bell_table(M)
-    return [_as_int(lagrange_sum(table, n, n) / math.factorial(n), f"a_{n}")
+    return [_exact(lagrange_sum(table, n, n), math.factorial(n), f"a_{n}")
             for n in range(1, M + 1)]
 
 
@@ -337,10 +339,7 @@ def t_coeffs(e: RootDigits, M: int) -> list[int]:
             c = c * (n + j) // j
             if S[j]:
                 acc += -c * S[j] if j & 1 else c * S[j]
-        q, r = divmod(acc, n + 1)
-        if r:
-            raise IntegralityViolation(f"t_{n} = 1 + {Fraction(acc, n + 1)} is not an integer")
-        out.append(1 + q)
+        out.append(1 + _exact(acc, n + 1, f"t_{n} - 1"))
     return out
 
 
@@ -362,12 +361,7 @@ def tn_series(e: RootDigits, n: int, order: int) -> Series:
     cs, fact = [1], 1
     for k in range(1, order + 1):
         fact *= k
-        L = lagrange_sum(table, n, k)
-        num, den = (n + 1 - k) * L.numerator, fact * L.denominator
-        c, r = divmod(num, den)
-        if r:
-            raise IntegralityViolation(f"T_{n} coefficient {Fraction(num, den)} not integral")
-        cs.append(c)
+        cs.append(_exact((n + 1 - k) * lagrange_sum(table, n, k), fact, f"[x^{k}] T_{n}"))
     return Series(cs, order)
 
 
@@ -521,23 +515,17 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
     if m is INFINITY:
         raise WrongShape("f1 = 0: input lacks the p^m*g1 linear term")
 
-    report = None
-    ell = None
-    for cand_ell in range(1, min(m, w // 2) + 1):
-        n_root = cand_ell * (M + 4)
-        report = _find_valuation_root(si, p, cand_ell, n_root)
+    for ell in range(1, min(m, w // 2) + 1):
+        report = _find_valuation_root(si, p, ell, ell * (M + 4))
         if report is not None:
-            ell = cand_ell
             break
-    if report is None:
+    else:
         raise NoSuitableRoot(
             f"no root with vp(r) = ell <= min(m={m}, w//2={w // 2}) found"
             + ("; w > 2m, so the out-of-scope fallback algorithm may still factor f"
                if w > 2 * m else ""),
             fallback_out_of_scope=w > 2 * m,
         )
-    if not 2 * ell <= w:
-        raise PrecisionExhausted(f"2*ell = {2 * ell} > w = {w}: valuation bound violated")
 
     root = report.root
     scale = 1
@@ -583,31 +571,35 @@ def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> Fac
     # recurrence T_(n-1) = E * T_n on a sample of indices, negative ones
     # included: each side is the closed form at its own index; on the same
     # sample the closed form and the running-sum stream agree, t_n = T_n(p^ell)
-    order = len(digits.digits)
+    order, pl = len(digits.digits), p ** ell
     E = e_series(digits, order)
     T = {n: tn_series(digits, n, order) for n in range(-3, min(5, M) + 1)}
     rec_ok = (all(T[n - 1] == (E * T[n]).truncate(order) for n in range(-2, min(5, M) + 1))
-              and all(T[n].truncate(n).evaluate(p ** ell) == t[n - 1]
-                      for n in range(1, min(5, M) + 1)))
+              and all(sum(c * pl ** k for k, c in enumerate(T[n].int_coeffs[: n + 1]))
+                      == t[n - 1] for n in range(1, min(5, M) + 1)))
 
     # A annihilates the root mod p^(ell(M+2))
     mod_ann = p ** (ell * (M + 2))
     ann_ok = polys.evaluate(A_ext, root.residue) % mod_ann == 0
 
     return FactorChecks(product.product_ok, product.constant_ok, div_ok, recip_ok,
-                        _tn_congruences(E, p ** ell, t), rec_ok, ann_ok, 2 * ell <= w)
+                        _tn_congruences(E, pl, t), rec_ok, ann_ok, 2 * ell <= w)
 
 
 def _tn_congruences(E: Series, pl: int, t: list) -> bool:
     """T_nu(pl) = t_nu mod pl^(nu+2) for nu in [-1, len(t)] (t_0 = t_(-1) = 1),
-    with T_nu = E^(-nu-2) (E + x E') from Series algebra, independent of the
-    Bell closed form behind t; E needs order > len(t)."""
-    R = E.reciprocal()
-    T = E + Series.x(E.order) * E.derivative().truncate(E.order)  # T_(-2)
-    for nu in range(-1, len(t) + 1):
-        T = T * R
-        t_nu = t[nu - 1] if nu >= 1 else 1
-        if (T.truncate(nu + 1).evaluate(pl) - t_nu) % pl ** (nu + 2) != 0:
+    T_nu = E^(-nu-2) (E + x E'), independent of the Bell closed form behind t;
+    E is an integer series, E(0) = 1, of order > len(t).  T_nu has integer
+    coefficients, so at x = pl its terms past x^(nu+1) vanish mod pl^(nu+2):
+    T_nu(pl) = e^(-nu-2) (e + d) with e = E(pl), a unit, and d = pl E'(pl)."""
+    cs, mod = E.int_coeffs, pl ** (len(t) + 2)
+    e = d = 0
+    for k in range(len(cs) - 1, -1, -1):  # Horner's rule
+        e, d = e * pl + cs[k], d * pl + k * cs[k]
+    inv, T = pow(e, -1, mod), e + d  # T = T_(-2)(pl)
+    for nu, t_nu in enumerate([1, 1, *t], start=-1):
+        T = T * inv % mod
+        if (T - t_nu) % pl ** (nu + 2):
             return False
     return True
 

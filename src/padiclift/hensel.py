@@ -201,14 +201,12 @@ def lift_simple(f, r0: int, p: int, N: int) -> LiftReport:
     """Lift a simple root mod p (p odd) to a root of f modulo p**N.
 
     Needs f(r0) = 0 mod p and vp(f'(r0)) = 0; the result is congruent to
-    r0 mod p and satisfies f(root) = 0 mod p**N.
+    r0 mod p and satisfies f(root) = 0 mod p**N.  This is
+    :func:`lift_general` at nu = 1, kappa = 0, which checks both hypotheses.
     """
-    f = [int(c) for c in f]
-    _validate_simple(f, r0, p)
-    r0 %= p
-    cs = polys.taylor_coeffs(f, r0)
-    rho, terms = _root_series_residue(cs, p, N)
-    return _report(f, p, N, (r0 + rho) % p ** N, terms)
+    if p == 2:
+        raise EvenPrime("the simple-root series requires p > 2")
+    return lift_general(f, r0 % p, p, N, nu=1, kappa=0)
 
 
 def lift_general(f, r0: int, p: int, N: int,

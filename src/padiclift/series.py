@@ -111,6 +111,13 @@ class Series:
         return cs
 
     @property
+    def int_coeffs(self) -> tuple:
+        """The coefficients as ``int``; ValueError unless all are integers."""
+        if self._den != 1:
+            raise ValueError("the series has a non-integer coefficient")
+        return self._num
+
+    @property
     def order(self) -> int:
         return len(self._num) - 1
 
@@ -249,13 +256,14 @@ class Series:
 # ---------------------------------------------------------------------------
 
 
-def lagrange_sum(table: BellTable, n: int, k: int) -> Fraction:
-    """sum_{j=1..k} (-1)^j (n+j)!/(n+1)! B(k, j), B read from ``table``: the
-    Lagrange-inversion sum behind :func:`lagrange_invert` (k = n) and the
-    factorization streams a_n, t_n and T_n.
+def lagrange_sum(table: BellTable, n: int, k: int) -> int:
+    """E^k sum_{j=1..k} (-1)^j (n+j)!/(n+1)! B(k, j) as an ``int``, B read
+    from ``table`` and E its ordinary denominator (1 on every digits table):
+    the Lagrange-inversion sum behind :func:`lagrange_invert` (k = n) and
+    the factorization streams a_n, t_n and T_n.
 
     B(k, j) = k!/j! [x^k] A^j, and the table stores E^j [x^k] A^j, so the
-    sum is summed in ``int`` over E^k with the weight
+    sum times E^k is summed in ``int`` with the weight
     c_j = (n+j)!/(n+1)! k!/j! kept as a running product,
     c_(j+1) = c_j (n+j+1)/(j+1), an exact division.  (n+j)!/(n+1)! is the
     product (n+2)...(n+j), so negative n works too."""
@@ -270,7 +278,7 @@ def lagrange_sum(table: BellTable, n: int, k: int) -> Fraction:
         if b:
             acc += -c * b if j & 1 else c * b
         c = c * (n + j + 1) // (j + 1)
-    return Fraction(acc, E ** k)
+    return acc
 
 
 def lagrange_invert(alphas) -> list[Fraction]:
@@ -282,7 +290,8 @@ def lagrange_invert(alphas) -> list[Fraction]:
     """
     alphas = [Fraction(a) for a in alphas]
     table = BellTable(alphas, len(alphas))
-    return [lagrange_sum(table, n, n) for n in range(1, len(alphas) + 1)]
+    E = table.ordinary_denominator
+    return [Fraction(lagrange_sum(table, n, n), E ** n) for n in range(1, len(alphas) + 1)]
 
 
 def series_from_alphas(alphas, order: int | None = None) -> Series:
@@ -332,8 +341,8 @@ def _bell_args(cs):
     return [math.factorial(j) * c for j, c in enumerate(cs, start=1)]
 
 
-def _checked(a) -> list[Fraction]:
-    a = [Fraction(c) for c in a]
+def _checked(a) -> list:
+    a = [c if type(c) is int else Fraction(c) for c in a]
     if len(a) < 2 or a[1] == 0:
         raise LinearCoefficientZero("need a nonzero linear coefficient a1")
     return a

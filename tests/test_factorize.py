@@ -283,6 +283,87 @@ def test_tn_congruences_catch_a_corrupted_t(monkeypatch):
     assert not factorize._tn_congruences(E, p ** ell, t_coeffs(d, M))
 
 
+def tn_congruences_by_series_algebra(E, pl, t):
+    """The reference lemma check: T_nu = E^(-nu-2) (E + x E') built by Series
+    products, one more factor 1/E per nu, truncated at x^(nu+1) and
+    evaluated at pl."""
+    R = E.reciprocal()
+    T = E + Series.x(E.order) * E.derivative().truncate(E.order)  # T_(-2)
+    for nu in range(-1, len(t) + 1):
+        T = T * R
+        t_nu = t[nu - 1] if nu >= 1 else 1
+        if (T.truncate(nu + 1).evaluate(pl) - t_nu) % pl ** (nu + 2) != 0:
+            return False
+    return True
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([3, 5, 7, 11]), st.integers(1, 2), st.integers(0, 12), st.data())
+def test_tn_congruences_match_the_series_algebra_reference(p, ell, M, data):
+    # half the time t_nu moves by a unit times 1, P^nu, P^(nu+1) or P^(nu+2);
+    # only the last keeps T_nu(P) = t_nu mod P^(nu+2)
+    P = p ** ell
+    digits = data.draw(st.lists(st.integers(0, P - 1), min_size=M + 1, max_size=M + 1))
+    d = RootDigits(p, ell, tuple(digits))
+    t = t_coeffs(d, M)
+    expect = True
+    if M and data.draw(st.booleans()):
+        nu = data.draw(st.integers(1, M))
+        step = data.draw(st.sampled_from([0, nu, nu + 1, nu + 2]))
+        unit = data.draw(st.integers(1, p * P).filter(lambda u: u % p))
+        t[nu - 1] += unit * P ** step
+        expect = step == nu + 2
+    E = e_series(d, M + 1)
+    assert factorize._tn_congruences(E, P, t) is expect
+    assert tn_congruences_by_series_algebra(E, P, t) is expect
+
+
+def test_tn_congruences_build_no_series_product(monkeypatch):
+    # the check runs on two values of E: no product and no reciprocal
+    def refuse(*args):
+        raise AssertionError("Series algebra in the lemma check")
+
+    d = rand_digits(random.Random(84), 7, 2, 21)
+    E, t = e_series(d, 21), t_coeffs(d, 20)
+    for name in ("__mul__", "__rmul__", "reciprocal"):
+        monkeypatch.setattr(Series, name, refuse)
+    assert factorize._tn_congruences(E, 7 ** 2, t)
+
+
+def test_a_remainder_raises_integrality_violation(monkeypatch):
+    # every provably-integer quotient of the factor streams goes through one
+    # exact division; a skewed numerator that leaves a remainder must raise
+    d = rand_digits(random.Random(85), 5, 1, 8)
+    honest_sum = factorize.lagrange_sum
+    monkeypatch.setattr(factorize, "lagrange_sum", lambda *args: honest_sum(*args) + 1)
+    # a_2 = (L + 1)/2! with L/2! an integer
+    with pytest.raises(factorize.IntegralityViolation, match="a_2"):
+        a_coeffs(d, 4)
+    # [x^2] T_2 = (L + 1)/2! likewise
+    with pytest.raises(factorize.IntegralityViolation, match=r"\[x\^2\] T_2"):
+        tn_series(d, 2, 4)
+    # W(3, 2) += 1 moves 4 (t_3 - 1) by C(5, 2) 5^3, not a multiple of 4
+    honest_row = factorize.BellTable.ordinary_row
+
+    def skewed(table, n):
+        row = honest_row(table, n)
+        return row[:2] + (row[2] + 1,) + row[3:] if n == 3 else row
+
+    monkeypatch.setattr(factorize.BellTable, "ordinary_row", skewed)
+    with pytest.raises(factorize.IntegralityViolation, match="t_3"):
+        t_coeffs(d, 4)
+
+
+@pytest.mark.parametrize("f", [polys.mul(polys.add([7], [0, -1, 3, -2]), [49, 3, -5]), GEOM_F])
+def test_factor_builds_no_fraction(monkeypatch, f):
+    # integer data stays on int: the root lift, the streams and the checks
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    assert factor(f, 8).checks.all_passed()
+
+
 def test_recurrence_check_ties_the_stream_to_the_closed_form(monkeypatch):
     # t_2 moved by p^(4 ell) passes the congruence T_2(p^ell) = t_2 mod
     # p^(4 ell), but not the exact sample t_n = T_n(p^ell), n <= 5

@@ -1,8 +1,9 @@
 """The oracles name no engine, so each check stays independent of what it checks.
 
-``newton_lift``, ``teichmuller_oracle`` and ``bell_oracle`` still sit in the
-engine modules; this reads their source, and that of every helper of the
-same module they call, and looks for the engines' names.
+``newton_lift``, ``teichmuller_oracle``, ``bell_oracle`` and factor's lemma
+check ``_tn_congruences`` sit in the engine modules; this reads their source,
+and that of every helper of the same module they call, and looks for the
+engines' names.
 """
 
 import ast
@@ -10,7 +11,7 @@ import inspect
 
 import pytest
 
-from padiclift import bell, hensel, series
+from padiclift import bell, factorize, hensel, series
 
 ENGINES = {"BellTable", "lagrange_sum", "formal_root_brackets", "formal_root_numerators",
            "_sparse_sum", "_root_series_residue"}
@@ -38,7 +39,8 @@ def names_used(module, name):
 
 @pytest.mark.parametrize("module, name", [(hensel, "newton_lift"),
                                           (hensel, "teichmuller_oracle"),
-                                          (bell, "bell_oracle")])
+                                          (bell, "bell_oracle"),
+                                          (factorize, "_tn_congruences")])
 def test_oracle_names_no_engine(module, name):
     assert not names_used(module, name) & ENGINES
 
