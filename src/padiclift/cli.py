@@ -232,7 +232,11 @@ def _verify_factor(payload) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    if args.input == "-":
+        raw = sys.stdin.read()
+    else:
+        with open(args.input) as fh:
+            raw = fh.read()
     try:
         payload = json.loads(raw)
     except ValueError as exc:

@@ -107,54 +107,26 @@ class SeriesInput:
         return self.head[-1] * self.tail_ratio ** (j - len(self.head) + 1)
 
     def eval_exact(self, c) -> Fraction:
-        """f(c) as an exact rational.
-
-        For a geometric tail the sum closes to h*r*c^H/(1 - r*c); that
-        rational equals the p-adic sum whenever vp(r*c) >= 1, which holds
-        for every scan point (c in p*Z).
-
-        With c = u/v in lowest terms, Horner's rule runs on ``int`` scaled
-        by v^(H-1), and the tail joins it over the single denominator
-        v^(H-1) (v - r u), so one Fraction is built per call.  On the scan
-        c is an integer in p*Z, so v = 1 and v - r u = 1 - r c has
-        vp = 0: the denominator is a p-adic unit and vp(f(c)) is the
-        valuation of the numerator alone.
-        """
-        u, v = (c, 1) if isinstance(c, int) else Fraction(c).as_integer_ratio()
-        H = len(self.head)
-        acc, vk = 0, 1  # acc = v^(H-1) * (head part); vk ends at v^H
-        for a in reversed(self.head):
-            acc = acc * u + a * vk
-            vk *= v
+        """f(c) as an exact rational: the head by Horner's rule plus the closed
+        tail h r c^H / (1 - r c), the p-adic sum whenever vp(r c) >= 1."""
+        H, c = len(self.head), Fraction(c)
         if H == 0:
             return Fraction(0)
-        den = vk // v
+        value = polys.evaluate(self.head, c)
         if self.tail_ratio is not None:
             h, r = self.head[-1], self.tail_ratio
-            g = v - r * u
-            acc = acc * g + h * r * u ** H
-            den *= g
-        return Fraction(acc, den)
+            value += h * r * c ** H / (1 - r * c)
+        return value
 
     def eval_derivative_exact(self, c) -> Fraction:
-        """f'(c) as an exact rational, over v^(H-2) (v - r u)^2 as in
-        :meth:`eval_exact` (with a factor v moved up when H = 1)."""
-        u, v = (c, 1) if isinstance(c, int) else Fraction(c).as_integer_ratio()
-        H = len(self.head)
-        acc, vk = 0, 1  # acc = v^(H-2) * (head part); vk ends at v^(H-1)
-        for j in range(H - 1, 0, -1):
-            acc = acc * u + j * self.head[j] * vk
-            vk *= v
-        if self.tail_ratio is None:
-            return Fraction(acc, vk // v) if H > 1 else Fraction(0)
-        # d/dx [ h r x^H / (1 - r x) ] = h r (H u^(H-1) g + r u^H) / (v^(H-2) g^2)
-        h, r = self.head[-1], self.tail_ratio
-        g = v - r * u
-        uh = u ** (H - 1)
-        tail = h * r * (H * uh * g + r * uh * u)
-        if H == 1:
-            return Fraction(tail * v, g * g)
-        return Fraction(acc * g * g + tail, vk // v * g * g)
+        """f'(c) as an exact rational; the tail adds
+        h r c^(H-1) (H - (H-1) r c) / (1 - r c)^2."""
+        H, c = len(self.head), Fraction(c)
+        value = polys.evaluate(polys.derivative(self.head), c)
+        if self.tail_ratio is not None:
+            h, r = self.head[-1], self.tail_ratio
+            value += h * r * c ** (H - 1) * (H - (H - 1) * r * c) / (1 - r * c) ** 2
+        return value
 
     def rescaled(self, scale: int) -> "SeriesInput":
         """The input for g(x) = f(scale * x)."""
@@ -251,12 +223,7 @@ class RootDigits:
         return table
 
     def reconstruct(self, precision: int) -> int:
-        blk = self.p ** self.ell
-        u = 0
-        for e in reversed(self.digits):
-            u = u * blk + e
-        u = 1 + blk * u
-        return self.p ** self.ell * u % self.p ** precision
+        return polys.evaluate((0, 1, *self.digits), self.p ** self.ell) % self.p ** precision
 
 
 def root_to_digits(r: PadicInt, ell: int, M: int) -> RootDigits:
@@ -378,27 +345,21 @@ class FactorizationProblem:
 
 def bhat_coeffs(prob: FactorizationProblem, ell: int, t: list[int], M: int
                 ) -> tuple[list[int], list[int]]:
-    """bhat_n = p^(w-2l) t_n + p^(m-l) g1 t_(n-1) + sum_j p^(l(j-2)) g_j t_(n-j)
-    with t_0 = t_(-1) = 1 and t_(-n) = 0 for n > 1; returns (bhat, b) where
-    b_n = bhat_n / p^(ell n) after asserting the divisibility."""
-    p, w, m = prob.p, prob.w, prob.m
-
-    def t_at(i: int) -> int:
-        if i >= 1:
-            return t[i - 1]
-        return 1 if i in (0, -1) else 0
-
-    bhat, b = [], []
-    for n in range(1, M + 1):
-        acc = p ** (w - 2 * ell) * t_at(n) + p ** (m - ell) * prob.gammas[0] * t_at(n - 1)
-        for j in range(2, min(n + 1, len(prob.gammas)) + 1):
-            g = prob.gammas[j - 1]
-            if g:
-                acc += p ** (ell * (j - 2)) * g * t_at(n - j)
-        d = p ** (ell * n)
+    """bhat_n = p^(w-2l) t_n + p^(m-l) g1 t_(n-1) + sum_j p^(l(j-2)) g_j t_(n-j),
+    t_0 = t_(-1) = 1 and t_(-n) = 0 for n > 1: the x^(n+1) coefficient of C(x) times
+    1 + x + sum t_n x^(n+1), C = [p^(w-2l), p^(m-l) g1, g2, P g3, ...], P = p^ell.
+    Returns (bhat, b), b_n = bhat_n / p^(ell n) after asserting the divisibility."""
+    p, P = prob.p, prob.p ** ell
+    C, Pj = [p ** (prob.w - 2 * ell), p ** (prob.m - ell) * prob.gammas[0]], 1
+    for g in prob.gammas[1:]:
+        C.append(Pj * g)
+        Pj *= P
+    bhat = polys.mul(C, [1, 1, *t], M + 2)[2:]
+    b, d = [], 1
+    for n, acc in enumerate(bhat, start=1):
+        d *= P
         if acc % d != 0:
             raise DivisibilityViolation(f"p^(ell*{n}) = {d} does not divide bhat_{n} = {acc}")
-        bhat.append(acc)
         b.append(acc // d)
     return bhat, b
 
@@ -493,10 +454,11 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
     """Factor f = p^w + p^m g1 x + ... over Z[[x]], to order M.
 
     ``f`` may be a coefficient list (polynomial) or a :class:`SeriesInput`.
-    Finds a root with vp(r) = ell <= m (smallest ell, then smallest
-    residue), extracts its digits, and assembles the two factors; every
-    lemma along the way is re-checked at full precision and a failure
-    raises rather than returning a bad pair.
+    Takes the smallest ell <= min(m, w // 2) with a root of vp(r) = ell, and
+    of those roots the one a digit-by-digit scan meets first
+    (:func:`_find_valuation_root`); extracts its digits and assembles the two
+    factors.  Every lemma along the way is re-checked at full precision and
+    a failure raises rather than returning a bad pair.
     """
     if M < 0:
         raise ValueError(f"order M must be >= 0, got {M}")
@@ -565,8 +527,7 @@ def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> Fac
 
     # reciprocal: Ahat * (1 + x + x sum t_n x^n) = 1 mod x^(M+2)
     ahat = Series([1, -1] + [-(p ** (ell * n)) * a[n - 1] for n in range(1, M + 1)], M + 1)
-    that = Series([1, 1] + t, M + 1)
-    recip_ok = (ahat * that) == Series.one(M + 1)
+    recip_ok = ahat * Series([1, 1, *t], M + 1) == Series.one(M + 1)
 
     # recurrence T_(n-1) = E * T_n on a sample of indices, negative ones
     # included: each side is the closed form at its own index; on the same
@@ -575,8 +536,8 @@ def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> Fac
     E = e_series(digits, order)
     T = {n: tn_series(digits, n, order) for n in range(-3, min(5, M) + 1)}
     rec_ok = (all(T[n - 1] == (E * T[n]).truncate(order) for n in range(-2, min(5, M) + 1))
-              and all(sum(c * pl ** k for k, c in enumerate(T[n].int_coeffs[: n + 1]))
-                      == t[n - 1] for n in range(1, min(5, M) + 1)))
+              and all(polys.evaluate(T[n].int_coeffs[: n + 1], pl) == t[n - 1]
+                      for n in range(1, min(5, M) + 1)))
 
     # A annihilates the root mod p^(ell(M+2))
     mod_ann = p ** (ell * (M + 2))
@@ -619,12 +580,8 @@ def check_product(A, B, f, M: int, constant: int) -> FactorReport:
     """A*B against f mod x^(M+1) and A(0)*B(0) against ``constant``; report,
     never raise.  Behind factor's checks, verify_factorization and ``verify``."""
     si = _as_input(f)
-    prod = polys.mul(list(A), list(B))
-    mismatches = []
-    for j in range(M + 1):
-        lhs = prod[j] if j < len(prod) else 0
-        if lhs != si.coeff(j):
-            mismatches.append((j, lhs, si.coeff(j)))
+    prod = polys.mul(A, B, M + 1)
+    mismatches = [(j, c, si.coeff(j)) for j, c in enumerate(prod) if c != si.coeff(j)]
     integral = all(isinstance(c, int) for c in (*A, *B))
     return FactorReport(not mismatches, A[0] * B[0] == constant, integral, tuple(mismatches))
 

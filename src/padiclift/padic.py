@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import polys
 from .bigmath import vp, vp_rat
 from .errors import DomainError
 
@@ -49,10 +50,7 @@ class DigitVector:
     digits: tuple
 
     def value(self) -> int:
-        acc = 0
-        for d in reversed(self.digits):
-            acc = acc * self.p + d
-        return acc
+        return polys.evaluate(self.digits, self.p)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Dense univariate polynomial helpers, coefficients ascending (constant first).
 
-Exact, on ints (evaluation and Taylor shifts take Fractions too).  Only what
-the lifting and factorization code needs: evaluation, derivatives, Taylor
-shifts, products, exact division, and squarefree parts by a primitive gcd.
+Exact, on ints.  Only what the lifting and factorization code needs: the
+package's one product (:func:`mul`, full or truncated) and one Horner's rule
+(:func:`evaluate`, which takes Fractions too, as ``Series.evaluate`` and the
+``SeriesInput`` evaluators do), derivatives, Taylor shifts, exact division,
+and squarefree parts by a primitive gcd.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 
 def degree(f) -> int:
@@ -49,15 +52,15 @@ def taylor_coeffs(f, r0) -> list:
     return cs
 
 
-def mul(f, g) -> list:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            if b:
-                out[i + j] += a * b
-    return out
+def mul(f, g, n: int | None = None) -> list:
+    """f * g: all len(f) + len(g) - 1 coefficients, or the first n, zero-padded;
+    coefficient k sums f against g reversed, from f's start while k < len(g)."""
+    n = len(f) + len(g) - 1 if n is None else n
+    f, g = f[:n], g[:n]
+    lg, G, top = len(g), g[::-1], min(n, len(f) + len(g) - 1)
+    out = [sum(map(operator.mul, f[: k + 1], G[lg - 1 - k:])) for k in range(min(top, lg))]
+    out += [sum(map(operator.mul, f[k - lg + 1: k + 1], G)) for k in range(lg, top)]
+    return out + [0] * (n - len(out))
 
 
 def add(f, g) -> list:

@@ -4,10 +4,10 @@ The :class:`Series` type is dense and exact, with an explicit truncation
 order: a series of order M is known modulo x**(M+1).  Binary operations
 truncate to the smaller order.  A series is stored as integer numerators
 over one common denominator D (the lcm of its coefficient denominators, 1
-for an integer series), so products, sums, reciprocals and evaluation run
-the convolution, the reciprocal recurrence or Horner's rule on plain
-``int``; one multi-argument gcd brings each result back to its least D,
-and the Fraction coefficients are built only when read.
+for an integer series), so sums, products (:func:`polys.mul`), reciprocals
+and evaluation (:func:`polys.evaluate`) run on plain ``int``; one
+multi-argument gcd brings each result back to its least D, and the
+Fraction coefficients are built only when read.
 
 On top of the ring operations sit the three series engines used by the
 lifting and factorization code:
@@ -38,6 +38,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
+from . import polys
 from .bell import BellTable
 from .bigmath import binom
 from .errors import DomainError
@@ -63,10 +64,10 @@ class Series:
     """Power series known modulo x**(order+1), dense and exact.
 
     Stored as integer numerators over one common denominator D > 0 with
-    gcd(D, numerators) = 1, which makes D the lcm of the reduced coefficient
-    denominators (1 for an integer series), so the stored form is unique
-    and equality compares integers.  The ring operations run on that form;
-    :attr:`coeffs` builds the Fraction coefficients on first read."""
+    gcd(D, numerators) = 1: D is the lcm of the reduced coefficient denominators
+    (1 for an integer series), the stored form is unique and equality compares
+    integers.  Products (:func:`polys.mul`) and evaluation (:func:`polys.evaluate`)
+    run on that form; :attr:`coeffs` builds the Fractions on first read."""
 
     __slots__ = ("_num", "_den", "_coeffs")
 
@@ -181,11 +182,8 @@ class Series:
         if isinstance(other, (int, Fraction)):
             u, v = other.as_integer_ratio()
             return Series._of([c * u for c in self._num], self._den * v)
-        M = min(self.order, other.order)
-        F = self._num[: M + 1]
-        G = other._num[M::-1]  # reversed: G[M - j] = other_j
-        return Series._of([sum(map(mul, F[: n + 1], G[M - n:])) for n in range(M + 1)],
-                          self._den * other._den)
+        n = min(len(self._num), len(other._num))
+        return Series._of(polys.mul(self._num, other._num, n), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -236,19 +234,11 @@ class Series:
         return Series._of(num[::-1], fk // D)
 
     def derivative(self) -> "Series":
-        if self.order == 0:
-            return Series.zero(0)
-        return Series._of([i * c for i, c in enumerate(self._num)][1:], self._den)
+        return Series._of(polys.derivative(self._num), self._den)
 
     def evaluate(self, x) -> Fraction:
         """Partial-sum value at a concrete rational point (no convergence claims)."""
-        # Horner on x = u/v, scaled by v^order: sum_k C_k u^k v^(order-k)
-        u, v = (x, 1) if isinstance(x, int) else Fraction(x).as_integer_ratio()
-        acc, vk = 0, 1
-        for c in reversed(self._num):
-            acc = acc * u + c * vk
-            vk *= v
-        return Fraction(acc, self._den * (vk // v))
+        return polys.evaluate(self._num, Fraction(x)) / self._den
 
 
 # ---------------------------------------------------------------------------

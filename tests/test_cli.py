@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -188,6 +190,19 @@ def test_verify_catches_corruption(capsys, tmp_path):
     path.write_text(json.dumps(payload))
     rc, _, err = run(capsys, "verify", "--input", str(path))
     assert rc == 1 and "FAIL" in err
+
+
+def test_verify_closes_its_input_file(capsys, tmp_path):
+    rc, out, _ = run(capsys, "lift", "--poly", "1,11,-5", "--prime", "7",
+                     "--seed", "1", "--precision", "3", "--json")
+    path = tmp_path / "lift.json"
+    path.write_text(out)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out2, _ = run(capsys, "verify", "--input", str(path))
+        gc.collect()
+    assert rc == 0 and "verified ok" in out2
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_verify_invalid_json_is_a_usage_error(capsys, tmp_path):

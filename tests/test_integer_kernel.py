@@ -9,7 +9,9 @@ and the evaluators of a factorization input, with every
 partial sum a reduced rational and no cleared denominator.  Unlike
 ``bell_oracle`` the recurrence is polynomial, so it covers n up to 40.
 The running-sum t stream is checked against the per-coefficient one,
-t_n = T_n(p^ell) from one closed form per n.
+t_n = T_n(p^ell) from one closed form per n.  The one polynomial product
+``polys.mul`` is checked against the double loop that skips zero
+coefficients, and ``bhat_coeffs`` against bhat_n summed term by term.
 """
 
 import math
@@ -24,7 +26,9 @@ import padiclift
 from padiclift import polys
 from padiclift.bell import BellTable
 from padiclift.bigmath import binom, falling, vp
-from padiclift.factorize import RootDigits, SeriesInput, t_coeffs, tn_series
+from padiclift.factorize import (DivisibilityViolation, FactorizationProblem, RootDigits,
+                                 SeriesInput, bhat_coeffs, check_product, t_coeffs,
+                                 tn_series)
 from padiclift.hensel import (_ilog, _root_series_residue, _sparse_sum, _term_count,
                               lift_general, lift_simple, newton_lift,
                               teichmuller, teichmuller_oracle)
@@ -546,3 +550,113 @@ def test_input_evaluators_match_fraction_horner(head, ratio, point):
         if p is not None:
             # on p*Z the single denominator v^(H-1) (v - r u) = 1 - r c is a unit
             assert got.denominator % p != 0
+
+
+# ---------------------------------------------------------------------------
+# the one polynomial product, and bhat on it
+# ---------------------------------------------------------------------------
+
+
+def zero_skipping_mul(f, g):
+    """All len(f) + len(g) - 1 coefficients of f * g, by the double loop
+    that skips zero coefficients."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a == 0:
+            continue
+        for j, b in enumerate(g):
+            if b:
+                out[i + j] += a * b
+    return out
+
+
+def bhat_term(prob, ell, t, n):
+    """bhat_n = p^(w-2l) t_n + p^(m-l) g1 t_(n-1) + sum_j p^(l(j-2)) g_j t_(n-j),
+    t read through t_at and p^(l(j-2)) raised afresh for every (n, j)."""
+    p = prob.p
+
+    def t_at(i):
+        if i >= 1:
+            return t[i - 1]
+        return 1 if i in (0, -1) else 0
+
+    acc = p ** (prob.w - 2 * ell) * t_at(n) + p ** (prob.m - ell) * prob.gammas[0] * t_at(n - 1)
+    for j in range(2, min(n + 1, len(prob.gammas)) + 1):
+        g = prob.gammas[j - 1]
+        if g:
+            acc += p ** (ell * (j - 2)) * g * t_at(n - j)
+    return acc
+
+
+def bhat_by_terms(prob, ell, t, M):
+    """(bhat, b) from :func:`bhat_term`, with the divisibility asserted."""
+    bhat, b = [], []
+    for n in range(1, M + 1):
+        acc, d = bhat_term(prob, ell, t, n), prob.p ** (ell * n)
+        if acc % d != 0:
+            raise DivisibilityViolation(f"p^(ell*{n}) = {d} does not divide bhat_{n} = {acc}")
+        bhat.append(acc)
+        b.append(acc // d)
+    return bhat, b
+
+
+# lengths 0-9 with zeros, negatives and big integers
+poly_coeffs = st.lists(st.one_of(st.just(0), small_ints, st.integers(-10 ** 40, 10 ** 40)),
+                       max_size=9)
+
+
+@settings(max_examples=300)
+@given(poly_coeffs, poly_coeffs, st.data())
+def test_polys_mul_matches_the_zero_skipping_double_loop(f, g, data):
+    full = zero_skipping_mul(f, g)
+    assert polys.mul(f, g) == full
+    n = data.draw(st.integers(0, len(f) + len(g) + 2))
+    got = polys.mul(f, g, n)
+    assert got == (full + [0] * n)[:n]  # zeros past the full product
+    assert polys.mul(tuple(f), tuple(g), n) == got
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([3, 5, 7]), st.integers(1, 2), st.integers(0, 12), st.booleans(),
+       st.data())
+def test_bhat_coeffs_match_the_per_term_sum(p, ell, M, planted, data):
+    w = 2 * ell if planted else data.draw(st.integers(2 * ell, 2 * ell + 2))
+    m = data.draw(st.integers(ell, ell + 2))
+    gammas = data.draw(st.lists(st.one_of(st.just(0), small_ints, st.integers(-10 ** 30, 10 ** 30)),
+                                min_size=1, max_size=M + 2))
+    prob = FactorizationProblem(p, w, m, tuple(gammas))
+    t = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=M, max_size=M))
+    if planted:
+        # w = 2 ell puts t_n into bhat_n with coefficient 1: step each t_n so
+        # that p^(ell n) divides bhat_n, then perhaps break one of them
+        P = p ** ell
+        for n in range(1, M + 1):
+            k, t[n - 1] = t[n - 1], 0
+            t[n - 1] = k * P ** n - bhat_term(prob, ell, t, n)
+        broken = data.draw(st.integers(0, M))
+        if broken:
+            t[broken - 1] += 1
+    try:
+        want = bhat_by_terms(prob, ell, t, M)
+    except DivisibilityViolation as exc:
+        with pytest.raises(DivisibilityViolation) as got:
+            bhat_coeffs(prob, ell, t, M)
+        assert str(got.value) == str(exc)
+        return
+    assert bhat_coeffs(prob, ell, t, M) == want
+
+
+def test_series_products_check_product_and_bhat_run_on_polys_mul(monkeypatch):
+    mul, calls = polys.mul, []
+
+    def counting(f, g, n=None):
+        calls.append(n)
+        return mul(f, g, n)
+
+    monkeypatch.setattr(polys, "mul", counting)
+    assert Series([1, 2, 3]) * Series([4, 5]) == Series([4, 13])
+    assert calls == [2]
+    assert check_product([3, -1], [3, 1], [9, 0, -1], 2, 9).passed()
+    assert calls == [2, 3]
+    assert bhat_coeffs(FactorizationProblem(3, 2, 1, (1,)), 1, [2], 1) == ([3], [1])
+    assert calls == [2, 3, 3]
