@@ -6,6 +6,10 @@ machine-readable payload with sorted keys, so identical invocations give
 byte-identical output.  The hidden ``verify`` subcommand re-checks a
 previously emitted JSON payload (root residual / factor product) and is
 what CI uses for round-trip testing.
+
+:func:`main` builds its argument parser once per process, on its first call.
+``lift`` without ``--seed`` lifts the roots of f mod p from
+:func:`polys.roots_mod_p`, not from a scan of all p residues.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ def _cmd_lift(args) -> int:
     else:
         if p > MAX_SCAN_PRIME:
             raise UsageError(f"seed scan limited to p <= {MAX_SCAN_PRIME}; pass --seed")
-        seeds = [r for r in range(p) if polys.evaluate(f, r) % p == 0]
+        seeds = polys.roots_mod_p(f, p)
         if not seeds:
             raise hensel.NotARootModP(f"f has no roots mod {p}")
     reports = []
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lift", help="lift a root mod p to a root mod p^N")
     sp.add_argument("--poly", required=True, help="coefficients, constant first, e.g. 1,11,-5")
     sp.add_argument("--prime", required=True, type=int)
-    sp.add_argument("--seed", type=int, help="seed root r0 (default: scan residues mod p)")
+    sp.add_argument("--seed", type=int, help="seed root r0 (default: every root of f mod p)")
     sp.add_argument("--precision", required=True, type=int)
     sp.add_argument("--nu", type=int, help="explicit congruence depth (with --kappa)")
     sp.add_argument("--kappa", type=int, help="explicit derivative valuation (with --nu)")
@@ -323,10 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = None  # built by the first call of main, then reused
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -272,7 +272,8 @@ def _newton_balls(g, p: int, c: int, k: int, digits):
     z != z' with vp(disc g) >= 2 vp(z - z') > 2k (roots outside Z_p take
     from vp(disc g) at most the (2 deg g - 2) vp(lc g) they add, by the
     Gauss norm).  So nodes lie less than vp(disc g)/2 + 1 below the start,
-    and there are at most deg g leaves.
+    and there are at most deg g leaves.  A child node takes its digits from
+    polys.roots_mod_p(h, p), not from a scan of all p residues.
     """
     margin = 2 if p == 2 else 1
     stack = [(c, k, digits)]
@@ -283,11 +284,11 @@ def _newton_balls(g, p: int, c: int, k: int, digits):
         v = vp(polys.content(h), p)
         h = [b // p ** v for b in h]
         dh = polys.derivative(h)
-        for a in digits:
+        for a in polys.roots_mod_p(h, p) if digits is None else digits:
             if polys.evaluate(h, a) % p:
                 continue
             if polys.evaluate(dh, a) % p == 0:
-                stack.append((c + pk * a, k + 1, range(p)))
+                stack.append((c + pk * a, k + 1, None))
                 continue
             kappa = v - k
             y, prec, need = a, 1, kappa + margin - k

@@ -4,7 +4,8 @@ Exact, on ints.  Only what the lifting and factorization code needs: the
 package's one product (:func:`mul`, full or truncated) and one Horner's rule
 (:func:`evaluate`, which takes Fractions too, as ``Series.evaluate`` and the
 ``SeriesInput`` evaluators do), derivatives, Taylor shifts, exact division,
-and squarefree parts by a primitive gcd.
+and squarefree parts by a primitive gcd.  :func:`roots_mod_p` finds the roots
+of f mod a prime p by splitting gcd(f, x^p - x), in time polylogarithmic in p.
 """
 
 from __future__ import annotations
@@ -121,3 +122,71 @@ def squarefree(f) -> tuple[list, list]:
     """(G, g): G = gcd(f, f') primitive, g = f / G with the roots of f, each once."""
     G = gcd_primitive(f, derivative(f))
     return G, quotient(f, G) if any(G) else [0]
+
+
+def _monic_mod(f, p: int) -> list:
+    """f mod p, trimmed and made monic; [] when f = 0 mod p."""
+    f = [c % p for c in f]
+    while f and not f[-1]:
+        f.pop()
+    u = pow(f[-1], -1, p) if f else 0
+    return [c * u % p for c in f]
+
+
+def _divmod_mod(f, h, p: int) -> tuple[list, list]:
+    """(q, r) with f = q h + r mod p and deg r < deg h, for monic h; residues."""
+    r, d = list(f), len(h) - 1
+    q = [0] * max(len(r) - d, 0)
+    for i in range(len(r) - 1, d - 1, -1):
+        c = q[i - d] = r[i] % p
+        if c:
+            r[i - d: i] = [a - c * b for a, b in zip(r[i - d: i], h)]
+    return q, [c % p for c in r[:d]]
+
+
+def _pow_mod(a, e: int, h, p: int) -> list:
+    """a^e mod (h, p) for monic h and e >= 1, by squaring."""
+    r = a = _divmod_mod(a, h, p)[1]
+    for bit in bin(e)[3:]:
+        r = _divmod_mod(mul(r, r), h, p)[1]
+        if bit == "1":
+            r = _divmod_mod(mul(r, a), h, p)[1]
+    return r
+
+
+def _gcd_mod(a, b, p: int) -> list:
+    """Monic gcd of a monic a and any b, mod p."""
+    b = _monic_mod(b, p)
+    while b:
+        a, b = b, _monic_mod(_divmod_mod(a, b, p)[1], p)
+    return a
+
+
+def roots_mod_p(f, p: int) -> list[int]:
+    """The sorted r in range(p) with f(r) = 0 mod p, p prime; all of range(p)
+    when f = 0 mod p.
+
+    g = gcd(f mod p, x^p - x) is the product of x - r over the roots r, and
+    deg g = p means every residue is a root (at p = 2, g divides x^2 - x).
+    Else p is odd, and a factor h of g with two or more roots splits on
+    gcd(h, (x + delta)^((p-1)/2) - 1), the roots r with chi(r + delta) = 1
+    (chi the Legendre symbol), for delta = 0, 1, 2, ...  The loop ends: for
+    roots a != b, the Jacobi sum  sum_delta chi((a + delta)(b + delta)) = -1
+    gives (p-1)/2 delta in range(p) with chi(a + delta) = -chi(b + delta) != 0.
+    Each puts a and b apart; those tried on h kept its roots together, so the
+    parts of a split resume at delta + 1.
+    """
+    g = _monic_mod(f, p)
+    g = g and _gcd_mod(g, add(_pow_mod([0, 1], p, g, p), [0, -1]), p)
+    if not g or len(g) - 1 == p:
+        return list(range(p))
+    roots, stack = [], [(g, 0)]
+    while stack:
+        h, delta = stack.pop()
+        if len(h) > 2:
+            w = _gcd_mod(h, add(_pow_mod([delta, 1], (p - 1) // 2, h, p), [-1]), p)
+            parts = [w, _divmod_mod(h, w, p)[0]] if 1 < len(w) < len(h) else [h]
+            stack += [(part, delta + 1) for part in parts]
+        elif len(h) == 2:
+            roots.append(-h[0] % p)
+    return sorted(roots)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from padiclift import cli
 from padiclift.cli import main
 from padiclift.hensel import teichmuller_oracle
 
@@ -44,6 +45,31 @@ def test_lift_returns_the_root_of_a_square(capsys, evaluation_budget):
     rc, out, _ = run(capsys, "lift", "--poly", "1,2,1", "--prime", "3", "--precision", "3")
     assert rc == 0
     assert "residue 26 mod 3^3" in out
+
+
+def test_lift_scan_at_a_large_prime_splits_instead_of_scanning(capsys, evaluation_budget):
+    evaluation_budget(300)
+    rc, out, _ = run(capsys, "lift", "--poly=-2,0,1", "--prime", "999983",
+                     "--precision", "5", "--json")
+    roots = [int(entry["residue"]) for entry in json.loads(out)["roots"]]
+    assert rc == 0 and len(roots) == 2
+    assert all((r * r - 2) % 999983 ** 5 == 0 for r in roots)
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    build, built = cli.build_parser, []
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    assert run(capsys, "classify", "--f0", "9", "--f1", "3")[0] == 0
+    assert run(capsys, "lift", "--poly", "1,11,-5", "--prime", "7")[0] == 2
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "bell", "3", "2", "1,1,1")[0] == 0
+    assert len(built) == 1
 
 
 def test_lift_with_no_root_over_the_seeds_says_so(capsys):

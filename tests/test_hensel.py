@@ -433,6 +433,15 @@ def test_lift_all_separates_roots_that_agree_to_twenty_digits(evaluation_budget)
     assert [rep.root.residue for rep in reports] == [3 ** 20, 3 ** 50 - 3 ** 20]
 
 
+def test_lift_all_splits_a_child_node_at_a_large_prime(evaluation_budget):
+    # (x - 1)(x - 1 - p): the double root 1 mod p is a child node, whose
+    # digits come from roots mod p, not from all p residues
+    p = 1000003
+    evaluation_budget(300)
+    reports = lift_all(polys.mul([-1, 1], [-1 - p, 1]), 1, p, 5)
+    assert [rep.root.residue for rep in reports] == [1, 1 + p]
+
+
 def test_lift_all_lifts_each_ball_without_refining_it(evaluation_budget):
     # vp(g'(-125)) = 4 for g = (x+125)(x-6735)(3x^2+3x+1): digit-by-digit
     # refinement keeps about 7^4 classes alive per depth up to depth 9

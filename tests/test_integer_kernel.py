@@ -11,7 +11,8 @@ partial sum a reduced rational and no cleared denominator.  Unlike
 The running-sum t stream is checked against the per-coefficient one,
 t_n = T_n(p^ell) from one closed form per n.  The one polynomial product
 ``polys.mul`` is checked against the double loop that skips zero
-coefficients, and ``bhat_coeffs`` against bhat_n summed term by term.
+coefficients, ``bhat_coeffs`` against bhat_n summed term by term, and
+``polys.roots_mod_p`` against the scan of all p residues.
 """
 
 import math
@@ -660,3 +661,24 @@ def test_series_products_check_product_and_bhat_run_on_polys_mul(monkeypatch):
     assert calls == [2, 3]
     assert bhat_coeffs(FactorizationProblem(3, 2, 1, (1,)), 1, [2], 1) == ([3], [1])
     assert calls == [2, 3, 3]
+
+
+PRIMES_TO_211 = [q for q in range(2, 212) if all(q % d for d in range(2, q))]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(PRIMES_TO_211), st.data())
+def test_roots_mod_p_match_the_scan_of_all_residues(p, data):
+    # a cofactor (a constant when no root is planted) times planted roots,
+    # some repeated, each moved by a multiple of p
+    f = data.draw(st.lists(st.one_of(small_ints, st.integers(-10 ** 30, 10 ** 30)),
+                           min_size=1, max_size=4))
+    planted = data.draw(st.lists(st.integers(0, p - 1), max_size=5))
+    for a in planted + planted[: data.draw(st.integers(0, len(planted)))]:
+        f = polys.mul(f, [p * data.draw(small_ints) - a, 1])
+    form = data.draw(st.sampled_from(["as drawn", "zero mod p", "leading coefficient p k"]))
+    if form == "zero mod p":
+        f = [p * c for c in f]
+    elif form == "leading coefficient p k":
+        f = f + [p * data.draw(st.integers(-10 ** 6, 10 ** 6))]
+    assert polys.roots_mod_p(f, p) == [r for r in range(p) if polys.evaluate(f, r) % p == 0]
