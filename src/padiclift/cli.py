@@ -8,8 +8,8 @@ previously emitted JSON payload (root residual / factor product) and is
 what CI uses for round-trip testing.
 
 :func:`main` builds its argument parser once per process, on its first call.
-``lift`` without ``--seed`` lifts the roots of f mod p from
-:func:`polys.roots_mod_p`, not from a scan of all p residues.
+``lift`` without ``--seed`` seeds from :func:`polys.roots_mod_p` of f over
+its p-content, as every node of the root tree does, at any p.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from fractions import Fraction
 
 from . import factorize, hensel, polys
 from .bell import bell
-from .bigmath import INFINITY, is_prime
+from .bigmath import INFINITY, is_prime, vp
 from .errors import DomainError
 from .padic import PadicInt
 from .series import lagrange_invert
-
-MAX_SCAN_PRIME = 10 ** 6
 
 
 class UsageError(Exception):
@@ -83,12 +81,13 @@ def _cmd_lift(args) -> int:
         raise UsageError("precision must be >= 1")
     if args.seed is not None:
         seeds = [args.seed]
+    elif not any(f):
+        raise hensel.ZeroPolynomial("f = 0: every element of Z_p is a root")
     else:
-        if p > MAX_SCAN_PRIME:
-            raise UsageError(f"seed scan limited to p <= {MAX_SCAN_PRIME}; pass --seed")
-        seeds = polys.roots_mod_p(f, p)
-        if not seeds:
-            raise hensel.NotARootModP(f"f has no roots mod {p}")
+        v = vp(polys.content(f), p)
+        if not (seeds := polys.roots_mod_p([c // p ** v for c in f], p)):
+            raise hensel.NotARootModP(f"f / {p}^{v} has no roots mod {p}" if v
+                                      else f"f has no roots mod {p}")
     reports = []
     for r0 in seeds:
         if args.nu is not None or args.kappa is not None:

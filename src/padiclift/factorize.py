@@ -388,18 +388,16 @@ def _find_valuation_root(si: SeriesInput, p: int, ell: int, N: int) -> LiftRepor
     if si.tail_ratio is not None:
         F = polys.add(polys.mul([1, -si.tail_ratio], F), [0] * len(F) + [F[-1] * si.tail_ratio])
     dF, g = polys.derivative(F), polys.squarefree(F)[1]
-    best = None
-    for x, _ in _newton_balls(g, p, 0, ell, range(1, p)):
+    met = []
+    for x, _ in _newton_balls(g, p, 0, ell, {0}):
         rep = lift_general(g, x, p, N)
         r = rep.root.residue
         kappa = vp(polys.evaluate(dF, r), p)  # exact below N, as r = root mod p^N
         keys = [(max(2 * ell, _ilog(r, p)) + 1, r)] if polys.evaluate(F, r) == 0 else []
         if kappa < N:
             keys.append((max(2 * ell, 2 * kappa) + 1, r % p ** (kappa + 1)))
-        for key in keys:
-            if key[0] <= N and (best is None or key < best[0]):
-                best = key, rep
-    return best and best[1]
+        met += [(key, rep) for key in keys if key[0] <= N]
+    return min(met, key=lambda m: m[0])[1] if met else None
 
 
 # ---------------------------------------------------------------------------

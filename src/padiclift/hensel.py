@@ -256,9 +256,9 @@ def lift_general(f, r0: int, p: int, N: int,
     return _report(f, p, N, (r0 + p ** kappa * rho) % p ** N, terms)
 
 
-def _newton_balls(g, p: int, c: int, k: int, digits):
+def _newton_balls(g, p: int, c: int, k: int, skip=()):
     """Yield (x, kappa) for each root r of the squarefree g in Z[x] with
-    r = c + p^k a mod p^(k+1), a in ``digits``: kappa = vp(g'(r)), and
+    r = c + p^k a mod p^(k+1), a not in ``skip``: kappa = vp(g'(r)), and
     x = r mod p^(kappa+m) (m = 2 at p = 2, else 1) is the shortest
     truncation of r in its Newton ball with vp(g(x)) > 2 kappa + m - 1.
 
@@ -272,23 +272,23 @@ def _newton_balls(g, p: int, c: int, k: int, digits):
     z != z' with vp(disc g) >= 2 vp(z - z') > 2k (roots outside Z_p take
     from vp(disc g) at most the (2 deg g - 2) vp(lc g) they add, by the
     Gauss norm).  So nodes lie less than vp(disc g)/2 + 1 below the start,
-    and there are at most deg g leaves.  A child node takes its digits from
-    polys.roots_mod_p(h, p), not from a scan of all p residues.
+    and there are at most deg g leaves.  Every node takes its digits from
+    polys.roots_mod_p(h, p); ``skip`` holds at the start node only.
     """
     margin = 2 if p == 2 else 1
-    stack = [(c, k, digits)]
+    stack = [(c, k, skip)]
     while stack:
-        c, k, digits = stack.pop()
+        c, k, skip = stack.pop()
         pk = p ** k
         h = _scaled_shift(g, c, pk)
         v = vp(polys.content(h), p)
         h = [b // p ** v for b in h]
         dh = polys.derivative(h)
-        for a in polys.roots_mod_p(h, p) if digits is None else digits:
-            if polys.evaluate(h, a) % p:
+        for a in polys.roots_mod_p(h, p):
+            if a in skip:
                 continue
             if polys.evaluate(dh, a) % p == 0:
-                stack.append((c + pk * a, k + 1, None))
+                stack.append((c + pk * a, k + 1, ()))
                 continue
             kappa = v - k
             y, prec, need = a, 1, kappa + margin - k
@@ -316,7 +316,7 @@ def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
         raise NotARootModP(f"f({r0}) != 0 mod {p}")
     G, g = polys.squarefree(f)
     found: dict[int, LiftReport] = {}
-    for x, _ in _newton_balls(g, p, 0, 0, [r0]):
+    for x, _ in _newton_balls(g, p, r0, 1):
         rep = lift_general(g, x, p, N)
         if len(G) > 1:
             rep = LiftReport(rep.root, rep.terms_used, residual_valuation(f, rep.root.residue, p))

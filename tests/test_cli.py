@@ -56,6 +56,23 @@ def test_lift_scan_at_a_large_prime_splits_instead_of_scanning(capsys, evaluatio
     assert all((r * r - 2) % 999983 ** 5 == 0 for r in roots)
 
 
+def test_lift_seeds_come_from_f_over_its_p_content(capsys, evaluation_budget):
+    # 999983 (1 + x) = 0 mod p, yet its one root -1 is found at once
+    evaluation_budget(50)
+    rc, out, _ = run(capsys, "lift", "--poly=999983,999983", "--prime", "999983",
+                     "--precision", "2", "--json")
+    assert rc == 0
+    assert [entry["residue"] for entry in json.loads(out)["roots"]] == ["999966000288"]
+
+
+def test_lift_without_seed_takes_any_prime(capsys, evaluation_budget):
+    evaluation_budget(50)
+    rc, out, _ = run(capsys, "lift", "--poly=2,-3,1", "--prime", "1000003",
+                     "--precision", "3", "--json")
+    assert rc == 0
+    assert [entry["residue"] for entry in json.loads(out)["roots"]] == ["1", "2"]
+
+
 def test_main_builds_its_parser_once(capsys, monkeypatch):
     build, built = cli.build_parser, []
 

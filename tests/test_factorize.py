@@ -661,6 +661,32 @@ def test_factor_near_two_close_roots(k, evaluation_budget):
         assert pair.checks.all_passed() and pair.root.residue % 9 == 3
 
 
+def test_factor_at_a_prime_past_any_digit_scan(evaluation_budget):
+    # (p - x)(p - 2x): the scan's start node takes its digits from the
+    # roots mod p, so p = 10^9 + 7 costs no more than p = 3
+    p = 10 ** 9 + 7
+    evaluation_budget(100)
+    pair = factor([p * p, -3 * p, 2], 6)
+    assert pair.checks.all_passed()
+    assert (pair.A, pair.B) == ((p, -1) + (0,) * 5, (p, -2) + (0,) * 5)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factor_scan_lifts_no_root_of_higher_valuation(p, monkeypatch):
+    # (x - p)(x^2 - p^4): the roots +-p^2 lie under digit 0 of the scan's
+    # start node (0, ell = 1), a double root mod p there; only p is lifted
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return lift_general(*args, **kwargs)
+
+    monkeypatch.setattr(factorize, "lift_general", counting)
+    pair = factor(polys.mul([-p, 1], [-p ** 4, 0, 1]), 4)
+    assert pair.ell == 1 and pair.root.residue == p
+    assert len(calls) == 1
+
+
 def _digit_scan(si, p, ell, N):
     """Reference for the root choice of the factor scan: candidates c with
     vp(c) = ell at depth 2 ell + 1, visited in increasing order and refined

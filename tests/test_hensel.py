@@ -434,8 +434,8 @@ def test_lift_all_separates_roots_that_agree_to_twenty_digits(evaluation_budget)
 
 
 def test_lift_all_splits_a_child_node_at_a_large_prime(evaluation_budget):
-    # (x - 1)(x - 1 - p): the double root 1 mod p is a child node, whose
-    # digits come from roots mod p, not from all p residues
+    # (x - 1)(x - 1 - p): the double root 1 mod p is the start node (1, 1),
+    # whose digits come from roots mod p, not from all p residues
     p = 1000003
     evaluation_budget(300)
     reports = lift_all(polys.mul([-1, 1], [-1 - p, 1]), 1, p, 5)
@@ -487,8 +487,9 @@ def test_lift_all_returns_the_planted_roots(case):
 @settings(max_examples=80)
 @given(planted_roots())
 def test_newton_balls_yield_each_root_with_its_newton_ball(case):
-    # (r mod p^(kappa+m), kappa = vp(g'(r))) per root, from the seed classes
-    # and from the start (0, ell) of the factor scan, digits 1..p-1
+    # (r mod p^(kappa+m), kappa = vp(g'(r))) per root: from each seed class
+    # (r0, 1), from the whole tree (0, 0), and from the start (0, ell) of the
+    # factor scan without digit 0
     p, _, roots, f = case
     g = polys.squarefree(f)[1]
     m = 2 if p == 2 else 1
@@ -496,10 +497,11 @@ def test_newton_balls_yield_each_root_with_its_newton_ball(case):
     for r in set(roots):
         kappa = vp(polys.evaluate(polys.derivative(g), r), p)
         want[r] = (r % p ** (kappa + m), kappa)
-    got = [ball for r0 in range(p) for ball in hensel._newton_balls(g, p, 0, 0, [r0])]
+    got = [ball for r0 in range(p) for ball in hensel._newton_balls(g, p, r0, 1)]
     assert sorted(got) == sorted(want.values())
+    assert sorted(hensel._newton_balls(g, p, 0, 0)) == sorted(want.values())
     for ell in (1, 2):
-        got = hensel._newton_balls(g, p, 0, ell, range(1, p))
+        got = hensel._newton_balls(g, p, 0, ell, {0})
         assert sorted(got) == sorted(b for r, b in want.items() if vp(r, p) == ell)
 
 

@@ -664,10 +664,12 @@ def test_series_products_check_product_and_bhat_run_on_polys_mul(monkeypatch):
 
 
 PRIMES_TO_211 = [q for q in range(2, 212) if all(q % d for d in range(2, q))]
+PRIMES_PAST_THE_SCAN = [503, 509, 997, 1009, 2003]  # roots_mod_p splits from p = 500 on
 
 
 @settings(max_examples=300)
-@given(st.sampled_from(PRIMES_TO_211), st.data())
+@given(st.one_of(st.sampled_from(PRIMES_TO_211), st.sampled_from(PRIMES_PAST_THE_SCAN)),
+       st.data())
 def test_roots_mod_p_match_the_scan_of_all_residues(p, data):
     # a cofactor (a constant when no root is planted) times planted roots,
     # some repeated, each moved by a multiple of p
@@ -676,9 +678,13 @@ def test_roots_mod_p_match_the_scan_of_all_residues(p, data):
     planted = data.draw(st.lists(st.integers(0, p - 1), max_size=5))
     for a in planted + planted[: data.draw(st.integers(0, len(planted)))]:
         f = polys.mul(f, [p * data.draw(small_ints) - a, 1])
-    form = data.draw(st.sampled_from(["as drawn", "zero mod p", "leading coefficient p k"]))
+    form = data.draw(st.sampled_from(["as drawn", "zero mod p", "leading coefficient p k",
+                                      "linear mod p"]))
     if form == "zero mod p":
         f = [p * c for c in f]
     elif form == "leading coefficient p k":
         f = f + [p * data.draw(st.integers(-10 ** 6, 10 ** 6))]
+    elif form == "linear mod p":
+        a1 = p * data.draw(small_ints) + data.draw(st.integers(1, p - 1))
+        f = [data.draw(small_ints), a1] + [p * c for c in f]
     assert polys.roots_mod_p(f, p) == [r for r in range(p) if polys.evaluate(f, r) % p == 0]
