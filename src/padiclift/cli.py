@@ -5,7 +5,7 @@ Exit codes: 0 on success, 1 on a domain error (bad seed, no root, ...),
 machine-readable payload with sorted keys, so identical invocations give
 byte-identical output.  The hidden ``verify`` subcommand re-checks a
 previously emitted JSON payload (root residual / factor product) and is
-what CI uses for round-trip testing.
+what CI uses for round-trip testing; a field of the wrong type is a usage error.
 
 :func:`main` builds its argument parser once per process, on its first call.
 ``lift`` without ``--seed`` seeds from :func:`polys.roots_mod_p` of f over
@@ -126,10 +126,7 @@ def _parse_tail(spec: str):
 def _cmd_factor(args) -> int:
     coeffs = _parse_int_list(args.coeffs)
     ratio = _parse_tail(args.tail)
-    if ratio is None:
-        si = factorize.SeriesInput.polynomial(coeffs)
-    else:
-        si = factorize.SeriesInput.geometric(coeffs, ratio)
+    si = factorize.SeriesInput(tuple(coeffs), ratio)
     if args.prime is not None:
         _require_prime(args.prime)
     pair = factorize.factor(si, args.order, p=args.prime)
@@ -212,13 +209,37 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+_FIELD_KINDS = {
+    "an object": lambda v: type(v) is dict,
+    "a non-negative integer": lambda v: type(v) is int and v >= 0,
+    "a positive integer": lambda v: type(v) is int and v > 0,
+    "a decimal string": lambda v: type(v) is str and v.isdecimal(),
+    "a list of integers": lambda v: type(v) is list and all(type(c) is int for c in v),
+    "a list of objects": lambda v: type(v) is list and all(type(c) is dict for c in v),
+}
+
+
+def _field(obj: dict, key: str, kind: str):
+    """obj[key] if it is ``kind``, else a usage error; a missing key stays a KeyError."""
+    value = obj[key]
+    if not _FIELD_KINDS[kind](value):
+        raise UsageError(f"payload field {key!r} must be {kind}, got {value!r:.60}")
+    return value
+
+
 def _verify_lift(payload) -> list[str]:
     problems = []
-    inp = payload["input"]
-    f, p, N = inp["poly"], _require_prime(inp["prime"]), inp["precision"]
-    for entry in payload["roots"]:
-        root = PadicInt.from_json(entry["root"])
-        if root.residue != int(entry["residue"]):
+    inp = _field(payload, "input", "an object")
+    f = _field(inp, "poly", "a list of integers")
+    p = _require_prime(_field(inp, "prime", "a positive integer"))
+    N = _field(inp, "precision", "a positive integer")
+    for entry in _field(payload, "roots", "a list of objects"):
+        root = _field(entry, "root", "an object")
+        for key, kind in (("p", "a positive integer"), ("precision", "a positive integer"),
+                          ("digits", "a list of integers")):
+            _field(root, key, kind)
+        root = PadicInt.from_json(root)
+        if root.residue != int(_field(entry, "residue", "a decimal string")):
             problems.append(f"digit vector does not reconstruct residue {entry['residue']}")
         if hensel.residual_valuation(f, root.residue, p) < N:
             problems.append(f"f({root.residue}) != 0 mod {p}^{N}")
@@ -226,8 +247,10 @@ def _verify_lift(payload) -> list[str]:
 
 
 def _verify_factor(payload) -> list[str]:
-    rep = factorize.check_product(payload["A"], payload["B"], payload["effective_coeffs"],
-                                  payload["input"]["order"], payload["p"] ** payload["w"])
+    A, B, f = (_field(payload, key, "a list of integers") for key in ("A", "B", "effective_coeffs"))
+    order = _field(_field(payload, "input", "an object"), "order", "a non-negative integer")
+    p, w = _field(payload, "p", "a positive integer"), _field(payload, "w", "a non-negative integer")
+    rep = factorize.check_product(A, B, f, order, p ** w)
     problems = [f"(A*B)[{j}] = {lhs} != f[{j}] = {rhs}" for j, lhs, rhs in rep.mismatches]
     if not rep.constant_ok:
         problems.append("A(0)*B(0) != p^w")
@@ -244,6 +267,8 @@ def _cmd_verify(args) -> int:
         payload = json.loads(raw)
     except ValueError as exc:
         raise UsageError(f"payload is not valid JSON: {exc}") from exc
+    if type(payload) is not dict:
+        raise UsageError(f"payload is not a JSON object, got {payload!r:.60}")
     kind = payload.get("kind")
     if kind == "lift":
         problems = _verify_lift(payload)

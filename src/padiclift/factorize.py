@@ -128,6 +128,12 @@ class SeriesInput:
             value += h * r * c ** (H - 1) * (H - (H - 1) * r * c) / (1 - r * c) ** 2
         return value
 
+    def numerator(self) -> list:
+        """The integer F whose roots on p Z_p are those of f: the head, or
+        (1 - r x) head(x) + h r x^H for a tail of ratio r (1 - r x is a unit)."""
+        F, r = list(self.head), self.tail_ratio
+        return F if r is None else polys.add(polys.mul([1, -r], F), [0] * len(F) + [F[-1] * r])
+
     def rescaled(self, scale: int) -> "SeriesInput":
         """The input for g(x) = f(scale * x)."""
         head = tuple(a * scale ** j for j, a in enumerate(self.head))
@@ -215,7 +221,7 @@ class RootDigits:
 
     def bell_table(self, n_max: int) -> BellTable:
         """B(n, k) on :meth:`bell_args` for n <= max(n_max, digit count),
-        built once per instance and shared by the a, t and T streams."""
+        built once per instance and shared by the a and T streams."""
         table = vars(self).get("_bell")
         if table is None or table.n_max < n_max:
             table = BellTable(self.bell_args(), max(n_max, len(self.digits)))
@@ -265,49 +271,13 @@ def a_coeffs(e: RootDigits, M: int) -> list[int]:
             for n in range(1, M + 1)]
 
 
-def t_coeffs(e: RootDigits, M: int) -> list[int]:
-    """Reciprocal coefficients t_n of Ahat = 1 - x - x sum p^(ell n) a_n x^n,
-    n = 1..M: t_n = T_n(P) with P = p^ell, T_n truncated at x^n (T_n:
-    :func:`tn_series`), summed in O(M^2) integer operations.
-
-    On the digits the Bell arguments are x_j = j! e_j, so a_j = x_j / j! = e_j,
-    A(x) = E(x) - 1 and the ordinary denominator is 1: the stored entry
-    W(k, j) = table.ordinary(k, j) is the integer [x^k] (E - 1)^j.  With
-    B(k, j) = k!/j! W(k, j) and (n+j)!/((n+1)! j!) = C(n+j, j)/(n+1), the
-    x^k coefficient of T_n is (n+1-k)/(n+1) sum_j (-1)^j C(n+j, j) W(k, j),
-    and swapping the sums gives
-
-        (n+1)(t_n - 1) = sum_j (-1)^j C(n+j, j) ((n+1) U_j(n) - V_j(n)),
-
-    U_j(n) = sum_{k=j..n} W(k, j) P^k,  V_j(n) = sum_{k=j..n} k W(k, j) P^k.
-    Each U_j gains one term per n, and (n+1) U_j(n) - V_j(n) =
-    sum_{i=j..n} U_j(i) is a running sum of running sums, so n = 1..M costs
-    O(M^2) additions on one table.  Every coefficient of T_n is an integer
-    (it is the x^k coefficient of E^(-n-2) (E + x E'), E(0) = 1), so the
-    right side is (n+1) times an integer and the division by n+1 is exact;
-    a remainder raises IntegralityViolation.
-    """
-    table = e.bell_table(M)
-    P = e.p ** e.ell
-    U = [0] * (M + 1)  # U[j] = U_j(n)
-    S = [0] * (M + 1)  # S[j] = (n+1) U_j(n) - V_j(n)
-    out = []
-    Pn = 1
-    for n in range(1, M + 1):
-        Pn *= P
-        row = table.ordinary_row(n)
-        acc = 0
-        c = 1  # C(n+j, j), stepped along j
-        for j in range(1, n + 1):
-            w = row[j]
-            if w:
-                U[j] += w * Pn
-            S[j] += U[j]
-            c = c * (n + j) // j
-            if S[j]:
-                acc += -c * S[j] if j & 1 else c * S[j]
-        out.append(1 + _exact(acc, n + 1, f"t_{n} - 1"))
-    return out
+def t_coeffs(a: list[int], P: int) -> list[int]:
+    """t_n, n = 1..len(a): 1/Ahat = 1 + x + sum t_n x^(n+1) for
+    Ahat(x) = A(P x)/P = 1 - x - x sum P^n a_n x^n, P = p^ell.  Ahat(0) = 1,
+    so the t_n are integers; by the paper they are also T_n(P), T_n the
+    closed form of :func:`tn_series` truncated at x^n."""
+    ahat = Series([1, -1] + [-an * P ** n for n, an in enumerate(a, start=1)])
+    return list(ahat.reciprocal().int_coeffs[2:])
 
 
 def e_series(e: RootDigits, order: int) -> Series:
@@ -369,12 +339,12 @@ def bhat_coeffs(prob: FactorizationProblem, ell: int, t: list[int], M: int
 # ---------------------------------------------------------------------------
 
 
-def _find_valuation_root(si: SeriesInput, p: int, ell: int, N: int) -> LiftReport | None:
+def _find_valuation_root(F, dF, g, p: int, ell: int, N: int) -> LiftReport | None:
     """The root r with vp(r) = ell that a digit scan meets first, or None.
 
-    On p Z_p the roots of f are those of the integer numerator F: head, or
-    (1 - q x) head(x) + h q x^H for a tail of ratio q (1 - q x is a unit).
-    Each is found and lifted to p^N on the tree of hensel._newton_balls.
+    F is the integer numerator of the input (:meth:`SeriesInput.numerator`),
+    dF its derivative and g its squarefree part.  Each root with vp(r) = ell
+    is found and lifted to p^N on the tree of hensel._newton_balls over g.
     The scan visits the classes c mod p^D, vp(c) = ell, D = 2 ell + 1 .. N,
     in increasing order, and stops at an exact root or in a root's Newton
     ball with D > 2 kappa, kappa = vp(F'(r)).  So it meets r at
@@ -384,10 +354,6 @@ def _find_valuation_root(si: SeriesInput, p: int, ell: int, N: int) -> LiftRepor
     (the first D >= 2 ell + 1 with r < p^D, r); a repeated root has kappa =
     INFINITY.  The smallest key of depth <= N wins.
     """
-    F = list(si.head)
-    if si.tail_ratio is not None:
-        F = polys.add(polys.mul([1, -si.tail_ratio], F), [0] * len(F) + [F[-1] * si.tail_ratio])
-    dF, g = polys.derivative(F), polys.squarefree(F)[1]
     met = []
     for x, _ in _newton_balls(g, p, 0, ell, {0}):
         rep = lift_general(g, x, p, N)
@@ -443,11 +409,6 @@ class FactorPair:
     checks: FactorChecks = None
 
 
-def _gammas_from(si: SeriesInput, p: int, m: int, count: int) -> tuple:
-    g1 = si.coeff(1) // p ** m
-    return (g1,) + tuple(si.coeff(j) for j in range(2, count + 1))
-
-
 def factor(f, M: int, p: int | None = None) -> FactorPair:
     """Factor f = p^w + p^m g1 x + ... over Z[[x]], to order M.
 
@@ -475,8 +436,10 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
     if m is INFINITY:
         raise WrongShape("f1 = 0: input lacks the p^m*g1 linear term")
 
+    F = si.numerator()
+    dF, g = polys.derivative(F), polys.squarefree(F)[1]
     for ell in range(1, min(m, w // 2) + 1):
-        report = _find_valuation_root(si, p, ell, ell * (M + 4))
+        report = _find_valuation_root(F, dF, g, p, ell, ell * (M + 4))
         if report is not None:
             break
     else:
@@ -488,11 +451,9 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
         )
 
     root = report.root
-    scale = 1
-    e0 = root.residue // p ** ell % p ** ell
-    if e0 != 1:
+    scale = root.residue // p ** ell % p ** ell  # the unit part e0 mod p^ell
+    if scale != 1:
         # g(x) = f(e0 * x) has the root r/e0, whose unit part is 1 mod p^ell
-        scale = e0
         si = si.rescaled(scale)
         root = PadicInt(p, root.precision,
                         root.residue * pow(scale, -1, p ** root.precision))
@@ -500,8 +461,8 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
     digits = root_to_digits(root, ell, M + 1)
     dM = RootDigits(p, ell, digits.digits[:M])
     a = a_coeffs(digits, M)
-    t = t_coeffs(digits, M)
-    gammas = _gammas_from(si, p, m, M + 2)
+    t = t_coeffs(a, p ** ell)
+    gammas = (si.coeff(1) // p ** m,) + tuple(si.coeff(j) for j in range(2, M + 3))
     prob = FactorizationProblem(p, w, m, gammas)
     bhat, b = bhat_coeffs(prob, ell, t, M)
 
@@ -529,7 +490,7 @@ def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> Fac
 
     # recurrence T_(n-1) = E * T_n on a sample of indices, negative ones
     # included: each side is the closed form at its own index; on the same
-    # sample the closed form and the running-sum stream agree, t_n = T_n(p^ell)
+    # sample the closed form and the reciprocal of Ahat agree, t_n = T_n(p^ell)
     order, pl = len(digits.digits), p ** ell
     E = e_series(digits, order)
     T = {n: tn_series(digits, n, order) for n in range(-3, min(5, M) + 1)}

@@ -250,7 +250,7 @@ def lagrange_sum(table: BellTable, n: int, k: int) -> int:
     """E^k sum_{j=1..k} (-1)^j (n+j)!/(n+1)! B(k, j) as an ``int``, B read
     from ``table`` and E its ordinary denominator (1 on every digits table):
     the Lagrange-inversion sum behind :func:`lagrange_invert` (k = n) and
-    the factorization streams a_n, t_n and T_n.
+    the factorization streams a_n and T_n.
 
     B(k, j) = k!/j! [x^k] A^j, and the table stores E^j [x^k] A^j, so the
     sum times E^k is summed in ``int`` with the weight

@@ -266,6 +266,56 @@ def test_verify_lift_needs_a_prime(capsys, tmp_path):
     assert rc == 2 and "not prime" in err
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda payload: [payload], "payload"),
+    (lambda payload: payload["input"].update(prime="7"), "'prime'"),
+    (lambda payload: payload["input"].update(poly="1,11,-5"), "'poly'"),
+    (lambda payload: payload["input"].update(precision=0), "'precision'"),
+    (lambda payload: payload["roots"][0]["root"].update(digits="164"), "'digits'"),
+], ids=["not-an-object", "prime-a-string", "poly-a-string", "precision-zero", "digits-a-string"])
+def test_verify_lift_names_a_field_of_the_wrong_type(capsys, tmp_path, edit, field):
+    rc, out, _ = run(capsys, "lift", "--poly", "1,11,-5", "--prime", "7",
+                     "--seed", "1", "--precision", "3", "--json")
+    payload = json.loads(out)
+    payload = edit(payload) or payload
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, "verify", "--input", str(path))
+    assert rc == 2 and field in err and not out
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda payload: payload["input"].update(order="6"), "'order'"),
+    (lambda payload: payload["input"].update(order=-1), "'order'"),
+    (lambda payload: payload.update(B=[9, 3.5]), "'B'"),
+], ids=["order-a-string", "order-negative", "B-not-integers"])
+def test_verify_factor_names_a_field_of_the_wrong_type(capsys, tmp_path, edit, field):
+    rc, out, _ = run(capsys, "factor", "--coeffs", "9,12,7,8", "--order", "6",
+                     "--tail", "geometric:1", "--json")
+    payload = json.loads(out)
+    edit(payload)
+    path = tmp_path / "factor.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, "verify", "--input", str(path))
+    assert rc == 2 and field in err and not out
+
+
+def test_python_dash_m_padiclift_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "padiclift", *argv], env=env,
+                              capture_output=True, text=True, timeout=30)
+
+    proc = run_module("classify", "--f0", "9", "--f1", "12", "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["classification"] == "NeedsRootAnalysis"
+    proc = run_module("teichmuller", "--prime", "4", "--q", "2", "--precision", "3")
+    assert proc.returncode == 2 and "not prime" in proc.stderr
+
+
 @pytest.mark.parametrize("poly", ["0", "0,0"])
 def test_zero_polynomial_is_refused_promptly(poly):
     # every element is a root: without the guard the seed classes grow

@@ -29,6 +29,11 @@ def rand_digits(rng, p, ell, count):
     return RootDigits(p, ell, tuple(rng.randrange(blk) for _ in range(count)))
 
 
+def t_of(d, M):
+    """t_1..t_M of the root with digits d."""
+    return t_coeffs(a_coeffs(d, M), d.p ** d.ell)
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -168,14 +173,14 @@ def test_a_coeffs_invert_e_series():
 
 def test_t_coeffs_zero_digits():
     d = RootDigits(3, 1, (0,) * 8)
-    assert t_coeffs(d, 8) == [1] * 8
+    assert t_of(d, 8) == [1] * 8
 
 
 def test_t_coeffs_first():
     rng = random.Random(75)
     for p, ell in ((3, 1), (5, 2)):
         d = rand_digits(rng, p, ell, 4)
-        t = t_coeffs(d, 4)
+        t = t_of(d, 4)
         assert t[0] == 1 - p ** ell * d.digits[0]
 
 
@@ -185,7 +190,7 @@ def test_t_coeffs_reciprocal_oracle():
     for p, ell in ((3, 1), (5, 1), (7, 2)):
         d = rand_digits(rng, p, ell, 8)
         a = a_coeffs(d, 8)
-        t = t_coeffs(d, 8)
+        t = t_coeffs(a, p ** ell)
         ahat = Series([1, -1] + [-(p ** (ell * n)) * a[n - 1] for n in range(1, 9)], 8)
         that = Series([1, 1] + t, 8)
         assert ahat.reciprocal() == that
@@ -249,7 +254,7 @@ def test_tn_congruences_random():
     rng = random.Random(79)
     p, ell, M = 5, 1, 6
     d = rand_digits(rng, p, ell, M + 1)
-    t = t_coeffs(d, M)
+    t = t_of(d, M)
     for nu in range(-1, M + 1):
         Tn = tn_series(d, nu, nu + 1)
         val = sum(int(c) * p ** (ell * k) for k, c in enumerate(Tn.coeffs))
@@ -258,21 +263,22 @@ def test_tn_congruences_random():
 
 
 def test_tn_congruences_catch_a_corrupted_t(monkeypatch):
-    # the lemma check builds T_nu by Series algebra, not from the closed
-    # form that made t, so a wrong t_nu (nu >= 1) must fail it
+    # the lemma check evaluates T_nu on the digit series E, not on the a_n
+    # that made t, so a wrong t_nu (nu >= 1) must fail it
     rng = random.Random(80)
     p, ell, M = 5, 1, 6
     d = rand_digits(rng, p, ell, M + 1)
     E = e_series(d, M + 1)
-    t = t_coeffs(d, M)
+    t = t_of(d, M)
     assert factorize._tn_congruences(E, p ** ell, t)
     for nu in (1, 3, M):
         bad = list(t)
         bad[nu - 1] += p ** (ell * (nu + 1))
         assert not factorize._tn_congruences(E, p ** ell, bad), nu
-    # a wrong stream: t_coeffs reads W(k, j) from the Bell table, the check
-    # does not.  W(M, 1) += M + 1 keeps the division by M + 1 exact and moves
-    # t_M by C(M+1, 1) p^(ell M) = 7 * 5^6, which is not 0 mod 5^8
+    # a wrong stream: t comes from the a_n, which read W(k, j) from the Bell
+    # table, and the check does not.  W(M, 1) += M + 1 keeps the division by
+    # M! exact, moves a_M by -(M + 1) and so t_M by -(M + 1) p^(ell M) =
+    # -7 * 5^6, which is not 0 mod 5^8
     honest_row = factorize.BellTable.ordinary_row
 
     def skewed(table, n):
@@ -280,7 +286,7 @@ def test_tn_congruences_catch_a_corrupted_t(monkeypatch):
         return (row[0], row[1] + M + 1) + row[2:] if n == M else row
 
     monkeypatch.setattr(factorize.BellTable, "ordinary_row", skewed)
-    assert not factorize._tn_congruences(E, p ** ell, t_coeffs(d, M))
+    assert not factorize._tn_congruences(E, p ** ell, t_of(d, M))
 
 
 def tn_congruences_by_series_algebra(E, pl, t):
@@ -305,7 +311,7 @@ def test_tn_congruences_match_the_series_algebra_reference(p, ell, M, data):
     P = p ** ell
     digits = data.draw(st.lists(st.integers(0, P - 1), min_size=M + 1, max_size=M + 1))
     d = RootDigits(p, ell, tuple(digits))
-    t = t_coeffs(d, M)
+    t = t_of(d, M)
     expect = True
     if M and data.draw(st.booleans()):
         nu = data.draw(st.integers(1, M))
@@ -324,7 +330,7 @@ def test_tn_congruences_build_no_series_product(monkeypatch):
         raise AssertionError("Series algebra in the lemma check")
 
     d = rand_digits(random.Random(84), 7, 2, 21)
-    E, t = e_series(d, 21), t_coeffs(d, 20)
+    E, t = e_series(d, 21), t_of(d, 20)
     for name in ("__mul__", "__rmul__", "reciprocal"):
         monkeypatch.setattr(Series, name, refuse)
     assert factorize._tn_congruences(E, 7 ** 2, t)
@@ -342,16 +348,6 @@ def test_a_remainder_raises_integrality_violation(monkeypatch):
     # [x^2] T_2 = (L + 1)/2! likewise
     with pytest.raises(factorize.IntegralityViolation, match=r"\[x\^2\] T_2"):
         tn_series(d, 2, 4)
-    # W(3, 2) += 1 moves 4 (t_3 - 1) by C(5, 2) 5^3, not a multiple of 4
-    honest_row = factorize.BellTable.ordinary_row
-
-    def skewed(table, n):
-        row = honest_row(table, n)
-        return row[:2] + (row[2] + 1,) + row[3:] if n == 3 else row
-
-    monkeypatch.setattr(factorize.BellTable, "ordinary_row", skewed)
-    with pytest.raises(factorize.IntegralityViolation, match="t_3"):
-        t_coeffs(d, 4)
 
 
 @pytest.mark.parametrize("f", [polys.mul(polys.add([7], [0, -1, 3, -2]), [49, 3, -5]), GEOM_F])
@@ -370,9 +366,9 @@ def test_recurrence_check_ties_the_stream_to_the_closed_form(monkeypatch):
     honest, run_checks = factorize.t_coeffs, factorize._run_checks
     seen = []
 
-    def skewed(e, M):
-        t = honest(e, M)
-        t[1] += e.p ** (4 * e.ell)
+    def skewed(a, P):
+        t = honest(a, P)
+        t[1] += P ** 4
         return t
 
     def recording(*args):
@@ -390,8 +386,33 @@ def test_recurrence_check_ties_the_stream_to_the_closed_form(monkeypatch):
     assert checks.tn_congruences
 
 
+def test_reciprocal_check_is_the_only_guard_on_the_last_t(monkeypatch):
+    # t_M moved by P^(M+2) keeps T_M(P) = t_M mod P^(M+2), lies past the
+    # recurrence sample n <= 5, and moves only b_M, which B does not keep
+    honest, run_checks = factorize.t_coeffs, factorize._run_checks
+    seen = []
+
+    def skewed(a, P):
+        t = honest(a, P)
+        t[-1] += P ** (len(t) + 2)
+        return t
+
+    def recording(*args):
+        seen.append(run_checks(*args))
+        return seen[-1]
+
+    f = polys.mul(polys.add([7], [0, -1, 3, -2]), [49, 3, -5])
+    monkeypatch.setattr(factorize, "_run_checks", recording)
+    monkeypatch.setattr(factorize, "t_coeffs", skewed)
+    with pytest.raises(factorize.PrecisionExhausted, match="reciprocal=False"):
+        factor(f, 8)
+    checks = seen[-1]
+    assert not checks.reciprocal
+    assert checks.product and checks.tn_congruences and checks.tn_recurrence
+
+
 def test_t_stream_reads_no_closed_form(monkeypatch):
-    # t_coeffs(d, 40) is the running-sum stream: one Bell table, no T_n
+    # t_coeffs is the reciprocal of Ahat on the a_n: no Bell table, no T_n
     built, closed_forms = [], []
 
     class Counting(factorize.BellTable):
@@ -403,11 +424,11 @@ def test_t_stream_reads_no_closed_form(monkeypatch):
         closed_forms.append(args)
         return tn_series(*args)
 
+    a = a_coeffs(rand_digits(random.Random(83), 5, 1, 41), 40)
     monkeypatch.setattr(factorize, "BellTable", Counting)
     monkeypatch.setattr(factorize, "tn_series", counting_tn)
-    d = rand_digits(random.Random(83), 5, 1, 41)
-    assert len(t_coeffs(d, 40)) == 40
-    assert built == [41] and closed_forms == []
+    assert len(t_coeffs(a, 5)) == 40
+    assert built == [] and closed_forms == []
 
 
 def test_streams_share_one_bell_table(monkeypatch):
@@ -420,8 +441,7 @@ def test_streams_share_one_bell_table(monkeypatch):
 
     monkeypatch.setattr(factorize, "BellTable", Counting)
     d = rand_digits(random.Random(81), 7, 1, 9)
-    a_coeffs(d, 8)
-    t_coeffs(d, 8)
+    t_coeffs(a_coeffs(d, 8), 7)
     for n in range(-2, 9):
         tn_series(d, n, 9)
     assert built == [9]
@@ -434,7 +454,7 @@ def test_streams_past_the_digits_are_zero_padded():
     d = rand_digits(rng, 5, 1, 4)
     padded = RootDigits(5, 1, d.digits + (0,) * 6)
     assert a_coeffs(d, 10) == a_coeffs(padded, 10)
-    assert t_coeffs(d, 10) == t_coeffs(padded, 10)
+    assert t_of(d, 10) == t_of(padded, 10)
     for n in (-1, 2, 5):
         assert tn_series(d, n, 10) == tn_series(padded, n, 10)
 
@@ -742,8 +762,24 @@ def test_scan_chooses_the_root_the_digit_scan_meets_first(case):
     si, p, ell, N = case
     if not any(si.head):
         return
-    rep = factorize._find_valuation_root(si, p, ell, N)
+    F = si.numerator()
+    rep = factorize._find_valuation_root(F, polys.derivative(F), polys.squarefree(F)[1],
+                                         p, ell, N)
     assert (rep and rep.root.residue) == _digit_scan(si, p, ell, N)
+
+
+def test_factor_builds_the_scan_numerator_once(monkeypatch):
+    # (9 - x)(9 + 9x + x^2) has no root of valuation 1 and the root 9 of
+    # valuation 2: both scans run on one squarefree part
+    honest, calls = polys.squarefree, []
+
+    def counting(f):
+        calls.append(f)
+        return honest(f)
+
+    monkeypatch.setattr(polys, "squarefree", counting)
+    assert factor(polys.mul([9, -1], [9, 9, 1]), 6).ell == 2
+    assert len(calls) == 1
 
 
 def test_factor_wrong_shape():

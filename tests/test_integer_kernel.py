@@ -8,8 +8,8 @@ Teichmuller triple sum, the Series product, reciprocal and evaluation,
 and the evaluators of a factorization input, with every
 partial sum a reduced rational and no cleared denominator.  Unlike
 ``bell_oracle`` the recurrence is polynomial, so it covers n up to 40.
-The running-sum t stream is checked against the per-coefficient one,
-t_n = T_n(p^ell) from one closed form per n.  The one polynomial product
+The t stream, the reciprocal of Ahat, is checked against the
+per-coefficient one, t_n = T_n(p^ell) from one closed form per n.  The one polynomial product
 ``polys.mul`` is checked against the double loop that skips zero
 coefficients, ``bhat_coeffs`` against bhat_n summed term by term, and
 ``polys.roots_mod_p`` against the scan of all p residues.
@@ -28,7 +28,7 @@ from padiclift import polys
 from padiclift.bell import BellTable
 from padiclift.bigmath import binom, falling, vp
 from padiclift.factorize import (DivisibilityViolation, FactorizationProblem, RootDigits,
-                                 SeriesInput, bhat_coeffs, check_product, t_coeffs,
+                                 SeriesInput, a_coeffs, bhat_coeffs, check_product, t_coeffs,
                                  tn_series)
 from padiclift.hensel import (_ilog, _root_series_residue, _sparse_sum, _term_count,
                               lift_general, lift_simple, newton_lift,
@@ -521,7 +521,7 @@ def test_t_stream_matches_the_per_coefficient_closed_form(p, ell, M, data):
     blk = p ** ell
     digits = data.draw(st.lists(st.integers(0, blk - 1), min_size=M, max_size=M + 2))
     e = RootDigits(p, ell, tuple(digits))
-    assert t_coeffs(e, M) == per_coefficient_t(e, M)
+    assert t_coeffs(a_coeffs(e, M), blk) == per_coefficient_t(e, M)
 
 
 scan_primes = st.sampled_from([3, 5, 7, 11])
