@@ -235,9 +235,12 @@ def _verify_lift(payload) -> list[str]:
     N = _field(inp, "precision", "a positive integer")
     for entry in _field(payload, "roots", "a list of objects"):
         root = _field(entry, "root", "an object")
-        for key, kind in (("p", "a positive integer"), ("precision", "a positive integer"),
-                          ("digits", "a list of integers")):
-            _field(root, key, kind)
+        rp, rN, digits = (_field(root, key, kind) for key, kind in (
+            ("p", "a positive integer"), ("precision", "a positive integer"),
+            ("digits", "a list of integers")))
+        if len(digits) != rN or min(digits) < 0 or max(digits) >= rp:
+            raise UsageError(f"payload field 'digits' must be {rN} base-{rp} digits, "
+                             f"got {digits!r:.60}")
         root = PadicInt.from_json(root)
         if root.residue != int(_field(entry, "residue", "a decimal string")):
             problems.append(f"digit vector does not reconstruct residue {entry['residue']}")
@@ -250,7 +253,12 @@ def _verify_factor(payload) -> list[str]:
     A, B, f = (_field(payload, key, "a list of integers") for key in ("A", "B", "effective_coeffs"))
     order = _field(_field(payload, "input", "an object"), "order", "a non-negative integer")
     p, w = _field(payload, "p", "a positive integer"), _field(payload, "w", "a non-negative integer")
-    rep = factorize.check_product(A, B, f, order, p ** w)
+    # both sides are 0 past the last listed coefficient, and p^w >= 2^(w (bits(p) - 1))
+    # exceeds |A(0) B(0)| once that exponent reaches its bit length: None matches no constant
+    order = min(order, max(len(A) + len(B) - 2, len(f) - 1))
+    c = A[0] * B[0]
+    constant = None if w * (p.bit_length() - 1) >= c.bit_length() else p ** w
+    rep = factorize.check_product(A, B, f, order, constant)
     problems = [f"(A*B)[{j}] = {lhs} != f[{j}] = {rhs}" for j, lhs, rhs in rep.mismatches]
     if not rep.constant_ok:
         problems.append("A(0)*B(0) != p^w")

@@ -29,7 +29,7 @@ from .bigmath import INFINITY, iroot, is_prime, vp
 from .errors import DomainError
 from .hensel import EvenPrime, LiftReport, _ilog, _newton_balls, lift_general
 from .padic import PadicInt
-from .series import Series, lagrange_sum
+from .series import Series, bell_args, lagrange_sum
 
 
 class WrongShape(DomainError):
@@ -216,15 +216,12 @@ class RootDigits:
     ell: int
     digits: tuple
 
-    def bell_args(self) -> list:
-        return [math.factorial(j) * e for j, e in enumerate(self.digits, start=1)]
-
     def bell_table(self, n_max: int) -> BellTable:
-        """B(n, k) on :meth:`bell_args` for n <= max(n_max, digit count),
+        """B(n, k) on (1! e_1, 2! e_2, ...) for n <= max(n_max, digit count),
         built once per instance and shared by the a and T streams."""
         table = vars(self).get("_bell")
         if table is None or table.n_max < n_max:
-            table = BellTable(self.bell_args(), max(n_max, len(self.digits)))
+            table = BellTable(bell_args(self.digits), max(n_max, len(self.digits)))
             object.__setattr__(self, "_bell", table)
         return table
 

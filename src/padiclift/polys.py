@@ -2,8 +2,8 @@
 
 Exact, on ints.  Only what the lifting and factorization code needs: the
 package's one product (:func:`mul`, full or truncated) and one Horner's rule
-(:func:`evaluate`, which takes Fractions too, as ``Series.evaluate`` and the
-``SeriesInput`` evaluators do), derivatives, Taylor shifts, exact division,
+(:func:`evaluate`), both of which take Fractions too, as a rational ``Series``
+and the ``SeriesInput`` evaluators do; derivatives, Taylor shifts, exact division,
 and squarefree parts by a primitive gcd.  :func:`roots_mod_p` finds the roots
 of f mod a prime p, by a scan of the residues below p = 500, else by a split.
 """

@@ -2,20 +2,19 @@
 
 The :class:`Series` type is dense and exact, with an explicit truncation
 order: a series of order M is known modulo x**(M+1).  Binary operations
-truncate to the smaller order.  A series is stored as integer numerators
-over one common denominator D (the lcm of its coefficient denominators, 1
-for an integer series), so sums, products (:func:`polys.mul`), reciprocals
-and evaluation (:func:`polys.evaluate`) run on plain ``int``; one
-multi-argument gcd brings each result back to its least D, and the
-Fraction coefficients are built only when read.
+truncate to the smaller order.  A series keeps its coefficients as given,
+``int`` or ``Fraction``, so an integer series (every series the
+factorization builds) stays on plain ``int`` through sums, products
+(:func:`polys.mul`), reciprocals with a unit constant term and evaluation
+(:func:`polys.evaluate`); the Fraction coefficients are built only when read.
 
 On top of the ring operations sit the three series engines used by the
 lifting and factorization code:
 
 * :func:`lagrange_invert` - coefficients of the compositional inverse of
   phi(t) = t*(1 + sum alpha_r t^r / r!), as Bell-polynomial sums; the
-  sum itself is :func:`lagrange_sum`, which the factorization streams
-  share;
+  sum itself is :func:`lagrange_sum`, which the factorization's a_n and
+  its closed-form T_n share;
 * :func:`formal_root_brackets` / :func:`formal_root_brackets_alt` (and
   :func:`formal_root_terms` on the first) - the term stream of the formal
   root of a_0 + a_1 x + a_2 x^2 + ... when a_1 is invertible, in two
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul, neg
 
 from . import polys
 from .bell import BellTable
@@ -63,64 +62,50 @@ class DegenerateExponent(DomainError):
 class Series:
     """Power series known modulo x**(order+1), dense and exact.
 
-    Stored as integer numerators over one common denominator D > 0 with
-    gcd(D, numerators) = 1: D is the lcm of the reduced coefficient denominators
-    (1 for an integer series), the stored form is unique and equality compares
-    integers.  Products (:func:`polys.mul`) and evaluation (:func:`polys.evaluate`)
-    run on that form; :attr:`coeffs` builds the Fractions on first read."""
+    Stored as one tuple of the coefficients as given, ``int`` or ``Fraction``
+    (other numbers become Fractions); equality and hashing agree between the
+    two, as ``2 == Fraction(2)`` and their hashes do.  Products
+    (:func:`polys.mul`) and evaluation (:func:`polys.evaluate`) run on that
+    tuple; :attr:`coeffs` reads it as Fractions."""
 
-    __slots__ = ("_num", "_den", "_coeffs")
+    __slots__ = ("_cs",)
 
     def __init__(self, coeffs, order: int | None = None):
-        cs = list(coeffs)
+        cs = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
             cs = cs[: order + 1] + [0] * (order + 1 - len(cs))
         elif not cs:
             raise ValueError("empty coefficient list and no order")
-        if all(type(c) is int for c in cs):
-            self._num, self._den, self._coeffs = tuple(cs), 1, None
-        else:
-            fr = tuple(c if type(c) is Fraction else Fraction(c) for c in cs)
-            D = math.lcm(*(c.denominator for c in fr))
-            self._num = tuple(c.numerator * (D // c.denominator) for c in fr)
-            self._den, self._coeffs = D, fr
+        self._cs = tuple(cs)
 
     @classmethod
-    def _of(cls, num, den: int) -> "Series":
-        """The series num[i] / den (den != 0), brought to the stored form."""
-        if den != 1:
-            g = math.gcd(den, *num)
-            if den < 0:
-                g = -g
-            if g != 1:
-                num = [c // g for c in num]
-                den //= g
+    def _of(cls, cs) -> "Series":
+        """The series on cs, whose entries are already ``int`` or ``Fraction``:
+        results of the ring operations skip the type scan of ``__init__``."""
         s = object.__new__(cls)
-        s._num, s._den, s._coeffs = tuple(num), den, None
+        s._cs = tuple(cs)
         return s
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as reduced Fractions."""
-        cs = self._coeffs
-        if cs is None:
-            D = self._den
-            cs = self._coeffs = (tuple(map(Fraction, self._num)) if D == 1
-                                 else tuple(Fraction(c, D) for c in self._num))
-        return cs
+        """The coefficients as Fractions."""
+        return tuple(map(Fraction, self._cs))
 
     @property
     def int_coeffs(self) -> tuple:
         """The coefficients as ``int``; ValueError unless all are integers."""
-        if self._den != 1:
+        cs = self._cs
+        if all(type(c) is int for c in cs):
+            return cs
+        if any(c.denominator != 1 for c in cs):
             raise ValueError("the series has a non-integer coefficient")
-        return self._num
+        return tuple(map(int, cs))
 
     @property
     def order(self) -> int:
-        return len(self._num) - 1
+        return len(self._cs) - 1
 
     @classmethod
     def zero(cls, order: int) -> "Series":
@@ -135,42 +120,32 @@ class Series:
         return cls([0, 1], order)
 
     def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n]
+        return Fraction(self._cs[n])
 
     def __eq__(self, other):
-        return (isinstance(other, Series) and self._den == other._den
-                and self._num == other._num)
+        return isinstance(other, Series) and self._cs == other._cs
 
     def __hash__(self):
-        return hash((self._num, self._den))
+        return hash(self._cs)
 
     def __repr__(self):
         return f"Series({list(self.coeffs)!r})"
 
     def truncate(self, order: int) -> "Series":
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        num = self._num
-        return Series._of(num[: order + 1] + (0,) * (order + 1 - len(num)), self._den)
+        return Series(self._cs, order)
 
     def is_zero(self) -> bool:
-        return not any(self._num)
+        return not any(self._cs)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            u, v = other.as_integer_ratio()
-            num = [c * v for c in self._num]
-            num[0] += u * self._den
-            return Series._of(num, self._den * v)
-        M = min(self.order, other.order)
-        D = math.lcm(self._den, other._den)
-        sf, sg = D // self._den, D // other._den
-        return Series._of([f * sf + g * sg for f, g in zip(self._num[: M + 1], other._num)], D)
+            return Series._of((self._cs[0] + other, *self._cs[1:]))
+        return Series._of(map(add, self._cs, other._cs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series._of([-c for c in self._num], self._den)
+        return Series._of(map(neg, self._cs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -180,10 +155,8 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            u, v = other.as_integer_ratio()
-            return Series._of([c * u for c in self._num], self._den * v)
-        n = min(len(self._num), len(other._num))
-        return Series._of(polys.mul(self._num, other._num, n), self._den * other._den)
+            return Series._of(c * other for c in self._cs)
+        return Series._of(polys.mul(self._cs, other._cs, min(len(self._cs), len(other._cs))))
 
     __rmul__ = __mul__
 
@@ -201,13 +174,13 @@ class Series:
 
     def compose(self, g: "Series") -> "Series":
         """self(g(x)) truncated at min(orders); needs g(0) = 0."""
-        if g._num[0] != 0:
+        if g._cs[0] != 0:
             raise CompositionNeedsZeroConstant("inner series must have zero constant term")
         M = min(self.order, g.order)
         out = Series.zero(M)
         gk = Series.one(M)
         g = g.truncate(M)
-        for k, a in enumerate(self.coeffs[: M + 1]):
+        for k, a in enumerate(self._cs[: M + 1]):
             if a:
                 out = out + gk * a
             if k < M:
@@ -215,30 +188,26 @@ class Series:
         return out
 
     def reciprocal(self) -> "Series":
-        """Series g with self * g = 1 + O(x**(order+1)); needs f(0) != 0."""
-        F, D = self._num, self._den
-        f0 = F[0]
-        if f0 == 0:
+        """Series g with self * g = 1 + O(x**(order+1)); needs f(0) != 0.
+
+        g_0 = 1/f_0 and g_n = -g_0 sum_{i=1..n} f_i g_(n-i).  1/f_0 = f_0 when
+        f_0 = +-1, so an integer series with a unit constant term stays on
+        ``int``."""
+        f = self._cs
+        if f[0] == 0:
             raise NotInvertible("constant term is zero")
-        # self = F/D; h_n = f0^(n+1) (1/F)_n has h_0 = 1 and
-        # h_n = -sum_{i=1..n} F_i f0^(i-1) h_(n-i), so g_n = D h_n / f0^(n+1),
-        # which is D h_n f0^(M-n) over the common denominator f0^(M+1)
-        W = [F[i] * f0 ** (i - 1) for i in range(1, len(F))]
-        h = [1]
-        for n in range(1, len(F)):
-            h.append(-sum(map(mul, W[:n], reversed(h))))
-        num, fk = [], D
-        for hn in reversed(h):
-            num.append(hn * fk)
-            fk *= f0
-        return Series._of(num[::-1], fk // D)
+        g0 = f[0] if f[0] in (1, -1) else 1 / Fraction(f[0])
+        g = [g0]
+        for n in range(1, len(f)):
+            g.append(-g0 * sum(map(mul, f[1: n + 1], reversed(g))))
+        return Series._of(g)
 
     def derivative(self) -> "Series":
-        return Series._of(polys.derivative(self._num), self._den)
+        return Series._of(polys.derivative(self._cs))
 
     def evaluate(self, x) -> Fraction:
         """Partial-sum value at a concrete rational point (no convergence claims)."""
-        return polys.evaluate(self._num, Fraction(x)) / self._den
+        return polys.evaluate(self._cs, Fraction(x))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +294,7 @@ class InversionProblem:
 # ---------------------------------------------------------------------------
 
 
-def _bell_args(cs):
+def bell_args(cs):
     """x_j = j! cs[j-1] for j = 1, 2, ...: the Bell arguments whose ordinary
     generating function is sum_j cs[j-1] x^j."""
     return [math.factorial(j) * c for j, c in enumerate(cs, start=1)]
@@ -348,7 +317,7 @@ def formal_root_numerators(a, n_max: int) -> tuple[int, list[int]]:
     one n_max-row Bell table and C(n+j, j) is stepped along j exactly.
     """
     a = _checked(a)
-    table = BellTable(_bell_args(a[2:]), n_max)
+    table = BellTable(bell_args(a[2:]), n_max)
     u, v = (table.ordinary_denominator * a[1]).as_integer_ratio()
     u_pows = [u ** i for i in range(n_max + 1)]
     v_pows = [v ** i for i in range(n_max + 1)]
@@ -396,7 +365,7 @@ def formal_root_brackets_alt(a, n_max: int) -> list[Fraction]:
     regrouping identity; summed entry by entry in Fraction.
     """
     a = _checked(a)
-    table = BellTable(_bell_args(a[1:]), 2 * n_max)
+    table = BellTable(bell_args(a[1:]), 2 * n_max)
     out = []
     for n in range(n_max + 1):
         acc = Fraction(0)

@@ -328,3 +328,81 @@ def test_zero_polynomial_is_refused_promptly(poly):
          "--precision", "3"], env=env, capture_output=True, text=True, timeout=30)
     assert proc.returncode == 1
     assert "ZeroPolynomial" in proc.stderr and "every element" in proc.stderr
+
+
+def test_factor_prime_option_checks_the_constant_term(capsys):
+    args = ("factor", "--coeffs", "9,12,7,8", "--order", "6", "--tail", "geometric:1", "--json")
+    rc, inferred, _ = run(capsys, *args)
+    assert rc == 0
+    assert run(capsys, *args, "--prime", "3") == (0, inferred, "")
+    rc, out, err = run(capsys, *args, "--prime", "9")
+    assert rc == 2 and not out and "9 is not prime" in err
+    rc, out, err = run(capsys, *args, "--prime", "5")
+    assert rc == 1 and not out
+    assert err == "error: WrongShape: constant term is a power of 3, not 5\n"
+
+
+def verify_edited(capsys, tmp_path, argv, edit):
+    """verify on the --json payload of argv after edit(payload)."""
+    rc, out, _ = run(capsys, *argv, "--json")
+    assert rc == 0
+    payload = json.loads(out)
+    edit(payload)
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    return run(capsys, "verify", "--input", str(path))
+
+
+LIFT_ARGV = ("lift", "--poly", "1,11,-5", "--prime", "7", "--seed", "1", "--precision", "3")
+FACTOR_ARGV = ("factor", "--coeffs", "9,12,7,8", "--order", "6", "--tail", "geometric:1")
+
+
+def set_root(payload, digits, residue):
+    entry = payload["roots"][0]
+    entry["root"]["digits"], entry["residue"] = digits, residue
+
+
+@pytest.mark.parametrize("argv, edit, line", [
+    # the digits [1, 6, 4] give 239
+    (LIFT_ARGV, lambda payload: set_root(payload, [1, 6, 4], "240"),
+     "FAIL: digit vector does not reconstruct residue 240"),
+    (LIFT_ARGV, lambda payload: set_root(payload, [1, 6, 5], "288"),
+     "FAIL: f(288) != 0 mod 7^3"),
+    (FACTOR_ARGV, lambda payload: payload.update(w=3), "FAIL: A(0)*B(0) != p^w"),
+], ids=["residue", "residual", "constant"])
+def test_verify_names_each_failed_check(capsys, tmp_path, argv, edit, line):
+    rc, out, err = verify_edited(capsys, tmp_path, argv, edit)
+    assert rc == 1 and not out and err == line + "\n"
+
+
+def inflate_w(payload):
+    payload["w"] = 10 ** 9
+
+
+def inflate_root_precision(payload):
+    payload["roots"][0]["root"]["precision"] = 10 ** 9
+
+
+def inflate_order(payload):
+    payload["input"]["order"] = 10 ** 12
+
+
+@pytest.mark.parametrize("argv, edit, rc, err", [
+    (FACTOR_ARGV, inflate_w, 1, "FAIL: A(0)*B(0) != p^w\n"),
+    (LIFT_ARGV, inflate_root_precision, 2,
+     "usage error: payload field 'digits' must be 1000000000 base-7 digits, got [1, 6, 4]\n"),
+    # the payload lists f through x^6, so past it f is 0 and the x^7 term of A*B differs
+    (FACTOR_ARGV, inflate_order, 1, "FAIL: (A*B)[7] = -4 != f[7] = 0\n"),
+], ids=["w", "root-precision", "order"])
+def test_verify_does_bounded_work_on_inflated_fields(capsys, argv, edit, rc, err):
+    # each field once sized the work of verify (p^w, p^precision, order + 1
+    # coefficients), so this runs in its own process under a timeout
+    _, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    edit(payload)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "padiclift", "verify"], input=json.dumps(payload),
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, "", err)

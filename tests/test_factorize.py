@@ -16,7 +16,7 @@ from padiclift.factorize import (NEEDS_ROOT_ANALYSIS, Classification,
                                  a_coeffs, bhat_coeffs, classify, e_series,
                                  factor, factor_multiple_root, root_to_digits,
                                  t_coeffs, tn_series, verify_factorization)
-from padiclift.hensel import lift_general
+from padiclift.hensel import EvenPrime, lift_general
 from padiclift.padic import PadicInt
 from padiclift.series import Series, lagrange_invert
 
@@ -831,3 +831,13 @@ def test_factor_multiple_root_square_of_quadratic():
 def test_factor_multiple_root_squarefree():
     with pytest.raises(NoMultipleRoot):
         factor_multiple_root([6, 5, 1])
+
+
+@pytest.mark.parametrize("f, error, message", [
+    ([-9, 3, 1], WrongShape, "negate f first"),
+    ([4, 2, 1], EvenPrime, "odd p"),
+    ([9, 0, 1], WrongShape, "f1 = 0"),
+], ids=["negative-constant", "even-prime", "no-linear-term"])
+def test_factor_refuses_inputs_outside_the_theorem(f, error, message):
+    with pytest.raises(error, match=message):
+        factor(f, 4)

@@ -565,3 +565,12 @@ def test_teichmuller_oracle_out_of_range():
     for q, p, N in ((0, 7, 5), (7, 7, 5), (1, 2, 5), (1, 5, 0), (3, 7, -1)):
         with pytest.raises(OutOfRange):
             teichmuller_oracle(q, p, N)
+
+
+def test_cubic_refusals():
+    with pytest.raises(EvenPrime):
+        lift_cubic(2, 1, 1, 1, 0, 2, 5)
+    with pytest.raises(NotARootModP):
+        lift_cubic(1, 1, 1, 1, 1, 7, 5)    # f(1) = 4 mod 7
+    with pytest.raises(DerivativeNotUnit):
+        lift_cubic(0, 0, 1, 0, 0, 5, 5)    # x^2 at its double root 0

@@ -443,6 +443,20 @@ def test_series_reciprocal_matches_fraction_recurrence(f):
     assert recip == Series(fraction_reciprocal(cs))  # a positive least denominator
 
 
+@settings(max_examples=100)
+@given(st.sampled_from([1, -1]), st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12))
+def test_unit_constant_reciprocal_builds_no_fraction(f0, rest):
+    # 1/f0 = f0 for f0 = +-1: the integer recurrence, as t_coeffs uses it on Ahat
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("built a Fraction")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", refuse)
+        got = Series([f0, *rest]).reciprocal().int_coeffs
+    assert list(got) == fraction_reciprocal([Fraction(c) for c in (f0, *rest)])
+    assert all(type(c) is int for c in got)
+
+
 @settings(max_examples=60)
 @given(invertible, st.integers(-4, 4))
 def test_series_powers_match_fraction_products(f, e):
