@@ -215,6 +215,7 @@ _FIELD_KINDS = {
     "a positive integer": lambda v: type(v) is int and v > 0,
     "a decimal string": lambda v: type(v) is str and v.isdecimal(),
     "a list of integers": lambda v: type(v) is list and all(type(c) is int for c in v),
+    "a non-empty list of integers": lambda v: v != [] and _FIELD_KINDS["a list of integers"](v),
     "a list of objects": lambda v: type(v) is list and all(type(c) is dict for c in v),
 }
 
@@ -242,7 +243,13 @@ def _verify_lift(payload) -> list[str]:
             raise UsageError(f"payload field 'digits' must be {rN} base-{rp} digits, "
                              f"got {digits!r:.60}")
         root = PadicInt.from_json(root)
-        if root.residue != int(_field(entry, "residue", "a decimal string")):
+        residue = _field(entry, "residue", "a decimal string")
+        try:
+            residue = int(residue)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise UsageError(f"payload field 'residue' has {len(residue)} digits, "
+                             "more than an integer string may have") from None
+        if root.residue != residue:
             problems.append(f"digit vector does not reconstruct residue {entry['residue']}")
         if hensel.residual_valuation(f, root.residue, p) < N:
             problems.append(f"f({root.residue}) != 0 mod {p}^{N}")
@@ -250,7 +257,8 @@ def _verify_lift(payload) -> list[str]:
 
 
 def _verify_factor(payload) -> list[str]:
-    A, B, f = (_field(payload, key, "a list of integers") for key in ("A", "B", "effective_coeffs"))
+    A, B = (_field(payload, key, "a non-empty list of integers") for key in ("A", "B"))
+    f = _field(payload, "effective_coeffs", "a list of integers")
     order = _field(_field(payload, "input", "an object"), "order", "a non-negative integer")
     p, w = _field(payload, "p", "a positive integer"), _field(payload, "w", "a non-negative integer")
     # both sides are 0 past the last listed coefficient, and p^w >= 2^(w (bits(p) - 1))

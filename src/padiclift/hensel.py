@@ -5,7 +5,7 @@ f at the seed: writing c_j = f^(j)(r0)/j!, the correction is
 
     sum_n bracket_n(c) * (c0/c1)^(n+1),
 
-whose n-th term has p-adic valuation at least (n+1) vp(c0) - vp((n+1)!),
+whose n-th term has p-adic valuation at least (n+1) vp(c0) (:func:`_term_count`),
 so the sum is truncated once that bound clears the target precision and
 the result is certified by an exact residual check f(root) = 0 mod p**N.
 
@@ -128,28 +128,27 @@ def taylor_shift(f, r0: int, kappa: int = 0, p: int | None = None) -> ShiftedTay
 
 
 def _term_count(v0: int, p: int, N: int) -> int:
-    """Terms needed so every omitted term has valuation >= N.
+    """The least count >= 1 with (count + 1) v0 >= N, v0 = vp(c0) >= 1: the
+    terms needed so every omitted term has valuation >= N, at any p.
 
-    Term n has vp >= (n+1)*v0 - vp((n+1)!) > (n+1)*(v0 - 1/(p-1)), so
-    n+1 >= N(p-1)/(v0(p-1)-1) suffices for all later terms as well.
+    Term n is a_n c0^(n+1), a_n in Z[1/c1, c2, c3, ...], so vp(term n) >=
+    (n+1) v0 when p does not divide c1.  Proof: with c0 = t, the iterates of
+    the fixed-point map y <- -(t + c2 y^2 + c3 y^3 + ...)/c1 from 0 lie in
+    Z[1/c1, c2, ...][t]; as y = O(t), each step fixes one more power of t,
+    so the root's t^(n+1) coefficient a_n lies in that ring too.
     """
-    denom = v0 * (p - 1) - 1
-    if denom <= 0:
-        raise InsufficientCongruence(
-            f"series does not converge: vp(c0)={v0} too small for p={p}"
-        )
-    return -(-N * (p - 1) // denom)  # ceil
+    return max(1, -(-N // v0) - 1)
 
 
 def _root_series_residue(cs, p: int, N: int) -> tuple[int, int]:
     """Sum the root series of the integer Taylor data cs modulo p**N.
 
     Requires vp(cs[0]) >= 1 and vp(cs[1]) = 0; returns (residue in
-    p*Z/p^N, number of terms summed).  Term n is (-1)^(n+1) X_n c0^(n+1)
+    p*Z/p^N, :func:`_term_count` terms summed).  Term n is (-1)^(n+1) X_n c0^(n+1)
     c1^-(2n+1) / (n+1), X_n from :func:`~padiclift.series.formal_root_numerators`.
     With n + 1 = p^s w, X_n is divided exactly by p^s and w is inverted
-    mod p^N: as a series in c0 the root has coefficients in Z[1/c1] (the
-    argument of :func:`_sparse_sum`), so p^s divides X_n.
+    mod p^N: as a series in c0 the root has coefficients in Z[1/c1, c2, ...]
+    (the proof in :func:`_term_count`), so p^s divides X_n.
     """
     c0 = cs[0]
     if c0 == 0:
@@ -214,7 +213,7 @@ def lift_general(f, r0: int, p: int, N: int,
     """Extended lift: seed correct mod p**nu, derivative valuation kappa.
 
     Requires 0 <= 2*kappa < nu (for p = 2 the stricter nu >= 2*kappa + 2,
-    without which the series terms do not shrink).  nu and kappa are
+    a guard that :func:`_term_count` no longer needs).  nu and kappa are
     derived from f and r0 when not supplied; explicit values are
     validated.  The root is congruent to r0 mod p**(kappa+1).
     """
@@ -405,7 +404,7 @@ def _sparse_sum(a0: int, a1: int, al: int, am: int, l: int, m: int,
     form the (k, j) term is (-1)^(e+1) C(k,j) C(e,k)/(e-k+1) times the
     monomial al^j am^(k-j) a0^(1 + (l-1)k + (m-l)(k-j)), and distinct
     (k, j) give distinct monomials, so each weight is a coefficient of the
-    root.
+    root; so term k has vp >= (1 + (l-1)k) vp(a0), and the sum stops once that is >= N.
     """
     if a0 == 0:
         return 0, 0
@@ -436,7 +435,7 @@ def _sparse_sum(a0: int, a1: int, al: int, am: int, l: int, m: int,
             bracket += -c if e & 1 else c
         acc = (acc + bracket % modulus * outer) % modulus
         k += 1
-        if (k + 1) * v0 - _ilog(m * k + 1, p) >= N:
+        if (1 + (l - 1) * k) * v0 >= N:  # the least power of a0 in term k
             return acc, k
         outer = outer * outer_base % modulus
         al_pows.append(al_pows[-1] * al % modulus)
@@ -481,7 +480,7 @@ def teichmuller(q: int, p: int, N: int) -> PadicInt:
     is the root series of x^(p-1) - 1 at q: bracket'_n = -q^n bracket_n on
     its Taylor data.  It is summed here on normalized data: x = q(1+y) gives
     x^(p-1) - 1 = q^(p-1) g(y), g(y) = (1+y)^(p-1) - q^(1-p), so c0 = 1 - q^(1-p)
-    and c_j = C(p-1, j), read for j <= count only; xi = q(1 + rho).
+    and c_j = C(p-1, j), read for j <= count (:func:`_term_count`) only; xi = q(1 + rho).
 
     Reducing c0 mod p^N shifts g by a constant in p^N Z_p; on pZ_p,
     g'(y) = (p-1)(1+y)^(p-2) is a unit, so the simple root rho moves only

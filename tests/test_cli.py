@@ -375,6 +375,23 @@ def test_verify_names_each_failed_check(capsys, tmp_path, argv, edit, line):
     assert rc == 1 and not out and err == line + "\n"
 
 
+def test_verify_lift_refuses_a_residue_too_long_to_read(capsys, tmp_path):
+    # int() reads at most sys.get_int_max_str_digits() digits, 4300 by default
+    rc, out, err = verify_edited(capsys, tmp_path, LIFT_ARGV,
+                                 lambda payload: payload["roots"][0].update(residue="1" * 5000))
+    assert rc == 2 and not out
+    assert err.startswith("usage error: payload field 'residue' has 5000 digits")
+
+
+@pytest.mark.parametrize("field", ["A", "B"])
+def test_verify_factor_refuses_an_empty_factor(capsys, tmp_path, field):
+    rc, out, err = verify_edited(capsys, tmp_path, FACTOR_ARGV,
+                                 lambda payload: payload.update({field: []}))
+    assert (rc, out) == (2, "")
+    assert err == (f"usage error: payload field {field!r} must be a non-empty list of integers, "
+                   "got []\n")
+
+
 def inflate_w(payload):
     payload["w"] = 10 ** 9
 

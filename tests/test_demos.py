@@ -1,4 +1,5 @@
-"""Each demo script runs to completion in a fresh interpreter."""
+"""Each demo script runs to completion in a fresh interpreter, and none of
+the oracle checks it prints reads False."""
 
 import os
 import subprocess
@@ -22,3 +23,5 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    # the demos print their own oracle checks ("... agrees bit for bit: True")
+    assert "False" not in proc.stdout, proc.stdout

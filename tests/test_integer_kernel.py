@@ -18,19 +18,20 @@ coefficients, ``bhat_coeffs`` against bhat_n summed term by term, and
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padiclift
-from padiclift import polys
+from padiclift import hensel, polys
 from padiclift.bell import BellTable
 from padiclift.bigmath import binom, falling, vp
 from padiclift.factorize import (DivisibilityViolation, FactorizationProblem, RootDigits,
                                  SeriesInput, a_coeffs, bhat_coeffs, check_product, t_coeffs,
                                  tn_series)
-from padiclift.hensel import (_ilog, _root_series_residue, _sparse_sum, _term_count,
+from padiclift.hensel import (_root_series_residue, _sparse_sum, _term_count,
                               lift_general, lift_simple, newton_lift,
                               teichmuller, teichmuller_oracle)
 from padiclift.series import (InversionProblem, Series, formal_root_brackets,
@@ -129,7 +130,7 @@ def fraction_sparse_sum(a0, a1, al, am, l, m, p, N):
         if term:
             acc = (acc + reduce_mod(term, modulus)) % modulus
         k += 1
-        if (k + 1) * v0 - _ilog(m * k + 1, p) >= N:
+        if (1 + (l - 1) * k) * v0 >= N:
             return acc, k
 
 
@@ -379,6 +380,80 @@ def test_sparse_weights_are_integers():
                 for j in range(k + 1):
                     e = m * (k - j) + l * j
                     assert math.comb(k, j) * math.comb(e, k) % (e - k + 1) == 0, (l, m, k, j)
+
+
+def old_term_count(v0, p, N):
+    """The term count of the bound that keeps the 1/(n+1)! of each bracket:
+    term n has vp >= (n+1) v0 - vp((n+1)!) > (n+1)(v0 - 1/(p-1))."""
+    return -(-N * (p - 1) // (v0 * (p - 1) - 1))
+
+
+def newton_from(f, r0, p, N, kappa):
+    """The root of f with vp(root - r0) > kappa, mod p**N, by Newton's
+    iteration from r0 when vp(f(r0)) > 2 vp(f'(r0)) = 2 kappa."""
+    df, pk, work = polys.derivative(f), p ** kappa, p ** (N + 2 * kappa + 2)
+    r = r0
+    for _ in range(4 * (N + 2)):
+        fr = polys.evaluate(f, r)
+        if fr % p ** (N + kappa) == 0:
+            return r % p ** N
+        r = (r - fr // pk * pow(polys.evaluate(df, r) // pk, -1, work)) % work
+    raise AssertionError("Newton iteration did not converge")
+
+
+bound_primes = st.sampled_from([3, 5, 7, 11])
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_primes, st.integers(1, 3), st.integers(0, 2), st.integers(0, 50), units, units,
+       st.lists(small_ints, min_size=1, max_size=5), st.integers(1, 60))
+def test_series_summed_to_the_integrality_bound_is_the_root(p, v0, kappa, r0, u0, u1, rest, N):
+    # f(r0 + t) = p^(2 kappa + v0) u0 + p^kappa u1 t + ..., so the rescaled
+    # Taylor data of lift_general have vp(c0) = v0 and degree 2 to 6
+    u0 += u0 % p == 0
+    u1 += u1 % p == 0
+    f = from_taylor([p ** (2 * kappa + v0) * u0, p ** kappa * u1] + rest, r0)
+    rep = lift_general(f, r0, p, N)
+    with mock.patch.object(hensel, "_term_count", old_term_count):
+        old = lift_general(f, r0, p, N)
+    assert rep.root == old.root and rep.terms_used <= old.terms_used
+    assert rep.root.residue == newton_from(f, r0, p, N, kappa)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_primes, st.integers(1, 3), units, units, maybe_zero, maybe_zero,
+       st.sampled_from([3, 4]), st.integers(1, 3), st.integers(1, 60))
+def test_sparse_sum_stops_at_the_integrality_bound(p, v0, u0, a1, al, am, l, gap, N):
+    u0 += u0 % p == 0
+    a1 += a1 % p == 0
+    m = l + gap
+    f = [p ** v0 * u0, a1] + [0] * (m - 1)
+    f[l] += al
+    f[m] += am
+    rho, terms = _sparse_sum(f[0], a1, al, am, l, m, p, N)
+    assert terms == next(k for k in range(1, N + 1) if (1 + (l - 1) * k) * v0 >= N)
+    with mock.patch.object(hensel, "_term_count", old_term_count):
+        assert rho == _root_series_residue(f, p, N)[0] == newton_lift(f, 0, p, N).residue
+
+
+def test_one_term_fewer_than_the_bound_misses_the_root():
+    # c0 + y - y^2 has the root sum_n Cat_n (-c0)^(n+1): when p does not
+    # divide Cat_(count-1), the term left out, n = count - 1, has vp = count v0 < N
+    checked = 0
+    for p in (3, 5, 7, 11):
+        for v0 in (1, 2, 3):
+            for N in range(2 * v0 + 1, 30):
+                count = _term_count(v0, p, N)
+                assert count * v0 < N <= (count + 1) * v0
+                if math.comb(2 * count - 2, count - 1) // count % p == 0:
+                    continue
+                cs, modulus = [p ** v0, 1, -1], p ** N
+                short = sum(reduce_mod(t, modulus) for _, t in formal_root_terms(cs, count - 2))
+                root = newton_lift(cs, 0, p, N).residue
+                assert _root_series_residue(cs, p, N) == (root, count)
+                assert short % modulus != root, (p, v0, N)
+                checked += 1
+    assert checked > 150
 
 
 @settings(max_examples=60)
