@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -51,6 +52,16 @@ def _require_prime(p: int) -> int:
     return p
 
 
+def _require_printable(p: int, N: int) -> None:
+    """Refuse N if p^N, of floor(N log10 p) + 1 digits, has more than the L str() prints;
+    p ** N is computed only where N log10 p is within 1e-9 L of L: about L digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    excess = N * math.log10(p) - limit
+    if limit and (p ** N >= 10 ** limit if abs(excess) < 1e-9 * limit else excess >= 0):
+        raise UsageError(f"--precision {N} is too large: residues mod {p}^{N} may have "
+                         f"more than {limit} decimal digits, the most Python prints")
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -79,6 +90,7 @@ def _cmd_lift(args) -> int:
     N = args.precision
     if N < 1:
         raise UsageError("precision must be >= 1")
+    _require_printable(p, N)
     if args.seed is not None:
         seeds = [args.seed]
     elif not any(f):
@@ -158,6 +170,7 @@ def _cmd_factor(args) -> int:
 
 def _cmd_teichmuller(args) -> int:
     p = _require_prime(args.prime)
+    _require_printable(p, args.precision)
     xi = hensel.teichmuller(args.q, p, args.precision)
     payload = {
         "input": {"prime": p, "q": args.q, "precision": args.precision},

@@ -27,13 +27,17 @@ from . import polys
 from .bell import BellTable
 from .bigmath import INFINITY, iroot, is_prime, vp
 from .errors import DomainError
-from .hensel import EvenPrime, LiftReport, _ilog, _newton_balls, lift_general
+from .hensel import LiftReport, _newton_balls, lift_general
 from .padic import PadicInt
 from .series import Series, bell_args, lagrange_sum
 
 
 class WrongShape(DomainError):
     """Input is not of the p^w + p^m*g1*x + ... factorization shape."""
+
+
+class EvenPrime(DomainError):
+    """The factorization theorem is stated for odd primes only."""
 
 
 class WrongValuation(DomainError):
@@ -334,6 +338,15 @@ def bhat_coeffs(prob: FactorizationProblem, ell: int, t: list[int], M: int
 # ---------------------------------------------------------------------------
 # root acquisition
 # ---------------------------------------------------------------------------
+
+
+def _ilog(x: int, p: int) -> int:
+    """floor(log_p(x)) for x >= 1."""
+    e = 0
+    while x >= p:
+        x //= p
+        e += 1
+    return e
 
 
 def _find_valuation_root(F, dF, g, p: int, ell: int, N: int) -> LiftReport | None:

@@ -43,12 +43,8 @@ class DerivativeNotUnit(DomainError):
     """Derivative valuation does not match what the lift requires."""
 
 
-class EvenPrime(DomainError):
-    """The simple-root series is stated for odd primes only."""
-
-
 class InsufficientCongruence(DomainError):
-    """Parameters violate 0 <= 2*kappa < nu (or the p = 2 margin)."""
+    """Parameters violate 0 <= 2*kappa < nu."""
 
 
 class NonIntegralShift(DomainError):
@@ -146,9 +142,9 @@ def _root_series_residue(cs, p: int, N: int) -> tuple[int, int]:
     Requires vp(cs[0]) >= 1 and vp(cs[1]) = 0; returns (residue in
     p*Z/p^N, :func:`_term_count` terms summed).  Term n is (-1)^(n+1) X_n c0^(n+1)
     c1^-(2n+1) / (n+1), X_n from :func:`~padiclift.series.formal_root_numerators`.
-    With n + 1 = p^s w, X_n is divided exactly by p^s and w is inverted
-    mod p^N: as a series in c0 the root has coefficients in Z[1/c1, c2, ...]
-    (the proof in :func:`_term_count`), so p^s divides X_n.
+    X_n/(n+1) = +-a_n c1^(2n+1) for the root's c0^(n+1) coefficient a_n, which
+    lies in Z[1/c1, c2, ...] (the proof in :func:`_term_count`), so n + 1
+    divides X_n exactly at every p; a remainder raises DomainError.
     """
     c0 = cs[0]
     if c0 == 0:
@@ -162,22 +158,13 @@ def _root_series_residue(cs, p: int, N: int) -> tuple[int, int]:
     acc = 0
     for n, x in enumerate(X):
         if x:
-            w = n + 1
-            while w % p == 0:
-                w, x = w // p, x // p
-            t = x % modulus * power % modulus * pow(w, -1, modulus)
+            x, r = divmod(x, n + 1)
+            if r:
+                raise DomainError(f"internal error: X_{n} is not divisible by {n + 1}")
+            t = x % modulus * power % modulus
             acc += t if n & 1 else -t
         power = power * step % modulus
     return acc % modulus, count
-
-
-def _validate_simple(f, r0: int, p: int):
-    if p == 2:
-        raise EvenPrime("the simple-root series requires p > 2")
-    if polys.evaluate(f, r0) % p != 0:
-        raise NotARootModP(f"f({r0}) != 0 mod {p}")
-    if polys.evaluate(polys.derivative(f), r0) % p == 0:
-        raise DerivativeNotUnit(f"f'({r0}) = 0 mod {p}: seed is not a simple root")
 
 
 def residual_valuation(f, x: int, p: int):
@@ -197,14 +184,12 @@ def _report(f, p: int, N: int, residue: int, terms: int) -> LiftReport:
 
 
 def lift_simple(f, r0: int, p: int, N: int) -> LiftReport:
-    """Lift a simple root mod p (p odd) to a root of f modulo p**N.
+    """Lift a simple root mod p to a root of f modulo p**N, at any prime p.
 
     Needs f(r0) = 0 mod p and vp(f'(r0)) = 0; the result is congruent to
     r0 mod p and satisfies f(root) = 0 mod p**N.  This is
     :func:`lift_general` at nu = 1, kappa = 0, which checks both hypotheses.
     """
-    if p == 2:
-        raise EvenPrime("the simple-root series requires p > 2")
     return lift_general(f, r0 % p, p, N, nu=1, kappa=0)
 
 
@@ -212,8 +197,8 @@ def lift_general(f, r0: int, p: int, N: int,
                  nu: int | None = None, kappa: int | None = None) -> LiftReport:
     """Extended lift: seed correct mod p**nu, derivative valuation kappa.
 
-    Requires 0 <= 2*kappa < nu (for p = 2 the stricter nu >= 2*kappa + 2,
-    a guard that :func:`_term_count` no longer needs).  nu and kappa are
+    Requires 0 <= 2*kappa < nu, at every prime p (p = 2 included: the term
+    bound of :func:`_term_count` holds at every p).  nu and kappa are
     derived from f and r0 when not supplied; explicit values are
     validated.  The root is congruent to r0 mod p**(kappa+1).
     """
@@ -242,10 +227,6 @@ def lift_general(f, r0: int, p: int, N: int,
         kappa = kappa_true
     if not 0 <= 2 * kappa < nu:
         raise InsufficientCongruence(f"need 0 <= 2*kappa < nu, got kappa={kappa}, nu={nu}")
-    if p == 2 and nu - 2 * kappa < 2:
-        raise InsufficientCongruence(
-            "p = 2 needs nu >= 2*kappa + 2: with margin 1 the series terms do not tend to 0"
-        )
     if fr0 == 0:
         return _report(f, p, N, r0 % p ** N, 0)
     r0 %= p ** nu
@@ -258,8 +239,8 @@ def lift_general(f, r0: int, p: int, N: int,
 def _newton_balls(g, p: int, c: int, k: int, skip=()):
     """Yield (x, kappa) for each root r of the squarefree g in Z[x] with
     r = c + p^k a mod p^(k+1), a not in ``skip``: kappa = vp(g'(r)), and
-    x = r mod p^(kappa+m) (m = 2 at p = 2, else 1) is the shortest
-    truncation of r in its Newton ball with vp(g(x)) > 2 kappa + m - 1.
+    x = r mod p^(kappa+1) is the shortest truncation of r in its Newton ball,
+    vp(g(x)) > 2 kappa, at every p.
 
     This is Panayi's rescaled root tree.  Node (c, k) is h(y) =
     g(c + p^k y) / p^v, v the p-content, so h mod p != 0.  By Hensel's
@@ -274,7 +255,6 @@ def _newton_balls(g, p: int, c: int, k: int, skip=()):
     and there are at most deg g leaves.  Every node takes its digits from
     polys.roots_mod_p(h, p); ``skip`` holds at the start node only.
     """
-    margin = 2 if p == 2 else 1
     stack = [(c, k, skip)]
     while stack:
         c, k, skip = stack.pop()
@@ -290,12 +270,12 @@ def _newton_balls(g, p: int, c: int, k: int, skip=()):
                 stack.append((c + pk * a, k + 1, ()))
                 continue
             kappa = v - k
-            y, prec, need = a, 1, kappa + margin - k
+            y, prec, need = a, 1, kappa + 1 - k
             while prec < need:
                 prec = min(2 * prec, need)
                 m = p ** prec
                 y = (y - polys.evaluate(h, y) * pow(polys.evaluate(dh, y), -1, m)) % m
-            yield (c + pk * y) % p ** (kappa + margin), kappa
+            yield (c + pk * y) % p ** (kappa + 1), kappa
 
 
 def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
@@ -351,15 +331,6 @@ def newton_lift(f, r0: int, p: int, N: int) -> PadicInt:
 # ---------------------------------------------------------------------------
 
 
-def _ilog(x: int, p: int) -> int:
-    """floor(log_p(x)) for x >= 1."""
-    e = 0
-    while x >= p:
-        x //= p
-        e += 1
-    return e
-
-
 def lift_quadratic(a0: int, a1: int, a2: int, r0: int, p: int, N: int) -> LiftReport:
     """Catalan-number form of the simple lift for degree <= 2.
 
@@ -378,7 +349,10 @@ def lift_cubic(a0: int, a1: int, a2: int, a3: int, r0: int, p: int, N: int) -> L
     sum of :func:`lift_sparse` at (l, m) = (2, 3) on the shifted polynomial.
     """
     f = [int(a0), int(a1), int(a2), int(a3)]
-    _validate_simple(f, r0, p)
+    if polys.evaluate(f, r0) % p != 0:
+        raise NotARootModP(f"f({r0}) != 0 mod {p}")
+    if polys.evaluate(polys.derivative(f), r0) % p == 0:
+        raise DerivativeNotUnit(f"f'({r0}) = 0 mod {p}: seed is not a simple root")
     r0 %= p
     rho, terms = _sparse_sum(*polys.taylor_coeffs(f, r0), 2, 3, p, N)
     return _report(f, p, N, (r0 + rho) % p ** N, terms)
@@ -454,8 +428,6 @@ def lift_sparse(a0: int, a1: int, al: int, am: int, l: int, m: int,
     """
     if not 1 < l < m:
         raise BadExponents(f"need 1 < l < m, got l={l}, m={m}")
-    if p == 2:
-        raise EvenPrime("the sparse series requires p > 2")
     a0, a1, al, am = int(a0), int(a1), int(al), int(am)
     f = [0] * (m + 1)
     f[0], f[1], f[l], f[m] = a0, a1, al, am

@@ -423,3 +423,33 @@ def test_verify_does_bounded_work_on_inflated_fields(capsys, argv, edit, rc, err
     proc = subprocess.run([sys.executable, "-m", "padiclift", "verify"], input=json.dumps(payload),
                           env=env, capture_output=True, text=True, timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (rc, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("lift", "--poly=-7000021,-1,1", "--prime", "1000003", "--precision", "720", "--json"),
+    ("lift", "--poly", "1,11,-5", "--prime", "7", "--seed", "1", "--precision", "8000", "--json"),
+    ("teichmuller", "--prime", "1000003", "--q", "2", "--precision", "720"),
+], ids=["lift-large-prime", "lift-seed", "teichmuller"])
+def test_a_residue_too_long_to_print_is_a_usage_error(capsys, monkeypatch, argv):
+    # p^N has more than 4300 decimal digits, the most str() prints by default;
+    # the request is refused before any lift runs
+    for name in ("lift_all", "lift_general", "teichmuller"):
+        monkeypatch.setattr(cli.hensel, name, None)
+    rc, out, err = run(capsys, *argv)
+    N = argv[argv.index("--precision") + 1]
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"usage error: --precision {N} is too large") and "4300 decimal" in err
+
+
+def test_the_printable_precision_edge_is_exact(capsys):
+    # 2^14284 has 4300 digits and 2^14285 has 4301; the seed 3 is the exact root
+    argv = ("lift", "--poly=-3,1", "--prime", "2", "--seed", "3", "--nu", "1", "--kappa", "0")
+    rc, out, _ = run(capsys, *argv, "--precision", "14284", "--json")
+    assert rc == 0 and json.loads(out)["roots"][0]["residue"] == "3"
+    assert run(capsys, *argv, "--precision", "14285")[0] == 2
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # 0: no limit, so nothing is refused
+    try:
+        assert run(capsys, *argv, "--precision", "14285")[0] == 0
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from padiclift import factorize, polys
 from padiclift.bigmath import INFINITY, vp_rat
 from padiclift.factorize import (NEEDS_ROOT_ANALYSIS, Classification,
-                                 DivisibilityViolation, FactorizationProblem,
+                                 DivisibilityViolation, EvenPrime, FactorizationProblem,
                                  InsufficientPrecision, NoMultipleRoot,
                                  NoSuitableRoot, RootDigits, SeriesInput,
                                  UnitPartNotOne, WrongShape, WrongValuation,
                                  a_coeffs, bhat_coeffs, classify, e_series,
                                  factor, factor_multiple_root, root_to_digits,
                                  t_coeffs, tn_series, verify_factorization)
-from padiclift.hensel import EvenPrime, lift_general
+from padiclift.hensel import lift_general
 from padiclift.padic import PadicInt
 from padiclift.series import Series, lagrange_invert
 

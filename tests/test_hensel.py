@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from padiclift import hensel, polys
 from padiclift.bigmath import INFINITY, vp, vp_factorial, vp_rat
 from padiclift.cli import main
-from padiclift.hensel import (BadExponents, DerivativeNotUnit, EvenPrime,
+from padiclift.hensel import (BadExponents, DerivativeNotUnit,
                               InsufficientCongruence, NonIntegralShift,
                               NotARootModP, NotDivisible, OutOfRange,
                               ZeroPolynomial,
@@ -78,8 +78,9 @@ def test_example1_oracle_agreement():
 def test_simple_errors():
     with pytest.raises(NotARootModP):
         lift_simple(EX1, 2, 7, 3)
-    with pytest.raises(EvenPrime):
-        lift_simple([1, 1, 1], 1, 2, 3)
+    # p = 2 lifts like any prime: x^2 + x + 2 has a simple root over 0 and over 1
+    for r0 in (0, 1):
+        assert lift_simple([2, 1, 1], r0, 2, 30).root == newton_lift([2, 1, 1], r0, 2, 30)
     with pytest.raises(DerivativeNotUnit):
         lift_simple(EX2, 1, 5, 3)   # f'(1) = 10
 
@@ -154,24 +155,25 @@ def test_quadratic_linear_degenerate():
 
 
 def test_cubic_vs_newton_random():
-    rng = random.Random(101)
-    hits = 0
-    while hits < 30:
-        f = [rng.randint(-9, 9) for _ in range(4)]
-        if f[3] == 0:
-            continue
-        seed = None
-        for r0 in range(7):
-            if polys.evaluate(f, r0) % 7 == 0 and \
-                    polys.evaluate(polys.derivative(f), r0) % 7 != 0:
-                seed = r0
-                break
-        if seed is None:
-            continue
-        rep = lift_cubic(*f, seed, 7, 30)
-        assert rep.root == newton_lift(f, seed, 7, 30)
-        assert rep.root == lift_simple(f, seed, 7, 30).root
-        hits += 1
+    for p in (7, 2):
+        rng = random.Random(101)
+        hits = 0
+        while hits < 30:
+            f = [rng.randint(-9, 9) for _ in range(4)]
+            if f[3] == 0:
+                continue
+            seed = None
+            for r0 in range(p):
+                if polys.evaluate(f, r0) % p == 0 and \
+                        polys.evaluate(polys.derivative(f), r0) % p != 0:
+                    seed = r0
+                    break
+            if seed is None:
+                continue
+            rep = lift_cubic(*f, seed, p, 30)
+            assert rep.root == newton_lift(f, seed, p, 30)
+            assert rep.root == lift_simple(f, seed, p, 30).root
+            hits += 1
 
 
 def test_cubic_degenerate_quadratic():
@@ -240,18 +242,19 @@ def test_sparse_exact_zero_root():
 
 def test_sparse_parity_sweep():
     # the sign (-1)^(m(k-j)+l*j) must be right for every parity of (l, m)
-    rng = random.Random(55)
-    for l, m in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (4, 6), (2, 6), (5, 7)):
-        for _ in range(3):
-            p = rng.choice([3, 5, 7])
-            a0 = p * rng.randint(-6, 6)
-            a1 = rng.choice([x for x in range(-9, 10) if x % p != 0])
-            al = rng.randint(-9, 9)
-            am = rng.choice([x for x in range(-9, 10) if x != 0])
-            f = [0] * (m + 1)
-            f[0], f[1], f[l], f[m] = a0, a1, al, am
-            rep = lift_sparse(a0, a1, al, am, l, m, p, 20)
-            assert rep.root == newton_lift(f, 0, p, 20), (p, l, m, a0, a1, al, am)
+    for primes in ([3, 5, 7], [2]):
+        rng = random.Random(55)
+        for l, m in ((2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (4, 6), (2, 6), (5, 7)):
+            for _ in range(3):
+                p = rng.choice(primes)
+                a0 = p * rng.randint(-6, 6)
+                a1 = rng.choice([x for x in range(-9, 10) if x % p != 0])
+                al = rng.randint(-9, 9)
+                am = rng.choice([x for x in range(-9, 10) if x != 0])
+                f = [0] * (m + 1)
+                f[0], f[1], f[l], f[m] = a0, a1, al, am
+                rep = lift_sparse(a0, a1, al, am, l, m, p, 20)
+                assert rep.root == newton_lift(f, 0, p, 20), (p, l, m, a0, a1, al, am)
 
 
 def test_sparse_errors():
@@ -487,16 +490,15 @@ def test_lift_all_returns_the_planted_roots(case):
 @settings(max_examples=80)
 @given(planted_roots())
 def test_newton_balls_yield_each_root_with_its_newton_ball(case):
-    # (r mod p^(kappa+m), kappa = vp(g'(r))) per root: from each seed class
-    # (r0, 1), from the whole tree (0, 0), and from the start (0, ell) of the
-    # factor scan without digit 0
+    # (r mod p^(kappa+1), kappa = vp(g'(r))) per root, at every p: from each
+    # seed class (r0, 1), from the whole tree (0, 0), and from the start
+    # (0, ell) of the factor scan without digit 0
     p, _, roots, f = case
     g = polys.squarefree(f)[1]
-    m = 2 if p == 2 else 1
     want = {}
     for r in set(roots):
         kappa = vp(polys.evaluate(polys.derivative(g), r), p)
-        want[r] = (r % p ** (kappa + m), kappa)
+        want[r] = (r % p ** (kappa + 1), kappa)
     got = [ball for r0 in range(p) for ball in hensel._newton_balls(g, p, r0, 1)]
     assert sorted(got) == sorted(want.values())
     assert sorted(hensel._newton_balls(g, p, 0, 0)) == sorted(want.values())
@@ -506,12 +508,13 @@ def test_newton_balls_yield_each_root_with_its_newton_ball(case):
 
 
 def test_p2_policy():
-    # nu - 2*kappa >= 2: accepted, and the result squares to 17
+    # nu - 2*kappa >= 2: the result squares to 17
     rep = lift_general([-17, 0, 1], 1, 2, 20)
     assert (rep.root.residue ** 2 - 17) % 2 ** 20 == 0
-    # margin 1: series terms do not shrink, rejected
-    with pytest.raises(InsufficientCongruence):
-        lift_general([2, 1, 1], 0, 2, 10)
+    # margin 1 lifts too: the terms of the series have vp >= (n+1) vp(c0) at p = 2
+    rep = lift_general([2, 1, 1], 0, 2, 10)
+    assert rep.root == newton_lift([2, 1, 1], 0, 2, 10)
+    assert rep.residual_valuation >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +571,8 @@ def test_teichmuller_oracle_out_of_range():
 
 
 def test_cubic_refusals():
-    with pytest.raises(EvenPrime):
-        lift_cubic(2, 1, 1, 1, 0, 2, 5)
+    # at p = 2, 2 + x + x^2 + x^3 lifts from its simple root 0
+    assert lift_cubic(2, 1, 1, 1, 0, 2, 5).root == newton_lift([2, 1, 1, 1], 0, 2, 5)
     with pytest.raises(NotARootModP):
         lift_cubic(1, 1, 1, 1, 1, 7, 5)    # f(1) = 4 mod 7
     with pytest.raises(DerivativeNotUnit):

@@ -35,8 +35,8 @@ from padiclift.hensel import (_root_series_residue, _sparse_sum, _term_count,
                               lift_general, lift_simple, newton_lift,
                               teichmuller, teichmuller_oracle)
 from padiclift.series import (InversionProblem, Series, formal_root_brackets,
-                              formal_root_brackets_alt, formal_root_terms,
-                              lagrange_invert)
+                              formal_root_brackets_alt, formal_root_numerators,
+                              formal_root_terms, lagrange_invert)
 
 
 def fraction_bell_rows(xs, n_max):
@@ -325,7 +325,7 @@ def from_taylor(cs, r0):
     return f
 
 
-primes = st.sampled_from([3, 5, 7])
+primes = st.sampled_from([2, 3, 5, 7])
 units = st.integers(1, 40)
 
 
@@ -401,6 +401,7 @@ def newton_from(f, r0, p, N, kappa):
     raise AssertionError("Newton iteration did not converge")
 
 
+# no p = 2: old_term_count divides by v0 (p-1) - 1 = 0 at p = 2, v0 = 1
 bound_primes = st.sampled_from([3, 5, 7, 11])
 
 
@@ -469,16 +470,27 @@ def test_root_series_residue_matches_term_by_term_reduction(p, v0, u0, c1, rest,
 
 
 @settings(max_examples=30)
-@given(st.sampled_from([(3, 82), (5, 26)]), st.integers(1, 2), units,
+@given(st.sampled_from([(2, 64), (3, 82), (5, 26)]), st.integers(1, 2), units,
        st.integers(-40, 40), st.lists(small_ints, max_size=3), st.integers(0, 8))
 def test_root_series_residue_divides_out_high_powers_of_p(p_count, v0, u0, c1, rest, extra):
-    # count >= 82 at p = 3 and >= 26 at p = 5, so vp(n+1) reaches 4 and 2
+    # count >= 64 at p = 2, >= 82 at p = 3 and >= 26 at p = 5, so vp(n+1)
+    # reaches 6, 4 and 2
     p, min_count = p_count
     c1 += c1 % p == 0
     u0 += u0 % p == 0
     N = next(N for N in range(1, 200) if _term_count(v0, p, N) >= min_count) + extra
     cs = [p ** v0 * u0, c1] + rest
     assert _root_series_residue(cs, p, N) == fraction_root_series_residue(cs, p, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-40, 40).filter(bool), st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=6),
+       st.integers(0, 60))
+def test_root_numerators_are_divisible_by_n_plus_one(c1, rest, n_max):
+    # X_n/(n+1) = +-a_n c1^(2n+1), a_n in Z[1/c1, c2, ...] the c0^(n+1)
+    # coefficient of the root: the exact division in _root_series_residue
+    _, X = formal_root_numerators([1, c1] + rest, n_max)
+    assert [x % (n + 1) for n, x in enumerate(X)] == [0] * (n_max + 1)
 
 
 @pytest.mark.parametrize("xs", [
