@@ -21,9 +21,9 @@ from .padic import AtLeast, DigitVector, PadicInt
 from .series import (InversionProblem, Series, formal_root_brackets,
                      formal_root_brackets_alt, formal_root_series,
                      formal_root_terms, lagrange_invert, trinomial_root_terms)
-from .hensel import (LiftReport, ShiftedTaylor, lift_all, lift_cubic,
-                     lift_general, lift_quadratic, lift_simple, lift_sparse,
-                     newton_lift, taylor_shift, teichmuller, teichmuller_oracle)
+from .hensel import (LiftReport, lift_all, lift_cubic, lift_general,
+                     lift_quadratic, lift_simple, lift_sparse, newton_lift,
+                     taylor_shift, teichmuller, teichmuller_oracle)
 from .factorize import (Classification, FactorPair, SeriesInput, classify,
                         factor, factor_multiple_root, verify_factorization)
 

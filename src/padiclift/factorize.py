@@ -19,6 +19,7 @@ tail, whose roots on p*Z_p are those of an integer numerator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -340,15 +341,6 @@ def bhat_coeffs(prob: FactorizationProblem, ell: int, t: list[int], M: int
 # ---------------------------------------------------------------------------
 
 
-def _ilog(x: int, p: int) -> int:
-    """floor(log_p(x)) for x >= 1."""
-    e = 0
-    while x >= p:
-        x //= p
-        e += 1
-    return e
-
-
 def _find_valuation_root(F, dF, g, p: int, ell: int, N: int) -> LiftReport | None:
     """The root r with vp(r) = ell that a digit scan meets first, or None.
 
@@ -369,7 +361,9 @@ def _find_valuation_root(F, dF, g, p: int, ell: int, N: int) -> LiftReport | Non
         rep = lift_general(g, x, p, N)
         r = rep.root.residue
         kappa = vp(polys.evaluate(dF, r), p)  # exact below N, as r = root mod p^N
-        keys = [(max(2 * ell, _ilog(r, p)) + 1, r)] if polys.evaluate(F, r) == 0 else []
+        keys = []
+        if polys.evaluate(F, r) == 0:
+            keys.append((next(D for D in itertools.count(2 * ell + 1) if r < p ** D), r))
         if kappa < N:
             keys.append((max(2 * ell, 2 * kappa) + 1, r % p ** (kappa + 1)))
         met += [(key, rep) for key in keys if key[0] <= N]

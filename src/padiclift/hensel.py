@@ -68,15 +68,6 @@ class ZeroPolynomial(DomainError):
 
 
 @dataclass(frozen=True)
-class ShiftedTaylor:
-    """Integer coefficients c_j of p^(-2k) f(r0 + p^k x)."""
-
-    cs: tuple
-    shift: int
-    kappa: int
-
-
-@dataclass(frozen=True)
 class LiftReport:
     """A certified lift: root, number of series terms summed, and the exact
     valuation of f(root.residue) (INFINITY when the residue is a true
@@ -92,8 +83,8 @@ def _scaled_shift(f, c: int, s: int) -> list:
     return [b * s ** j for j, b in enumerate(polys.taylor_coeffs(f, c))]
 
 
-def taylor_shift(f, r0: int, kappa: int = 0, p: int | None = None) -> ShiftedTaylor:
-    """Taylor data of g(x) = p^(-2*kappa) f(r0 + p^kappa x), f in Z[x].
+def taylor_shift(f, r0: int, kappa: int = 0, p: int | None = None) -> tuple:
+    """Taylor data (c_0, c_1, ...) of g(x) = p^(-2*kappa) f(r0 + p^kappa x), f in Z[x].
 
     With kappa = 0 this is the plain shift c_j = f^(j)(r0)/j!.  For
     kappa > 0 the prime must be supplied, and c_j = f^(j)(r0)/j! *
@@ -115,7 +106,7 @@ def taylor_shift(f, r0: int, kappa: int = 0, p: int | None = None) -> ShiftedTay
                 f"2*kappa={2 * kappa} exceeds vp(f^({j})(r0)/{j}!)"
             )
         cs.append(q)
-    return ShiftedTaylor(tuple(cs), r0, kappa)
+    return tuple(cs)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +143,8 @@ def _root_series_residue(cs, p: int, N: int) -> tuple[int, int]:
     count = _term_count(vp(c0, p), p, N)
     modulus = p ** N
     c1, X = formal_root_numerators(cs, count - 1)
+    while not X[-1]:  # trailing zero X_n add nothing (linear data: all past X_0 = 1)
+        X.pop()
     inv = pow(c1, -1, modulus)
     power = c0 * inv % modulus  # c0^(n+1) c1^-(2n+1)
     step = power * inv % modulus
@@ -230,7 +223,7 @@ def lift_general(f, r0: int, p: int, N: int,
     if fr0 == 0:
         return _report(f, p, N, r0 % p ** N, 0)
     r0 %= p ** nu
-    cs = taylor_shift(f, r0, kappa, p).cs
+    cs = taylor_shift(f, r0, kappa, p)
     n_inner = max(N - kappa, 1)
     rho, terms = _root_series_residue(cs, p, n_inner)
     return _report(f, p, N, (r0 + p ** kappa * rho) % p ** N, terms)
@@ -452,7 +445,8 @@ def teichmuller(q: int, p: int, N: int) -> PadicInt:
     is the root series of x^(p-1) - 1 at q: bracket'_n = -q^n bracket_n on
     its Taylor data.  It is summed here on normalized data: x = q(1+y) gives
     x^(p-1) - 1 = q^(p-1) g(y), g(y) = (1+y)^(p-1) - q^(1-p), so c0 = 1 - q^(1-p)
-    and c_j = C(p-1, j), read for j <= count (:func:`_term_count`) only; xi = q(1 + rho).
+    and c_j = C(p-1, j), j <= min(p-1, N); the engine reads c_j for j <= its
+    term count only (:func:`_root_series_residue`); xi = q(1 + rho).
 
     Reducing c0 mod p^N shifts g by a constant in p^N Z_p; on pZ_p,
     g'(y) = (p-1)(1+y)^(p-2) is a unit, so the simple root rho moves only
@@ -465,8 +459,8 @@ def teichmuller(q: int, p: int, N: int) -> PadicInt:
         raise OutOfRange(f"need precision N >= 1, got N={N}")
     modulus = p ** N
     c0 = (1 - pow(q, 1 - p, modulus)) % modulus
-    top = min(p - 1, _term_count(vp(c0, p), p, N)) if c0 else 1
-    rho, _ = _root_series_residue([c0] + [math.comb(p - 1, j) for j in range(1, top + 1)], p, N)
+    cs = [c0] + [math.comb(p - 1, j) for j in range(1, min(p - 1, N) + 1)]
+    rho, _ = _root_series_residue(cs, p, N)
     xi = q * (1 + rho) % modulus
     if xi % p != q % p or pow(xi, p - 1, modulus) != 1:
         raise DomainError("teichmuller series failed its root-of-unity check")

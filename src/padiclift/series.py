@@ -315,14 +315,16 @@ def formal_root_numerators(a, n_max: int) -> tuple[int, list[int]]:
 
     where E a1 = u/v in lowest terms; E^j [x^n] S^j is read over the band of
     one n_max-row Bell table and C(n+j, j) is stepped along j exactly.
+    Linear data (S = 0) has X_n = 0 for n >= 1 and builds the table to row 0.
     """
     a = _checked(a)
-    table = BellTable(bell_args(a[2:]), n_max)
+    rows = n_max if any(a[2:]) else min(n_max, 0)
+    table = BellTable(bell_args(a[2:]), rows)
     u, v = (table.ordinary_denominator * a[1]).as_integer_ratio()
-    u_pows = [u ** i for i in range(n_max + 1)]
-    v_pows = [v ** i for i in range(n_max + 1)]
+    u_pows = [u ** i for i in range(rows + 1)]
+    v_pows = [v ** i for i in range(rows + 1)]
     X = []
-    for n in range(n_max + 1):
+    for n in range(rows + 1):
         row = table.ordinary_row(n)
         lo = table.band_start(n)
         c = math.comb(n + lo, lo)
@@ -334,7 +336,7 @@ def formal_root_numerators(a, n_max: int) -> tuple[int, list[int]]:
                 acc += -t if j & 1 else t
             c = c * (n + j + 1) // (j + 1)
         X.append(acc)
-    return u, X
+    return u, X + [0] * (n_max - rows)
 
 
 def formal_root_brackets(a, n_max: int) -> list[Fraction]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiclift import hensel, polys
+from padiclift import hensel, polys, series
 from padiclift.bigmath import INFINITY, vp, vp_factorial, vp_rat
 from padiclift.cli import main
 from padiclift.hensel import (BadExponents, DerivativeNotUnit,
@@ -33,17 +33,17 @@ def reduce_frac(x: Fraction, modulus: int) -> int:
 
 def test_taylor_shift_plain():
     st = taylor_shift(EX1, 1)
-    assert tuple(int(c) for c in st.cs) == (7, 1, -5)
+    assert tuple(int(c) for c in st) == (7, 1, -5)
     st0 = taylor_shift(EX1, 0)
-    assert tuple(int(c) for c in st0.cs) == tuple(EX1)
+    assert tuple(int(c) for c in st0) == tuple(EX1)
 
 
 def test_taylor_shift_scaled():
     st = taylor_shift(EX2, 1, kappa=1, p=5)
-    assert tuple(int(c) for c in st.cs) == (1, 2, 2)
+    assert tuple(int(c) for c in st) == (1, 2, 2)
     # g(x) = p^(-2k) f(r0 + p^k x) at sample points
     for x in (-1, 2, 5):
-        g = sum(c * Fraction(x) ** j for j, c in enumerate(st.cs))
+        g = sum(c * Fraction(x) ** j for j, c in enumerate(st))
         assert g == Fraction(polys.evaluate(EX2, 1 + 5 * x), 25)
 
 
@@ -453,6 +453,19 @@ def test_lift_all_lifts_each_ball_without_refining_it(evaluation_budget):
     reports = lift_all(f, 1, 7, 7)
     assert [(rep.root.residue, rep.terms_used) for rep in reports] == [
         (6735, 0), (27560, 2), (823418, 1)]
+
+
+def test_a_linear_lift_builds_no_bell_table(monkeypatch):
+    # x - 3 has no c2, c3, ...: X_n = 0 for n >= 1, so the 14283 terms need
+    # no table past row 0 and no running power past term 0
+    class Guarded(series.BellTable):
+        def __init__(self, xs, n_max):
+            assert any(xs) or n_max <= 0, f"{n_max} rows on all-zero data"
+            super().__init__(xs, n_max)
+
+    monkeypatch.setattr(series, "BellTable", Guarded)
+    [rep] = lift_all([-3, 1], 1, 2, 14284)
+    assert (rep.root.residue, rep.terms_used) == (3, 14283)
 
 
 @st.composite
