@@ -158,8 +158,7 @@ def _cmd_factor(args) -> int:
         "checks": {k: v for k, v in vars(pair.checks).items()},
     }
     human = "\n".join([
-        f"f = p^w + p^m*g1*x + ...  with p={pair.p} w={pair.w} m={pair.m}, root valuation ell={pair.ell}"
-        + (f", rescaled by {pair.scale}" if pair.scale != 1 else ""),
+        f"f = p^w + p^m*g1*x + ...  with p={pair.p} w={pair.w} m={pair.m}, root valuation ell={pair.ell}",
         f"A = {list(pair.A)}",
         f"B = {list(pair.B)}",
         f"checks: all passed = {pair.checks.all_passed()}",

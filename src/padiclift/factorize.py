@@ -2,16 +2,19 @@
 
 Targets f(x) = p^w + p^m g1 x + g2 x^2 + ... (w >= 2, m >= 1, gcd(p, g1)
 = 1), the one shape whose reducibility is not settled by the constant
-term alone.  Given a root r in p*Z_p with vp(r) = ell <= m, written as
-r = p^ell (1 + sum e_j p^(ell j)), the factorization is
+term alone.  Given a root r in p*Z_p with vp(r) = ell <= m and unit part
+e0 = r / p^ell, let c = e0^(-1) mod p^ell; then c r = p^ell (1 + sum e_j
+p^(ell j)) has unit part 1 mod p^ell, and the factorization is
 
-    f = (p^ell - x - x sum a_n x^n)
-        (p^(w-ell) + (p^(w-2 ell) + p^(m-ell) g1) x + x sum b_n x^n)
+    f = (p^ell - c x - x sum a_n c^(n+1) x^n)
+        (p^(w-ell) + (c p^(w-2 ell) + p^(m-ell) g1) x + x sum b_n x^n)
 
-where the a_n come from inverting x*E(x) (E the digit series), the b_n
-are quotients b_n = bhat_n / p^(ell n) of an explicit t-convolution, and
-the divisibility p^(ell n) | bhat_n is a theorem that the code asserts
-on every coefficient it produces.
+where the a_n come from inverting x*E(x) (E the digit series of c r), so
+the first factor is A(x) = A'(c x) for the paper's A', which vanishes at
+c r; the b_n are quotients b_n = bhat_n / p^(ell n) of an explicit
+t-convolution, and the divisibility p^(ell n) | bhat_n is a theorem that
+the code asserts on every coefficient it produces.  c = 1 is the paper's
+case; nothing here needs p odd.
 
 Inputs may be polynomials or power series with an eventually-geometric
 tail, whose roots on p*Z_p are those of an integer numerator.
@@ -37,16 +40,12 @@ class WrongShape(DomainError):
     """Input is not of the p^w + p^m*g1*x + ... factorization shape."""
 
 
-class EvenPrime(DomainError):
-    """The factorization theorem is stated for odd primes only."""
-
-
 class WrongValuation(DomainError):
     """Root valuation does not match the requested ell."""
 
 
 class UnitPartNotOne(DomainError):
-    """Root unit part != 1 mod p^ell: rescale per the e0 remark first."""
+    """Root unit part != 1 mod p^ell, so the paper's digits do not exist."""
 
 
 class InsufficientPrecision(DomainError):
@@ -139,12 +138,6 @@ class SeriesInput:
         F, r = list(self.head), self.tail_ratio
         return F if r is None else polys.add(polys.mul([1, -r], F), [0] * len(F) + [F[-1] * r])
 
-    def rescaled(self, scale: int) -> "SeriesInput":
-        """The input for g(x) = f(scale * x)."""
-        head = tuple(a * scale ** j for j, a in enumerate(self.head))
-        ratio = None if self.tail_ratio is None else self.tail_ratio * scale
-        return SeriesInput(head, ratio)
-
 
 def _as_input(f) -> SeriesInput:
     return f if isinstance(f, SeriesInput) else SeriesInput.polynomial(f)
@@ -235,8 +228,8 @@ class RootDigits:
 
 
 def root_to_digits(r: PadicInt, ell: int, M: int) -> RootDigits:
-    """Base-p^ell digits e_1..e_M of the unit part of r (which must be
-    1 mod p^ell; otherwise the caller has to rescale first)."""
+    """Base-p^ell digits e_1..e_M of the unit part of r, which must be
+    1 mod p^ell (:func:`factor` passes c r, c the inverse of r's unit part)."""
     if r.precision < ell * (M + 3):
         raise InsufficientPrecision(
             f"root precision {r.precision} < ell*(M+3) = {ell * (M + 3)}"
@@ -315,18 +308,21 @@ class FactorizationProblem:
     gammas: tuple
 
 
-def bhat_coeffs(prob: FactorizationProblem, ell: int, t: list[int], M: int
+def bhat_coeffs(prob: FactorizationProblem, ell: int, t: list[int], M: int, c: int = 1
                 ) -> tuple[list[int], list[int]]:
-    """bhat_n = p^(w-2l) t_n + p^(m-l) g1 t_(n-1) + sum_j p^(l(j-2)) g_j t_(n-j),
-    t_0 = t_(-1) = 1 and t_(-n) = 0 for n > 1: the x^(n+1) coefficient of C(x) times
-    1 + x + sum t_n x^(n+1), C = [p^(w-2l), p^(m-l) g1, g2, P g3, ...], P = p^ell.
+    """bhat_n = p^(w-2l) s_n + p^(m-l) g1 s_(n-1) + sum_j p^(l(j-2)) g_j s_(n-j),
+    s_n = c^(n+1) t_n, s_0 = c, s_(-1) = 1 and s_(-n) = 0 for n > 1: the x^(n+1)
+    coefficient of C(x) times 1 + c x + sum s_n x^(n+1) = P / A(P x), C = [p^(w-2l),
+    p^(m-l) g1, g2, P g3, ...], P = p^ell, for A(x) = A'(c x) and the t_n of A'
+    (:func:`t_coeffs`); c = 1 is the paper's formula.
     Returns (bhat, b), b_n = bhat_n / p^(ell n) after asserting the divisibility."""
     p, P = prob.p, prob.p ** ell
     C, Pj = [p ** (prob.w - 2 * ell), p ** (prob.m - ell) * prob.gammas[0]], 1
     for g in prob.gammas[1:]:
         C.append(Pj * g)
         Pj *= P
-    bhat = polys.mul(C, [1, 1, *t], M + 2)[2:]
+    s = [1, c] + [tn * c ** n for n, tn in enumerate(t, start=2)]
+    bhat = polys.mul(C, s, M + 2)[2:]
     b, d = [], 1
     for n, acc in enumerate(bhat, start=1):
         d *= P
@@ -394,9 +390,10 @@ class FactorChecks:
 class FactorPair:
     """A * B = f mod x^(order+1), integer coefficients, A(0)B(0) = p^w.
 
-    When ``scale`` != 1 the input had a root with unit part e0 != 1 and
-    the pair factors the rescaled series g(x) = f(scale * x) instead
-    (``series`` is that g).
+    ``series`` is the input f and ``root`` its root r, at which A vanishes;
+    ``digits`` are those of c r, c the inverse of r's unit part mod p^ell.
+    ``scale`` is always 1: the pair factors f itself, whatever the unit part
+    of r, and the field stays for readers of it (the bench's factor check).
     """
 
     A: tuple
@@ -409,8 +406,8 @@ class FactorPair:
     root: PadicInt
     digits: RootDigits
     series: SeriesInput
-    scale: int = 1
     checks: FactorChecks = None
+    scale = 1
 
 
 def factor(f, M: int, p: int | None = None) -> FactorPair:
@@ -419,9 +416,10 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
     ``f`` may be a coefficient list (polynomial) or a :class:`SeriesInput`.
     Takes the smallest ell <= min(m, w // 2) with a root of vp(r) = ell, and
     of those roots the one a digit-by-digit scan meets first
-    (:func:`_find_valuation_root`); extracts its digits and assembles the two
-    factors.  Every lemma along the way is re-checked at full precision and
-    a failure raises rather than returning a bad pair.
+    (:func:`_find_valuation_root`); extracts the digits of c r, c the inverse
+    of r's unit part mod p^ell, and assembles the two factors.  Every lemma
+    along the way is re-checked at full precision and a failure raises
+    rather than returning a bad pair.
     """
     if M < 0:
         raise ValueError(f"order M must be >= 0, got {M}")
@@ -435,8 +433,6 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
     if p is not None and p != cls.p:
         raise WrongShape(f"constant term is a power of {cls.p}, not {p}")
     p, w, m = cls.p, cls.w, cls.m
-    if p == 2:
-        raise EvenPrime("factorization theorem is stated for odd p")
     if m is INFINITY:
         raise WrongShape("f1 = 0: input lacks the p^m*g1 linear term")
 
@@ -455,33 +451,29 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
         )
 
     root = report.root
-    scale = root.residue // p ** ell % p ** ell  # the unit part e0 mod p^ell
-    if scale != 1:
-        # g(x) = f(e0 * x) has the root r/e0, whose unit part is 1 mod p^ell
-        si = si.rescaled(scale)
-        root = PadicInt(p, root.precision,
-                        root.residue * pow(scale, -1, p ** root.precision))
-
-    digits = root_to_digits(root, ell, M + 1)
+    c = pow(root.residue // p ** ell, -1, p ** ell)  # c r has unit part 1 mod p^ell
+    digits = root_to_digits(root * c, ell, M + 1)
     dM = RootDigits(p, ell, digits.digits[:M])
     a = a_coeffs(digits, M)
     t = t_coeffs(a, p ** ell)
     gammas = (si.coeff(1) // p ** m,) + tuple(si.coeff(j) for j in range(2, M + 3))
     prob = FactorizationProblem(p, w, m, gammas)
-    bhat, b = bhat_coeffs(prob, ell, t, M)
+    bhat, b = bhat_coeffs(prob, ell, t, M, c)
 
-    A_ext = [p ** ell, -1] + [-an for an in a]                # through x^(M+1)
-    B_ext = [p ** (w - ell), p ** (w - 2 * ell) + p ** (m - ell) * gammas[0]] + b
+    A_ext = [p ** ell, -c] + [-an * c ** n for n, an in enumerate(a, start=2)]  # A'(c x)
+    B_ext = [p ** (w - ell), c * p ** (w - 2 * ell) + p ** (m - ell) * gammas[0]] + b
     A = tuple(A_ext[: M + 1])
     B = tuple(B_ext[: M + 1])
 
     checks = _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root)
     if not checks.all_passed():
         raise PrecisionExhausted(f"internal lemma checks failed: {checks}")
-    return FactorPair(A, B, M, p, w, m, ell, root, dM, si, scale, checks)
+    return FactorPair(A, B, M, p, w, m, ell, root, dM, si, checks)
 
 
 def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> FactorChecks:
+    """The paper's lemmas: a, t and digits belong to A' and c r, the product
+    and the annihilation to f, A(x) = A'(c x) and the root r of f."""
     product = check_product(A_ext, B_ext, si, M, p ** w)
 
     # divisibility: integer coefficients, and b_n = bhat_n / p^(ell n) exactly
@@ -502,7 +494,7 @@ def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> Fac
               and all(polys.evaluate(T[n].int_coeffs[: n + 1], pl) == t[n - 1]
                       for n in range(1, min(5, M) + 1)))
 
-    # A annihilates the root mod p^(ell(M+2))
+    # A annihilates the root r mod p^(ell(M+2)): A(r) = A'(c r)
     mod_ann = p ** (ell * (M + 2))
     ann_ok = polys.evaluate(A_ext, root.residue) % mod_ann == 0
 
@@ -550,11 +542,8 @@ def check_product(A, B, f, M: int, constant: int) -> FactorReport:
 
 
 def verify_factorization(f, pair: FactorPair, M: int) -> FactorReport:
-    """Recompute A*B mod x^(M+1) against f; report, never raise.
-
-    ``f`` should be the series the pair claims to factor (``pair.series``
-    covers the rescaled case).
-    """
+    """Recompute A*B mod x^(M+1) against f, the input of :func:`factor`
+    (``pair.series``); report, never raise."""
     return check_product(pair.A, pair.B, f, M, _as_input(f).coeff(0))
 
 

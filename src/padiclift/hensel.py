@@ -52,7 +52,7 @@ class NonIntegralShift(DomainError):
 
 
 class OutOfRange(DomainError):
-    """Teichmuller argument outside {1, ..., p-1}, p not an odd prime, or N < 1."""
+    """Teichmuller argument outside {1, ..., p-1} (empty for p < 2), or N < 1."""
 
 
 class BadExponents(DomainError):
@@ -281,6 +281,8 @@ def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
     representative mod p^N with 0 terms: one report stands for them all.
     """
     f = [int(c) for c in f]
+    if p < 2:
+        raise DomainError(f"p={p} is not prime")
     if not any(f):
         raise ZeroPolynomial("f = 0: every element of Z_p is a root")
     r0 %= p
@@ -437,7 +439,7 @@ def lift_sparse(a0: int, a1: int, al: int, am: int, l: int, m: int,
 
 
 def teichmuller(q: int, p: int, N: int) -> PadicInt:
-    """The (p-1)-st root of unity in Z_p congruent to q mod p (p odd).
+    """The (p-1)-st root of unity in Z_p congruent to q mod p.
 
     The paper's triple sum, with c0 = q^(p-1) - 1 and c1 = (p-1) q^(p-2),
     xi = q - (c0/c1) sum_n bracket'_n (c0/(q c1))^n, where bracket'_n =
@@ -453,8 +455,8 @@ def teichmuller(q: int, p: int, N: int) -> PadicInt:
     within p^N Z_p.  If vp(c0) < N the reduction keeps vp(c0); otherwise the
     reduced c0 is 0 and xi = q.  Checked: xi = q mod p, xi^(p-1) = 1 mod p**N.
     """
-    if p <= 2 or not 1 <= q <= p - 1:
-        raise OutOfRange(f"need p an odd prime and 1 <= q <= p-1, got q={q}, p={p}")
+    if not 1 <= q <= p - 1:
+        raise OutOfRange(f"need 1 <= q <= p-1, got q={q}, p={p}")
     if N < 1:
         raise OutOfRange(f"need precision N >= 1, got N={N}")
     modulus = p ** N
@@ -469,8 +471,8 @@ def teichmuller(q: int, p: int, N: int) -> PadicInt:
 
 def teichmuller_oracle(q: int, p: int, N: int) -> PadicInt:
     """Iterated powering: xi = lim q^(p^k) mod p**N, the independent check."""
-    if p <= 2 or not 1 <= q <= p - 1:
-        raise OutOfRange(f"need p an odd prime and 1 <= q <= p-1, got q={q}, p={p}")
+    if not 1 <= q <= p - 1:
+        raise OutOfRange(f"need 1 <= q <= p-1, got q={q}, p={p}")
     if N < 1:
         raise OutOfRange(f"need precision N >= 1, got N={N}")
     modulus = p ** N

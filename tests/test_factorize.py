@@ -1,15 +1,19 @@
+import contextlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from padiclift import factorize, polys
+from padiclift import cli, factorize, polys
 from padiclift.bigmath import INFINITY, vp_rat
 from padiclift.factorize import (NEEDS_ROOT_ANALYSIS, Classification,
-                                 DivisibilityViolation, EvenPrime, FactorizationProblem,
+                                 DivisibilityViolation, FactorizationProblem,
                                  InsufficientPrecision, NoMultipleRoot,
                                  NoSuitableRoot, RootDigits, SeriesInput,
                                  UnitPartNotOne, WrongShape, WrongValuation,
@@ -82,11 +86,6 @@ def test_series_input_exact_eval():
     h = Fraction(1)  # formal check via the rational function (9+12x+7x^2+8x^3/(1-x))'
     x = Fraction(c)
     assert d_exact == 12 + 14 * x + (24 * x ** 2 * (1 - x) + 8 * x ** 3) / (1 - x) ** 2
-
-
-def test_series_input_rescale():
-    g = GEOM_F.rescaled(2)
-    assert [g.coeff(j) for j in range(5)] == [9, 24, 28, 64, 128]
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +499,8 @@ def test_divisibility_check_catches_a_tampered_bhat(monkeypatch):
     honest, run_checks = factorize.bhat_coeffs, factorize._run_checks
     seen = []
 
-    def tampered(prob, ell, t, M):
-        bhat, b = honest(prob, ell, t, M)
+    def tampered(*args):
+        bhat, b = honest(*args)
         bhat[2] += 1
         return bhat, b
 
@@ -520,7 +519,7 @@ def test_divisibility_check_catches_a_tampered_bhat(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# factor: geometric tail, planted, rescaled, failures
+# factor: geometric tail, planted, any unit part, failures
 # ---------------------------------------------------------------------------
 
 def test_factor_geometric_tail():
@@ -616,17 +615,65 @@ def test_factor_planted_series_inputs():
 
 
 def test_factor_rescale_path():
-    # plant a root whose unit part is 2 mod 5: factor() must rescale
+    # plant a root r whose unit part is e0 = 1/2 mod 5: A(x) = A'(c x) with
+    # c = 1/e0 = 2, and the pair factors f itself
     p, ell = 5, 1
     A_plant = polys.add([p], [-c for c in [0, 2, 1]])   # 5 - x(2 + x)
     v = [p, 3, 1]
     f = polys.mul(A_plant, v)
     pair = factor(f, 8)
-    assert pair.scale == pow(2, -1, 5)
-    g = [c * pair.scale ** j for j, c in enumerate(f)]
-    assert [pair.series.coeff(j) for j in range(len(f))] == g
-    assert verify_factorization(pair.series, pair, 8).passed()
+    assert pair.A[:2] == (5, -2) and pair.scale == 1
+    assert pair.series == SeriesInput.polynomial(f)
+    assert verify_factorization(f, pair, 8).passed()
     assert pair.checks.all_passed()
+    r = pair.root.residue
+    assert polys.evaluate(pair.A, r) % p ** (ell * 9) == 0
+    assert polys.evaluate(A_plant, r) % p ** (ell * 10) == 0
+
+
+@st.composite
+def planted_products(draw):
+    """(p^ell - x u(x)) v(x), v = p^(w-ell) + v1 x + ..., u(0) a unit mod p^ell:
+    the first factor's root has unit part 1/u(0) mod p^ell, so c = u(0).  The
+    roots of valuation ell keep vp(f'(r)) = ell (w > 2 ell, or u(0) + v1 a unit)."""
+    p, ell = draw(st.sampled_from([2, 3, 5, 7])), draw(st.sampled_from([1, 2]))
+    P = p ** ell
+    w = draw(st.integers(2 * ell, 2 * ell + 2))
+    u = [draw(st.integers(1, P - 1).filter(lambda k: k % p))]
+    u += [draw(st.integers(-4, 4)) for _ in range(draw(st.integers(0, 2)))]
+    v1 = draw(st.integers(-8, 8).filter(lambda k: k % p and (w > 2 * ell or (k + u[0]) % p)))
+    v = [p ** (w - ell), v1] + [draw(st.integers(-8, 8)) for _ in range(draw(st.integers(0, 2)))]
+    A_plant = polys.add([P], [0] + [-k for k in u])
+    f = polys.mul(A_plant, v)
+    assume(f[1] != 0)
+    return f, A_plant, v, p, ell, draw(st.integers(1, 12))
+
+
+def run_cli(argv, stdin=""):
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    return rc, out.getvalue()
+
+
+@settings(max_examples=120)
+@given(planted_products())
+def test_factor_takes_one_path_for_every_unit_part_and_prime(case):
+    f, A_plant, v, p, ell, M = case
+    rc, out = run_cli(["factor", "--coeffs=" + ",".join(map(str, f)), "--order", str(M), "--json"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["effective_coeffs"] == (f + [0] * M)[: M + 1] and payload["scale"] == 1
+    assert all(payload["checks"].values())
+    assert run_cli(["verify"], out) == (0, "verified ok\n")
+    r = polys.evaluate(payload["root"]["digits"], p)
+    assert payload["ell"] == ell
+    assert polys.evaluate(payload["A"], r) % p ** (ell * (M + 1)) == 0
+    modulus = p ** (ell * (M + 2))
+    if polys.evaluate(A_plant, r) % modulus == 0:
+        assert payload["A"][1] == A_plant[1]    # -c, c = u(0)
+    else:
+        assert polys.evaluate(v, r) % modulus == 0
 
 
 def test_factor_high_order_and_ell2():
@@ -835,7 +882,7 @@ def test_factor_multiple_root_squarefree():
 
 @pytest.mark.parametrize("f, error, message", [
     ([-9, 3, 1], WrongShape, "negate f first"),
-    ([4, 2, 1], EvenPrime, "odd p"),
+    ([4, 2, 1], NoSuitableRoot, "no root"),   # -3 is not a square in Q_2
     ([9, 0, 1], WrongShape, "f1 = 0"),
 ], ids=["negative-constant", "even-prime", "no-linear-term"])
 def test_factor_refuses_inputs_outside_the_theorem(f, error, message):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from padiclift import hensel, polys, series
 from padiclift.bigmath import INFINITY, vp, vp_factorial, vp_rat
 from padiclift.cli import main
+from padiclift.errors import DomainError
 from padiclift.hensel import (BadExponents, DerivativeNotUnit,
                               InsufficientCongruence, NonIntegralShift,
                               NotARootModP, NotDivisible, OutOfRange,
@@ -356,6 +357,13 @@ def test_lift_all_zero_polynomial():
             lift_all(f, 0, 5, 3)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_lift_all_refuses_p_below_2(p):
+    # vp(x, 1) never ends, so the refusal comes before the root tree
+    with pytest.raises(DomainError, match="not prime"):
+        lift_all([-3, 1], 2, p, 10)
+
+
 def test_lift_all_complete_against_enumeration():
     # for simple seed classes, the congruence f = 0 mod p^6 has exactly one
     # solution in the class, and lift_all must return it
@@ -571,14 +579,16 @@ def test_teichmuller_out_of_range():
     with pytest.raises(OutOfRange):
         teichmuller(7, 7, 5)
     with pytest.raises(OutOfRange):
-        teichmuller(1, 2, 5)
-    with pytest.raises(OutOfRange):
         teichmuller(1, 5, 0)
+    # at p = 2 the one residue is 1, and its lift is 1
+    for N in range(1, 21):
+        xi = teichmuller(1, 2, N)
+        assert xi == teichmuller_oracle(1, 2, N) and xi.residue == 1
 
 
 def test_teichmuller_oracle_out_of_range():
     # the oracle refuses what the engine refuses, with the same error
-    for q, p, N in ((0, 7, 5), (7, 7, 5), (1, 2, 5), (1, 5, 0), (3, 7, -1)):
+    for q, p, N in ((0, 7, 5), (7, 7, 5), (1, 5, 0), (3, 7, -1)):
         with pytest.raises(OutOfRange):
             teichmuller_oracle(q, p, N)
 
