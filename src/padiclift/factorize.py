@@ -22,7 +22,6 @@ tail, whose roots on p*Z_p are those of an integer numerator.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,7 +68,7 @@ class NoMultipleRoot(DomainError):
 
 
 class NoSuitableRoot(DomainError):
-    """No root with vp(r) = ell <= m was found.
+    """No root with vp(r) = ell <= min(m, w // 2) was found.
 
     ``fallback_out_of_scope`` is True when w > 2m, i.e. the case where a
     factorization may still exist via the (cited, unimplemented)
@@ -337,33 +336,18 @@ def bhat_coeffs(prob: FactorizationProblem, ell: int, t: list[int], M: int, c: i
 # ---------------------------------------------------------------------------
 
 
-def _find_valuation_root(F, dF, g, p: int, ell: int, N: int) -> LiftReport | None:
-    """The root r with vp(r) = ell that a digit scan meets first, or None.
+def _find_valuation_root(g, p: int, ell: int, N: int) -> LiftReport | None:
+    """The root of g with vp(r) = ell first in p-adic digit order, lifted
+    to p^N, or None.
 
-    F is the integer numerator of the input (:meth:`SeriesInput.numerator`),
-    dF its derivative and g its squarefree part.  Each root with vp(r) = ell
-    is found and lifted to p^N on the tree of hensel._newton_balls over g.
-    The scan visits the classes c mod p^D, vp(c) = ell, D = 2 ell + 1 .. N,
-    in increasing order, and stops at an exact root or in a root's Newton
-    ball with D > 2 kappa, kappa = vp(F'(r)).  So it meets r at
-    (max(2 ell + 1, 2 kappa + 1), r mod p^(kappa+1)); if kappa < ell, that
-    is (2 ell + 1, 0): every class lies in r's ball, and the first, p^ell,
-    meets r before any other root.  An integer root r >= 0 is also met at
-    (the first D >= 2 ell + 1 with r < p^D, r); a repeated root has kappa =
-    INFINITY.  The smallest key of depth <= N wins.
+    g is the squarefree part of the input's integer numerator.  Its roots of
+    valuation ell are found on the tree of hensel._newton_balls, and each is
+    lifted by lift_general.  Their base-p digits, read from the lowest, order
+    them the same way at every N, so a higher order extends the same root;
+    the least residue mod p^N does not.
     """
-    met = []
-    for x, _ in _newton_balls(g, p, 0, ell, {0}):
-        rep = lift_general(g, x, p, N)
-        r = rep.root.residue
-        kappa = vp(polys.evaluate(dF, r), p)  # exact below N, as r = root mod p^N
-        keys = []
-        if polys.evaluate(F, r) == 0:
-            keys.append((next(D for D in itertools.count(2 * ell + 1) if r < p ** D), r))
-        if kappa < N:
-            keys.append((max(2 * ell, 2 * kappa) + 1, r % p ** (kappa + 1)))
-        met += [(key, rep) for key in keys if key[0] <= N]
-    return min(met, key=lambda m: m[0])[1] if met else None
+    reps = [lift_general(g, x, p, N) for x, _ in _newton_balls(g, p, 0, ell, {0})]
+    return min(reps, key=lambda rep: rep.root.digits().digits, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +399,7 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
 
     ``f`` may be a coefficient list (polynomial) or a :class:`SeriesInput`.
     Takes the smallest ell <= min(m, w // 2) with a root of vp(r) = ell, and
-    of those roots the one a digit-by-digit scan meets first
+    of those roots the first in p-adic digit order, read from the lowest
     (:func:`_find_valuation_root`); extracts the digits of c r, c the inverse
     of r's unit part mod p^ell, and assembles the two factors.  Every lemma
     along the way is re-checked at full precision and a failure raises
@@ -436,10 +420,9 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
     if m is INFINITY:
         raise WrongShape("f1 = 0: input lacks the p^m*g1 linear term")
 
-    F = si.numerator()
-    dF, g = polys.derivative(F), polys.squarefree(F)[1]
+    g = polys.squarefree(si.numerator())[1]
     for ell in range(1, min(m, w // 2) + 1):
-        report = _find_valuation_root(F, dF, g, p, ell, ell * (M + 4))
+        report = _find_valuation_root(g, p, ell, ell * (M + 4))
         if report is not None:
             break
     else:

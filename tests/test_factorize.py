@@ -715,7 +715,7 @@ def test_factor_no_root_fallback_flag():
     assert exc.value.fallback_out_of_scope is True
 
 
-@pytest.mark.parametrize("k", [8, 12, 16, 13, 17, 21])
+@pytest.mark.parametrize("k", [8, 12, 16, 13, 17, 21, 31, 41])
 def test_factor_near_two_close_roots(k, evaluation_budget):
     # 9 - 6x + x^2 - 3^k x^3 is close to (x - 3)^2: two Z_3 roots near 3 for
     # odd k, none for even k; a digit scan keeps about 3^(d/2) classes alive
@@ -726,6 +726,15 @@ def test_factor_near_two_close_roots(k, evaluation_budget):
     else:
         pair = factor([9, -6, 1, -3 ** k], 30)
         assert pair.checks.all_passed() and pair.root.residue % 9 == 3
+
+
+def test_cli_factors_at_a_root_whose_newton_ball_lies_below_the_order():
+    # k = 31: the two roots r near 3 have vp(r - 3) = vp(f'(r)) = 17, so a
+    # digit scan would isolate them only at depth 35, past ell (M + 4) = 34
+    argv = ["factor", "--coeffs=9,-6,1,-617673396283947", "--order", "30", "--json"]
+    rc, out = run_cli(argv)
+    assert rc == 0
+    assert run_cli(["verify"], out) == (0, "verified ok\n")
 
 
 def test_factor_at_a_prime_past_any_digit_scan(evaluation_budget):
@@ -755,7 +764,7 @@ def test_factor_scan_lifts_no_root_of_higher_valuation(p, monkeypatch):
 
 
 def _digit_scan(si, p, ell, N):
-    """Reference for the root choice of the factor scan: candidates c with
+    """Independent reference for the factor scan: candidates c with
     vp(c) = ell at depth 2 ell + 1, visited in increasing order and refined
     one p-adic digit at a time up to depth N; returns the residue mod p^N of
     the first exact root or Newton-ball root with vp = ell, else None."""
@@ -805,14 +814,29 @@ def scan_inputs(draw):
 # integer roots r > p^(2 ell + 1): the scan meets them exactly only deeper than 2 ell + 1
 @example((SeriesInput.polynomial([-775260, 4557, -1]), 3, 1, 8))
 @example((SeriesInput.polynomial([859222631260500, -32977423400, 359445, -1]), 5, 1, 7))
-def test_scan_chooses_the_root_the_digit_scan_meets_first(case):
+# two roots near 3 whose Newton balls lie below p^N: the scan meets neither
+@example((SeriesInput.polynomial([9, -6, 1, -3 ** 31]), 3, 1, 10))
+def test_scan_finds_a_root_no_later_in_digit_order_than_the_digit_scan(case):
     si, p, ell, N = case
     if not any(si.head):
         return
     F = si.numerator()
-    rep = factorize._find_valuation_root(F, polys.derivative(F), polys.squarefree(F)[1],
-                                         p, ell, N)
-    assert (rep and rep.root.residue) == _digit_scan(si, p, ell, N)
+    rep = factorize._find_valuation_root(polys.squarefree(F)[1], p, ell, N)
+    met = _digit_scan(si, p, ell, N)
+    assert rep is not None or met is None
+    if rep is not None:
+        r = rep.root
+        assert r.valuation() == ell and polys.evaluate(F, r.residue) % p ** N == 0
+        assert met is None or r.digits().digits <= PadicInt(p, N, met).digits().digits
+
+
+@settings(max_examples=60)
+@given(planted_products())
+def test_factor_at_order_m_truncates_factor_at_order_m_plus_4(case):
+    # the root rule reads digits from the lowest, so a higher order keeps the root
+    f, _, _, _, _, M = case
+    low, high = factor(f, M), factor(f, M + 4)
+    assert (low.A, low.B) == (high.A[: M + 1], high.B[: M + 1])
 
 
 def test_factor_builds_the_scan_numerator_once(monkeypatch):

@@ -364,6 +364,20 @@ def test_lift_all_refuses_p_below_2(p):
         lift_all([-3, 1], 2, p, 10)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+@pytest.mark.parametrize("lift", [
+    lambda p: lift_sparse(-3, 1, 1, 1, 2, 3, p, 5),
+    lambda p: lift_cubic(-3, 1, 1, 1, 0, p, 5),
+    lambda p: lift_quadratic(-3, 1, 1, 0, p, 5),
+    lambda p: newton_lift([-3, 1, 1], 0, p, 5),
+], ids=["lift_sparse", "lift_cubic", "lift_quadratic", "newton_lift"])
+def test_closed_forms_and_newton_refuse_p_below_2(lift, p):
+    # the refusal comes before any arithmetic mod p, which divides by zero
+    # at p = 0 and certifies nothing at p = 1 or p = -3
+    with pytest.raises(DomainError, match="not prime"):
+        lift(p)
+
+
 def test_lift_all_complete_against_enumeration():
     # for simple seed classes, the congruence f = 0 mod p^6 has exactly one
     # solution in the class, and lift_all must return it
