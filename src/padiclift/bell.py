@@ -46,9 +46,7 @@ class BellTable:
     E^k [x^n] A(x)^k = E^k k!/n! B(n, k), where a_j = x_j / j!,
     A(x) = sum_j a_j x^j and E = :attr:`ordinary_denominator` is the lcm of
     the denominators of the a_j (1 whenever every x_j / j! is an integer).
-    :meth:`int_value` and :meth:`value` rebuild D^k B(n, k) and B(n, k) from
-    it on read, D = :attr:`denominator` being the lcm of the denominators of
-    the x_j.
+    :meth:`value` rebuilds B(n, k) from it on read.
 
     With L the index of the last nonzero a_j (1 if none), [x^n] A^k = 0 for
     k < n/L, so row n is built from k = :meth:`band_start` (n) = ceil(n/L)
@@ -65,7 +63,6 @@ class BellTable:
         ys = [u * (E // d) for u, d in a]
         L = self._degree = max((j for j, y in enumerate(ys, start=1) if y), default=1)
         self.n_max = n_max
-        self.denominator = math.lcm(*(v for _, v in ratios))
         self.ordinary_denominator = E
         rows = [(1,)]
         for n in range(1, n_max + 1):
@@ -96,14 +93,6 @@ class BellTable:
         if k < 0 or n < 0 or k > n:
             return 0
         return self.ordinary_row(n)[k]
-
-    def int_value(self, n: int, k: int) -> int:
-        """D^k B(n, k), an integer; zero outside 0 <= k <= n by convention."""
-        b = self.ordinary(n, k)
-        if not b:
-            return 0
-        return (self.denominator ** k * math.factorial(n) * b
-                // (math.factorial(k) * self.ordinary_denominator ** k))
 
     def value(self, n: int, k: int) -> Fraction:
         """B(n, k); zero outside 0 <= k <= n by convention."""

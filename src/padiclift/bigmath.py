@@ -3,8 +3,8 @@
 Integers are plain Python ``int`` (arbitrary precision), rationals are
 ``fractions.Fraction`` (always stored reduced with positive denominator),
 so canonical form comes for free.  What this module adds is the valuation
-layer: ``vp`` and friends, with an explicit ``INFINITY`` object for the
-valuation of zero.
+layer: ``vp`` and friends, with ``INFINITY`` for the valuation of zero: a
+float infinity that prints as ``INFINITY`` and absorbs addition.
 """
 
 from __future__ import annotations
@@ -13,52 +13,22 @@ import math
 from fractions import Fraction
 
 
-class _Infinity:
-    """The valuation of 0.  Compares greater than every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+class _Infinity(float):
+    """The valuation of 0: float infinity, printed as INFINITY, and absorbing
+    under addition so that INFINITY + n is INFINITY itself."""
 
     def __repr__(self):
         return "INFINITY"
 
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("padiclift.INFINITY")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
+    __str__ = __repr__
 
     def __add__(self, other):
         return self
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if other is self:
-            raise ArithmeticError("INFINITY - INFINITY is undefined")
-        return self
 
-    def __neg__(self):
-        raise ArithmeticError("valuations are never -INFINITY here")
-
-
-INFINITY = _Infinity()
+INFINITY = _Infinity("inf")
 
 
 def vp(a: int, p: int) -> int | _Infinity:
@@ -66,6 +36,8 @@ def vp(a: int, p: int) -> int | _Infinity:
 
     ``vp(0, p)`` is ``INFINITY``.  The sign of ``a`` is ignored.
     """
+    if p < 2:
+        raise ValueError("p must be at least 2")
     if a == 0:
         return INFINITY
     a = abs(a)
@@ -89,12 +61,14 @@ def vp_rat(x: Fraction | int, p: int) -> int | _Infinity:
     """
     x = Fraction(x)
     if x == 0:
-        return INFINITY
+        return vp(0, p)
     return vp(x.numerator, p) - vp(x.denominator, p)
 
 
 def digit_sum(n: int, p: int) -> int:
     """Sum of the base-p digits of n >= 0."""
+    if p < 2:
+        raise ValueError("p must be at least 2")
     s = 0
     while n:
         n, r = divmod(n, p)

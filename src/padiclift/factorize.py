@@ -158,7 +158,7 @@ class Classification:
     kind: str
     p: int | None = None
     w: int | None = None
-    m: object = None  # int or INFINITY (f1 = 0)
+    m: int | float | None = None  # int or INFINITY (f1 = 0)
 
     def __str__(self):
         if self.kind == NEEDS_ROOT_ANALYSIS:
@@ -170,12 +170,15 @@ def _prime_power(n: int):
     """(p, w) with n = p**w, or None."""
     if n < 2:
         return None
-    for w in range(n.bit_length(), 0, -1):
-        p = iroot(n, w)
-        for cand in (p, p + 1):
-            if cand ** w == n and is_prime(cand):
-                return cand, w
-    return None
+    # peel each prime exponent q while n = iroot(n, q)**q; a composite q needs
+    # no try, since its prime factors are peeled first
+    w, q = 1, 2
+    while q <= n.bit_length():
+        if all(q % d for d in range(2, math.isqrt(q) + 1)):
+            while (r := iroot(n, q)) ** q == n:
+                n, w = r, w * q
+        q += 1
+    return (n, w) if is_prime(n) else None
 
 
 def classify(f0: int, f1: int) -> Classification:

@@ -168,8 +168,7 @@ def _check_prime_base(p: int) -> None:
 
 def residual_valuation(f, x: int, p: int):
     """vp(f(x)), or INFINITY when x is an exact root: the certificate of a lift."""
-    fx = polys.evaluate(f, x)
-    return INFINITY if fx == 0 else vp(fx, p)
+    return vp(polys.evaluate(f, x), p)
 
 
 def _report(f, p: int, N: int, residue: int, terms: int) -> LiftReport:
@@ -212,13 +211,12 @@ def lift_general(f, r0: int, p: int, N: int,
     if kappa is not None and kappa_true != kappa:
         raise DerivativeNotUnit(f"vp(f'({r0})) = {kappa_true}, not the requested {kappa}")
     if nu is None and kappa is None and nu_true >= N:
-        # vp(root - r0) = nu - kappa for the root of r0's Newton ball (2 kappa
-        # < nu); kappa + kappa since INFINITY has no product
-        if not kappa_true + kappa_true < nu_true < N + kappa_true:
+        # vp(root - r0) = nu - kappa for the root of r0's Newton ball (2 kappa < nu)
+        if not 2 * kappa_true < nu_true < N + kappa_true:
             return _report(f, p, N, r0 % p ** N, 0)
         nu = nu_true
     if nu is None:
-        nu = N if nu_true is INFINITY else min(nu_true, N)
+        nu = min(nu_true, N)
     if kappa is None:
         if kappa_true is INFINITY:
             raise DerivativeNotUnit(f"f'({r0}) = 0 exactly; no simple root above this seed")

@@ -314,7 +314,8 @@ def formal_root_numerators(a, n_max: int) -> tuple[int, list[int]]:
     X_n = sum_j (-1)^j C(n+j, j) E^j [x^n] S(x)^j v^j u^(n-j),
 
     where E a1 = u/v in lowest terms; E^j [x^n] S^j is read over the band of
-    one n_max-row Bell table and C(n+j, j) is stepped along j exactly.
+    one n_max-row Bell table and C(n+j, j) is stepped exactly, along j and
+    from row to row at the band start.
     Linear data (S = 0) has X_n = 0 for n >= 1 and builds the table to row 0.
     """
     a = _checked(a)
@@ -324,10 +325,15 @@ def formal_root_numerators(a, n_max: int) -> tuple[int, list[int]]:
     u_pows = [u ** i for i in range(rows + 1)]
     v_pows = [v ** i for i in range(rows + 1)]
     X = []
+    lo, c_lo = 0, 1  # C(n + lo, lo) at the band start lo of row n
     for n in range(rows + 1):
+        if n:
+            c_lo = c_lo * (n + lo) // n
+        while lo < table.band_start(n):
+            c_lo = c_lo * (n + lo + 1) // (lo + 1)
+            lo += 1
         row = table.ordinary_row(n)
-        lo = table.band_start(n)
-        c = math.comb(n + lo, lo)
+        c = c_lo
         acc = 0
         for j in range(lo, n + 1):
             b = row[j]

@@ -1,11 +1,15 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
 from padiclift.bigmath import (INFINITY, binom, digit_sum, falling, iroot,
                                is_prime, vp, vp_factorial, vp_rat)
+from padiclift.factorize import classify
+from padiclift.hensel import residual_valuation
+from padiclift.padic import PadicInt
 
 
 def test_vp_basics():
@@ -93,6 +97,43 @@ def test_infinity_ordering():
     assert INFINITY >= INFINITY
     assert INFINITY + 5 is INFINITY
     assert min(INFINITY, 3) == 3
+
+
+def test_infinity_contract():
+    # what src/ relies on: the printed name, order and min against ints past
+    # the float range, absorbing addition, and a product that stays infinite
+    assert str(INFINITY) == repr(INFINITY) == f"{INFINITY}" == "INFINITY"
+    assert INFINITY > 10**400 and min(INFINITY, 10**400) == 10**400
+    assert 7 + INFINITY is INFINITY
+    assert 2 * INFINITY > 10**400
+    assert vp(0, 7) is INFINITY
+    assert residual_valuation([-6, 1, 1], 2, 5) is INFINITY  # (x - 2)(x + 3)
+    assert str(classify(27, 0)).endswith("m=INFINITY")
+
+
+@pytest.mark.parametrize("p", [1, 0, -1])
+@pytest.mark.parametrize("call", [
+    lambda p: vp(5, p),
+    lambda p: vp(0, p),
+    lambda p: vp_rat(Fraction(1, 2), p),
+    lambda p: vp_rat(0, p),
+    lambda p: digit_sum(5, p),
+    lambda p: vp_factorial(5, p),
+    lambda p: PadicInt.from_rat(Fraction(1, 2), p, 4),
+], ids=["vp", "vp_zero", "vp_rat", "vp_rat_zero", "digit_sum", "vp_factorial",
+        "from_rat"])
+def test_valuation_helpers_refuse_p_below_2(call, p):
+    # an alarm turns the old endless loop at p = 1 or -1 into a failure
+    def hang(signum, frame):
+        raise AssertionError(f"no answer within 3 s at p={p}")
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(3)
+    try:
+        with pytest.raises(ValueError):
+            call(p)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_is_prime():

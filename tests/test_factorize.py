@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padiclift import cli, factorize, polys
-from padiclift.bigmath import INFINITY, vp_rat
+from padiclift.bigmath import INFINITY, iroot, is_prime, vp_rat
 from padiclift.factorize import (NEEDS_ROOT_ANALYSIS, Classification,
                                  DivisibilityViolation, FactorizationProblem,
                                  InsufficientPrecision, NoMultipleRoot,
@@ -60,6 +60,39 @@ def test_classify_cases():
 
 def test_classify_str():
     assert str(classify(9, 12)) == "NeedsRootAnalysis p=3 w=2 m=1"
+
+
+def scan_prime_power(n):
+    """The reference: every exponent w from the top, with both floor-root
+    candidates."""
+    if n < 2:
+        return None
+    for w in range(n.bit_length(), 0, -1):
+        r = iroot(n, w)
+        for cand in (r, r + 1):
+            if cand ** w == n and is_prime(cand):
+                return cand, w
+    return None
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 101, 10**9 + 7]), st.integers(0, 40),
+       st.integers(1, 10**6), st.integers(1, 6))
+def test_prime_power_matches_the_exponent_scan(p, w, m, e):
+    # m ** e: perfect powers of composites are not prime powers
+    for n in (p ** w * m, p ** w, m ** e):
+        assert factorize._prime_power(n) == scan_prime_power(n)
+
+
+def test_prime_power_peels_exponents_in_few_roots():
+    # 10**4000 = 10**(2**5 * 5**3): a few roots, not one per exponent
+    calls = []
+    def counted(n, k):
+        calls.append(k)
+        return iroot(n, k)
+    with mock.patch.object(factorize, "iroot", counted):
+        assert factorize._prime_power(10 ** 4000) is None
+    assert len(calls) <= 64
 
 
 # ---------------------------------------------------------------------------

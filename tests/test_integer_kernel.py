@@ -34,7 +34,7 @@ from padiclift.factorize import (DivisibilityViolation, FactorizationProblem, Ro
 from padiclift.hensel import (_root_series_residue, _sparse_sum, _term_count,
                               lift_general, lift_simple, newton_lift,
                               teichmuller, teichmuller_oracle)
-from padiclift.series import (InversionProblem, Series, formal_root_brackets,
+from padiclift.series import (InversionProblem, Series, bell_args, formal_root_brackets,
                               formal_root_brackets_alt, formal_root_numerators,
                               formal_root_terms, lagrange_invert)
 
@@ -226,12 +226,9 @@ def test_bell_module_is_not_shadowed():
 @given(sequences, st.integers(0, 40))
 def test_table_matches_fraction_recurrence(xs, n_max):
     table = BellTable(xs, n_max)
-    D = math.lcm(*(Fraction(x).denominator for x in xs))
-    assert table.denominator == D
     for n, row in enumerate(fraction_bell_rows(xs, n_max)):
         for k, b in enumerate(row):
             assert table.value(n, k) == b
-            assert table.int_value(n, k) == b * D ** k
 
 
 @settings(max_examples=60)
@@ -252,8 +249,8 @@ def test_ordinary_denominator_on_integer_input():
     # a = (1, 1/2, 1/6): E = 6 although every x_j is an integer, and
     # 36 [x^4] (x + x^2/2 + x^3/6)^2 = 36 (2/6 + 1/4) = 21 = 36 * 2!/4! * B(4, 2)
     table = BellTable((1, 1, 1), 6)
-    assert (table.denominator, table.ordinary_denominator) == (1, 6)
-    assert table.ordinary(4, 2) == 21 and table.value(4, 2) == 7 == table.int_value(4, 2)
+    assert table.ordinary_denominator == 6
+    assert table.ordinary(4, 2) == 21 and table.value(4, 2) == 7
     assert table.ordinary(2, 3) == 0 and table.ordinary(-1, 0) == 0
     with pytest.raises(IndexError):
         table.ordinary(7, 1)
@@ -262,7 +259,6 @@ def test_ordinary_denominator_on_integer_input():
 def test_long_sequence_at_n_40():
     xs = [(-1) ** j * Fraction(j % 5, 1 + j % 3) for j in range(40)]
     table = BellTable(xs, 40)
-    assert table.denominator == 6
     for n, row in enumerate(fraction_bell_rows(xs, 40)):
         assert [table.value(n, k) for k in range(n + 1)] == row
 
@@ -493,6 +489,39 @@ def test_root_numerators_are_divisible_by_n_plus_one(c1, rest, n_max):
     # coefficient of the root: the exact division in _root_series_residue
     _, X = formal_root_numerators([1, c1] + rest, n_max)
     assert [x % (n + 1) for n, x in enumerate(X)] == [0] * (n_max + 1)
+
+
+def comb_per_term_numerators(a, n_max):
+    """(u, X) of formal_root_numerators with C(n+j, j) from math.comb on every
+    term of the band: the reference for the stepped binomial."""
+    a = [Fraction(c) for c in a]
+    rows = n_max if any(a[2:]) else min(n_max, 0)
+    table = BellTable(bell_args(a[2:]), rows)
+    u, v = (table.ordinary_denominator * a[1]).as_integer_ratio()
+    X = [sum((-1) ** j * math.comb(n + j, j) * table.ordinary(n, j) * v ** j * u ** (n - j)
+             for j in range(table.band_start(n), n + 1))
+         for n in range(rows + 1)]
+    return u, X + [0] * (n_max - rows)
+
+
+@settings(max_examples=80)
+@given(st.one_of(small_ints, rationals).filter(bool),
+       st.lists(st.one_of(st.just(0), small_ints, rationals), max_size=6), st.integers(0, 30))
+def test_stepped_binomial_matches_math_comb(a1, rest, n_max):
+    # zeros in rest move the band start: L is the index of its last nonzero entry
+    a = [1, a1] + rest
+    assert formal_root_numerators(a, n_max) == comb_per_term_numerators(a, n_max)
+
+
+def test_root_numerators_call_no_comb():
+    comb, calls = math.comb, []
+    def counted(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+    with mock.patch.object(math, "comb", counted):
+        formal_root_numerators([1, 3, 2, 0, 5], 40)
+        formal_root_numerators([1, Fraction(-2, 3), 0, 0, 0, 7], 40)
+    assert calls == []
 
 
 @pytest.mark.parametrize("xs", [
