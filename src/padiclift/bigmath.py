@@ -1,16 +1,19 @@
 """Exact integer/rational arithmetic helpers and p-adic valuations.
 
-Integers are plain Python ``int`` (arbitrary precision), rationals are
-``fractions.Fraction`` (always stored reduced with positive denominator),
-so canonical form comes for free.  What this module adds is the valuation
-layer: ``vp`` and friends, with ``INFINITY`` for the valuation of zero: a
-float infinity that prints as ``INFINITY`` and absorbs addition.
+Integers are plain ``int``, rationals ``fractions.Fraction`` (reduced, with
+positive denominator), so canonical form comes for free.  This module adds
+the valuation layer: ``vp`` and friends, with ``INFINITY`` for the valuation
+of zero (a float infinity that prints as ``INFINITY`` and absorbs addition),
+and :func:`check_prime_base`, the one ``p < 2`` check (a ``DomainError``,
+"not prime"), which the valuations, ``PadicInt`` and every lift call.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .errors import DomainError
 
 
 class _Infinity(float):
@@ -31,13 +34,18 @@ class _Infinity(float):
 INFINITY = _Infinity("inf")
 
 
+def check_prime_base(p: int) -> None:
+    """DomainError for p < 2, raised before any arithmetic mod p."""
+    if p < 2:
+        raise DomainError(f"p={p} is not prime")
+
+
 def vp(a: int, p: int) -> int | _Infinity:
     """p-adic valuation of an integer: the largest e with p**e | a.
 
     ``vp(0, p)`` is ``INFINITY``.  The sign of ``a`` is ignored.
     """
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    check_prime_base(p)
     if a == 0:
         return INFINITY
     a = abs(a)
@@ -67,8 +75,7 @@ def vp_rat(x: Fraction | int, p: int) -> int | _Infinity:
 
 def digit_sum(n: int, p: int) -> int:
     """Sum of the base-p digits of n >= 0."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    check_prime_base(p)
     s = 0
     while n:
         n, r = divmod(n, p)

@@ -254,6 +254,9 @@ def _verify_lift(payload) -> list[str]:
         if len(digits) != rN or min(digits) < 0 or max(digits) >= rp:
             raise UsageError(f"payload field 'digits' must be {rN} base-{rp} digits, "
                              f"got {digits!r:.60}")
+        if (rp, rN) != (p, N):
+            problems.append(f"root is given mod {rp}^{rN}, not mod {p}^{N}")
+            continue
         root = PadicInt.from_json(root)
         residue = _field(entry, "residue", "a decimal string")
         try:

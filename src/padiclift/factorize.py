@@ -68,16 +68,7 @@ class NoMultipleRoot(DomainError):
 
 
 class NoSuitableRoot(DomainError):
-    """No root with vp(r) = ell <= min(m, w // 2) was found.
-
-    ``fallback_out_of_scope`` is True when w > 2m, i.e. the case where a
-    factorization may still exist via the (cited, unimplemented)
-    fallback algorithm.
-    """
-
-    def __init__(self, message, fallback_out_of_scope=False):
-        super().__init__(message)
-        self.fallback_out_of_scope = fallback_out_of_scope
+    """No root with vp(r) = ell <= min(m, w // 2) was found."""
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +161,14 @@ def _prime_power(n: int):
     """(p, w) with n = p**w, or None."""
     if n < 2:
         return None
-    # peel each prime exponent q while n = iroot(n, q)**q; a composite q needs
-    # no try, since its prime factors are peeled first
+    # the least divisor d < 42 of n is prime, so only d ** vp(n, d) can equal n
+    if d := next((d for d in range(2, 42) if n % d == 0), None):
+        w = vp(n, d)
+        return (d, w) if d ** w == n else None
+    # else every prime factor is > 2**5, so n = r**q needs q <= bits / 5: peel each
+    # prime q while n = iroot(n, q)**q (a composite q's prime factors peel first)
     w, q = 1, 2
-    while q <= n.bit_length():
+    while q <= n.bit_length() // 5:
         if all(q % d for d in range(2, math.isqrt(q) + 1)):
             while (r := iroot(n, q)) ** q == n:
                 n, w = r, w * q
@@ -375,7 +370,7 @@ class FactorChecks:
 
 @dataclass(frozen=True)
 class FactorPair:
-    """A * B = f mod x^(order+1), integer coefficients, A(0)B(0) = p^w.
+    """A * B = f mod x^len(A), integer coefficients, A(0)B(0) = p^w.
 
     ``series`` is the input f and ``root`` its root r, at which A vanishes;
     ``digits`` are those of c r, c the inverse of r's unit part mod p^ell.
@@ -385,7 +380,6 @@ class FactorPair:
 
     A: tuple
     B: tuple
-    order: int
     p: int
     w: int
     m: int
@@ -432,9 +426,7 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
         raise NoSuitableRoot(
             f"no root with vp(r) = ell <= min(m={m}, w//2={w // 2}) found"
             + ("; w > 2m, so the out-of-scope fallback algorithm may still factor f"
-               if w > 2 * m else ""),
-            fallback_out_of_scope=w > 2 * m,
-        )
+               if w > 2 * m else ""))
 
     root = report.root
     c = pow(root.residue // p ** ell, -1, p ** ell)  # c r has unit part 1 mod p^ell
@@ -454,7 +446,7 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
     checks = _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root)
     if not checks.all_passed():
         raise PrecisionExhausted(f"internal lemma checks failed: {checks}")
-    return FactorPair(A, B, M, p, w, m, ell, root, dM, si, checks)
+    return FactorPair(A, B, p, w, m, ell, root, dM, si, checks)
 
 
 def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> FactorChecks:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .bigmath import INFINITY, vp
+from .bigmath import INFINITY, check_prime_base, vp
 from .errors import DomainError
 from .padic import PadicInt
 # formal_root_brackets stays bound: bench/tracer.py:layer_patches patches it here
@@ -160,12 +160,6 @@ def _root_series_residue(cs, p: int, N: int) -> tuple[int, int]:
     return acc % modulus, count
 
 
-def _check_prime_base(p: int) -> None:
-    """DomainError for p < 2, raised before any arithmetic mod p."""
-    if p < 2:
-        raise DomainError(f"p={p} is not prime")
-
-
 def residual_valuation(f, x: int, p: int):
     """vp(f(x)), or INFINITY when x is an exact root: the certificate of a lift."""
     return vp(polys.evaluate(f, x), p)
@@ -201,7 +195,7 @@ def lift_general(f, r0: int, p: int, N: int,
     validated.  The root is congruent to r0 mod p**(kappa+1).
     """
     f = [int(c) for c in f]
-    _check_prime_base(p)
+    check_prime_base(p)
     fr0 = polys.evaluate(f, r0)
     dfr0 = polys.evaluate(polys.derivative(f), r0)
     nu_true = vp(fr0, p)
@@ -217,10 +211,9 @@ def lift_general(f, r0: int, p: int, N: int,
         nu = nu_true
     if nu is None:
         nu = min(nu_true, N)
-    if kappa is None:
-        if kappa_true is INFINITY:
-            raise DerivativeNotUnit(f"f'({r0}) = 0 exactly; no simple root above this seed")
-        kappa = kappa_true
+    if kappa_true is INFINITY:
+        raise DerivativeNotUnit(f"f'({r0}) = 0 exactly; no simple root above this seed")
+    kappa = kappa_true
     if not 0 <= 2 * kappa < nu:
         raise InsufficientCongruence(f"need 0 <= 2*kappa < nu, got kappa={kappa}, nu={nu}")
     if fr0 == 0:
@@ -284,7 +277,7 @@ def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
     representative mod p^N with 0 terms: one report stands for them all.
     """
     f = [int(c) for c in f]
-    _check_prime_base(p)
+    check_prime_base(p)
     if not any(f):
         raise ZeroPolynomial("f = 0: every element of Z_p is a root")
     r0 %= p
@@ -306,7 +299,7 @@ def newton_lift(f, r0: int, p: int, N: int) -> PadicInt:
     Quadratic convergence: precision doubles per step.  Same simple-root
     hypotheses as lift_simple, but any prime is accepted.
     """
-    _check_prime_base(p)
+    check_prime_base(p)
     f = [int(c) for c in f]
     if polys.evaluate(f, r0) % p != 0:
         raise NotARootModP(f"f({r0}) != 0 mod {p}")
@@ -346,7 +339,7 @@ def lift_cubic(a0: int, a1: int, a2: int, a3: int, r0: int, p: int, N: int) -> L
     with c2 = f''(r0)/2 and c3 the leading coefficient: the sparse double
     sum of :func:`lift_sparse` at (l, m) = (2, 3) on the shifted polynomial.
     """
-    _check_prime_base(p)
+    check_prime_base(p)
     f = [int(a0), int(a1), int(a2), int(a3)]
     if polys.evaluate(f, r0) % p != 0:
         raise NotARootModP(f"f({r0}) != 0 mod {p}")
@@ -425,7 +418,7 @@ def lift_sparse(a0: int, a1: int, al: int, am: int, l: int, m: int,
         C(k,j) C(m(k-j)+l j, k) (a0^(m-l) am / a1^(m-l))^(k-j) ]
         (a0^(l-1) / a1^l)^k.
     """
-    _check_prime_base(p)
+    check_prime_base(p)
     if not 1 < l < m:
         raise BadExponents(f"need 1 < l < m, got l={l}, m={m}")
     a0, a1, al, am = int(a0), int(a1), int(al), int(am)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .bigmath import vp, vp_rat
+from .bigmath import check_prime_base, vp, vp_rat
 from .errors import DomainError
 
 
@@ -64,6 +64,7 @@ class PadicInt:
     def __post_init__(self):
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
+        check_prime_base(self.p)
         if not 0 <= self.residue < self.p ** self.precision:
             object.__setattr__(self, "residue", self.residue % self.p ** self.precision)
 
@@ -75,7 +76,7 @@ class PadicInt:
 
     @classmethod
     def from_int(cls, a: int, p: int, N: int) -> "PadicInt":
-        return cls(p, N, a % p ** N)
+        return cls(p, N, a)
 
     @classmethod
     def from_rat(cls, x, p: int, N: int) -> "PadicInt":

@@ -177,15 +177,7 @@ class Series:
         if g._cs[0] != 0:
             raise CompositionNeedsZeroConstant("inner series must have zero constant term")
         M = min(self.order, g.order)
-        out = Series.zero(M)
-        gk = Series.one(M)
-        g = g.truncate(M)
-        for k, a in enumerate(self._cs[: M + 1]):
-            if a:
-                out = out + gk * a
-            if k < M:
-                gk = gk * g
-        return out
+        return polys.evaluate(self._cs[: M + 1], g.truncate(M))
 
     def reciprocal(self) -> "Series":
         """Series g with self * g = 1 + O(x**(order+1)); needs f(0) != 0.
@@ -414,14 +406,7 @@ def formal_root_series(a, n_terms: int) -> Series:
 
 def apply_poly_with_indeterminate_constant(a, root: Series) -> Series:
     """Evaluate t + a1*x + a2*x^2 + ... at x = root(t), as a Series in t."""
-    M = root.order
-    out = Series.x(M)  # the constant term a0 = t
-    xk = Series.one(M)
-    for j in range(1, len(a)):
-        xk = xk * root
-        if a[j]:
-            out = out + xk * Fraction(a[j])
-    return out
+    return Series.x(root.order) + polys.evaluate([0, *map(Fraction, a[1:])], root)
 
 
 def trinomial_root_terms(m: int, pcoef, k_max: int, q=None):

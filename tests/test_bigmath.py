@@ -7,6 +7,7 @@ import pytest
 
 from padiclift.bigmath import (INFINITY, binom, digit_sum, falling, iroot,
                                is_prime, vp, vp_factorial, vp_rat)
+from padiclift.errors import DomainError
 from padiclift.factorize import classify
 from padiclift.hensel import residual_valuation
 from padiclift.padic import PadicInt
@@ -120,8 +121,10 @@ def test_infinity_contract():
     lambda p: digit_sum(5, p),
     lambda p: vp_factorial(5, p),
     lambda p: PadicInt.from_rat(Fraction(1, 2), p, 4),
+    lambda p: PadicInt(p, 3, 5),
+    lambda p: PadicInt.from_int(5, p, 3),
 ], ids=["vp", "vp_zero", "vp_rat", "vp_rat_zero", "digit_sum", "vp_factorial",
-        "from_rat"])
+        "from_rat", "padic_int", "from_int"])
 def test_valuation_helpers_refuse_p_below_2(call, p):
     # an alarm turns the old endless loop at p = 1 or -1 into a failure
     def hang(signum, frame):
@@ -129,7 +132,7 @@ def test_valuation_helpers_refuse_p_below_2(call, p):
     old = signal.signal(signal.SIGALRM, hang)
     signal.alarm(3)
     try:
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="not prime"):
             call(p)
     finally:
         signal.alarm(0)

@@ -375,6 +375,18 @@ def test_verify_names_each_failed_check(capsys, tmp_path, argv, edit, line):
     assert rc == 1 and not out and err == line + "\n"
 
 
+@pytest.mark.parametrize("root, line", [
+    ({"p": 2, "precision": 12, "digits": [1, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0]},  # 239
+     "FAIL: root is given mod 2^12, not mod 7^3"),
+    ({"p": 7, "precision": 4, "digits": [1, 6, 4, 0]}, "FAIL: root is given mod 7^4, not mod 7^3"),
+], ids=["prime", "precision"])
+def test_verify_lift_refuses_a_root_given_mod_another_modulus(capsys, tmp_path, root, line):
+    # f(239) = 0 mod 7^3, so only the modulus of the root is wrong
+    rc, out, err = verify_edited(capsys, tmp_path, LIFT_ARGV,
+                                 lambda payload: payload["roots"][0].update(root=root))
+    assert rc == 1 and not out and err == line + "\n"
+
+
 def test_verify_lift_refuses_a_residue_too_long_to_read(capsys, tmp_path):
     # int() reads at most sys.get_int_max_str_digits() digits, 4300 by default
     rc, out, err = verify_edited(capsys, tmp_path, LIFT_ARGV,

@@ -95,6 +95,17 @@ def test_prime_power_peels_exponents_in_few_roots():
     assert len(calls) <= 64
 
 
+def test_prime_power_decides_at_a_small_divisor_without_roots():
+    # 7...7 (4299 sevens) = 7 * 1...1 has the least divisor 3: no root to take
+    calls = []
+    def counted(n, k):
+        calls.append(k)
+        return iroot(n, k)
+    with mock.patch.object(factorize, "iroot", counted):
+        assert classify(int("7" * 4299), 1).kind == factorize.REDUCIBLE_COMPOSITE
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # series inputs
 # ---------------------------------------------------------------------------
@@ -736,7 +747,6 @@ def test_factor_no_root_small_w():
     # partial sums of the geometric-tail example are irreducible; w = 2m, no fallback
     with pytest.raises(NoSuitableRoot) as exc:
         factor([9, 12, 7], 6)
-    assert exc.value.fallback_out_of_scope is False
     with pytest.raises(NoSuitableRoot):
         factor([9, 12, 7, 8], 6)
 
@@ -745,7 +755,6 @@ def test_factor_no_root_fallback_flag():
     # w=3 > 2m=2 and the slope-1/2 Newton segment keeps roots out of Q_p
     with pytest.raises(NoSuitableRoot) as exc:
         factor([27, 3, 0, 1], 6)
-    assert exc.value.fallback_out_of_scope is True
 
 
 @pytest.mark.parametrize("k", [8, 12, 16, 13, 17, 21, 31, 41])

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padiclift.series import (CompositionNeedsZeroConstant, DegenerateExponent,
                               InversionProblem,
@@ -36,6 +38,42 @@ def test_compose_identity():
     assert f.compose(Series.x(4)) == f
     with pytest.raises(CompositionNeedsZeroConstant):
         f.compose(Series([1, 1], 4))
+
+
+def compose_by_powers(f, g):
+    """The reference: sum_k f_k g^k, the powers of g accumulated."""
+    M = min(f.order, g.order)
+    out, gk, g = Series.zero(M), Series.one(M), g.truncate(M)
+    for k, a in enumerate(f.coeffs[: M + 1]):
+        if a:
+            out = out + gk * a
+        if k < M:
+            gk = gk * g
+    return out
+
+
+def apply_by_powers(a, root):
+    """The reference: t + sum_j a_j root^j, the powers of root accumulated."""
+    out, xk = Series.x(root.order), Series.one(root.order)
+    for j in range(1, len(a)):
+        xk = xk * root
+        if a[j]:
+            out = out + xk * Fraction(a[j])
+    return out
+
+
+coefficients = st.one_of(st.integers(-99, 99), st.fractions(-99, 99, max_denominator=12))
+
+
+def series(zero_constant=False):
+    body = st.lists(coefficients, min_size=1, max_size=13)
+    return body.map(lambda cs: Series([0, *cs[1:]] if zero_constant else cs))
+
+
+@given(series(), series(zero_constant=True), st.lists(coefficients, max_size=13))
+def test_horner_composition_matches_the_power_sums(f, g, a):
+    assert f.compose(g) == compose_by_powers(f, g)
+    assert apply_poly_with_indeterminate_constant(a, g) == apply_by_powers(a, g)
 
 
 def test_reciprocal():
