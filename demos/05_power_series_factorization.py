@@ -44,7 +44,8 @@ print()
 
 # A planted polynomial: build f = (p^ell - x*u(x)) * v(x) and recover a
 # factorization (not necessarily the planted one -- the canonical A is the
-# one with linear coefficient -1).
+# one with linear coefficient -c, c the inverse of the root's unit part mod
+# p^ell).
 p, ell = 5, 1
 planted = polys.mul([5, -1, -2], [25, 3, 1])   # (5 - x - 2x^2)(25 + 3x + x^2)
 pair = factor(planted, 8)

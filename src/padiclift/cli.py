@@ -62,6 +62,14 @@ def _require_printable(p: int, N: int) -> None:
                          f"more than {limit} decimal digits, the most Python prints")
 
 
+def _text(form: str, *numbers) -> str:
+    try:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
+        return form.format(*numbers)
+    except ValueError:
+        raise UsageError(f"a number to print has more than {sys.get_int_max_str_digits()} "
+                         "decimal digits, the most Python prints") from None
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -139,9 +147,7 @@ def _cmd_factor(args) -> int:
     coeffs = _parse_int_list(args.coeffs)
     ratio = _parse_tail(args.tail)
     si = factorize.SeriesInput(tuple(coeffs), ratio)
-    if args.prime is not None:
-        _require_prime(args.prime)
-    pair = factorize.factor(si, args.order, p=args.prime)
+    pair = factorize.factor(si, args.order)
     payload = {
         "input": {"coeffs": coeffs, "tail_ratio": ratio, "order": args.order},
         "kind": "factor",
@@ -183,23 +189,22 @@ def _cmd_teichmuller(args) -> int:
 
 def _cmd_bell(args) -> int:
     xs = _parse_rat_list(args.xs)
-    val = bell(args.n, args.k, xs)
+    val = _text("{}", bell(args.n, args.k, xs))
     payload = {
-        "input": {"n": args.n, "k": args.k, "xs": [str(x) for x in xs]},
+        "input": {"n": args.n, "k": args.k, "xs": [_text("{}", x) for x in xs]},
         "kind": "bell",
-        "value": str(val),
+        "value": val,
     }
-    _emit(args, payload, str(val))
+    _emit(args, payload, val)
     return 0
 
 
 def _cmd_invert(args) -> int:
     alphas = _parse_rat_list(args.alphas)
-    betas = lagrange_invert(alphas)
     payload = {
-        "input": {"alphas": [str(a) for a in alphas]},
+        "input": {"alphas": [_text("{}", a) for a in alphas]},
         "kind": "invert",
-        "betas": [f"{b.numerator}/{b.denominator}" for b in betas],
+        "betas": [_text("{}/{}", b.numerator, b.denominator) for b in lagrange_invert(alphas)],
     }
     _emit(args, payload, json.dumps(payload["betas"]))
     return 0
@@ -343,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("factor", help="factor p^w + p^m*g1*x + ... over Z[[x]]")
     sp.add_argument("--coeffs", required=True, help="coefficients, constant first")
-    sp.add_argument("--prime", type=int, help="optional; inferred from the constant term")
     sp.add_argument("--order", required=True, type=int, help="truncation order M")
     sp.add_argument("--tail", default="zero", help="'zero' or 'geometric:R'")
     common(sp)

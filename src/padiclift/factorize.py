@@ -335,17 +335,17 @@ def bhat_coeffs(prob: FactorizationProblem, ell: int, t: list[int], M: int, c: i
 
 
 def _find_valuation_root(g, p: int, ell: int, N: int) -> LiftReport | None:
-    """The root of g with vp(r) = ell first in p-adic digit order, lifted
-    to p^N, or None.
+    """The root of g with vp(r) = ell first in p-adic digit order, lifted to p^N,
+    or None; unlike the least residue mod p^N, that order is the same at every N.
 
-    g is the squarefree part of the input's integer numerator.  Its roots of
-    valuation ell are found on the tree of hensel._newton_balls, and each is
-    lifted by lift_general.  Their base-p digits, read from the lowest, order
-    them the same way at every N, so a higher order extends the same root;
-    the least residue mod p^N does not.
+    g is the squarefree part of the input's integer numerator.  Of its balls (x, kappa),
+    x = r mod p^(kappa+1), from hensel._newton_balls only the first in that order is
+    lifted: for roots r != r' of g, g'(r)(r' - r) = -sum_(j>=2) c_j (r' - r)^j gives
+    vp(r - r') <= min(kappa, kappa'), so x and x' hold the first digit where r, r' differ.
     """
-    reps = [lift_general(g, x, p, N) for x, _ in _newton_balls(g, p, 0, ell, {0})]
-    return min(reps, key=lambda rep: rep.root.digits().digits, default=None)
+    first = min(_newton_balls(g, p, 0, ell, {0}), default=None,
+                key=lambda ball: PadicInt(p, ball[1] + 1, ball[0]).digits().digits)
+    return None if first is None else lift_general(g, first[0], p, N)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +391,13 @@ class FactorPair:
     scale = 1
 
 
-def factor(f, M: int, p: int | None = None) -> FactorPair:
+def factor(f, M: int) -> FactorPair:
     """Factor f = p^w + p^m g1 x + ... over Z[[x]], to order M.
 
-    ``f`` may be a coefficient list (polynomial) or a :class:`SeriesInput`.
-    Takes the smallest ell <= min(m, w // 2) with a root of vp(r) = ell, and
-    of those roots the first in p-adic digit order, read from the lowest
+    ``f`` may be a coefficient list (polynomial) or a :class:`SeriesInput`;
+    p is the prime of its constant term (:func:`classify`).  Takes the
+    smallest ell <= min(m, w // 2) with a root of vp(r) = ell, and of those
+    roots the first in p-adic digit order, read from the lowest
     (:func:`_find_valuation_root`); extracts the digits of c r, c the inverse
     of r's unit part mod p^ell, and assembles the two factors.  Every lemma
     along the way is re-checked at full precision and a failure raises
@@ -411,8 +412,6 @@ def factor(f, M: int, p: int | None = None) -> FactorPair:
         raise WrongShape(f"classification is {cls}, not {NEEDS_ROOT_ANALYSIS}")
     if f0 < 0:
         raise WrongShape("constant term must be +p^w (negate f first)")
-    if p is not None and p != cls.p:
-        raise WrongShape(f"constant term is a power of {cls.p}, not {p}")
     p, w, m = cls.p, cls.w, cls.m
     if m is INFINITY:
         raise WrongShape("f1 = 0: input lacks the p^m*g1 linear term")

@@ -330,16 +330,12 @@ def test_zero_polynomial_is_refused_promptly(poly):
     assert "ZeroPolynomial" in proc.stderr and "every element" in proc.stderr
 
 
-def test_factor_prime_option_checks_the_constant_term(capsys):
+def test_factor_takes_no_prime_option(capsys):
+    # factor reads p from the constant term, so --prime is an unknown option
     args = ("factor", "--coeffs", "9,12,7,8", "--order", "6", "--tail", "geometric:1", "--json")
-    rc, inferred, _ = run(capsys, *args)
-    assert rc == 0
-    assert run(capsys, *args, "--prime", "3") == (0, inferred, "")
-    rc, out, err = run(capsys, *args, "--prime", "9")
-    assert rc == 2 and not out and "9 is not prime" in err
-    rc, out, err = run(capsys, *args, "--prime", "5")
-    assert rc == 1 and not out
-    assert err == "error: WrongShape: constant term is a power of 3, not 5\n"
+    assert run(capsys, *args)[0] == 0
+    rc, out, err = run(capsys, *args, "--prime", "3")
+    assert rc == 2 and not out and "unrecognized arguments: --prime 3" in err
 
 
 def verify_edited(capsys, tmp_path, argv, edit):
@@ -465,3 +461,15 @@ def test_the_printable_precision_edge_is_exact(capsys):
         assert run(capsys, *argv, "--precision", "14285")[0] == 0
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv", [
+    ("bell", "2", "2", str(10 ** 2199)),          # B(2, 2) = x1^2 has 4399 digits
+    ("invert", "--alphas", f"{10 ** 2199},1"),    # beta_2 has about 4399 digits
+    ("bell", "--json", "1", "1", "1e5000"),       # the input itself prints 5001 digits
+], ids=["bell", "invert", "bell-input"])
+def test_a_value_too_long_to_print_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == ("usage error: a number to print has more than 4300 decimal digits, "
+                   "the most Python prints\n")
