@@ -17,7 +17,7 @@ The pieces, bottom up:
 
 from .bigmath import INFINITY, binom, falling, is_prime, vp, vp_factorial, vp_rat
 from .bell import BellTable, bell_falling, bell_oracle
-from .padic import AtLeast, DigitVector, PadicInt
+from .padic import AtLeast, PadicInt
 from .series import (InversionProblem, Series, formal_root_brackets,
                      formal_root_brackets_alt, formal_root_series,
                      formal_root_terms, lagrange_invert, trinomial_root_terms)

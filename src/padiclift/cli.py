@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -40,8 +41,11 @@ def _parse_int_list(s: str) -> list[int]:
 
 
 def _parse_rat_list(s: str) -> list[Fraction]:
+    toks = [tok.strip() for tok in s.split(",")]
+    if exp := next((tok for tok in toks if re.search(r"[\d.][eE]", tok)), None):
+        raise UsageError(f"exponent notation is not accepted, got {exp!r}")  # 1e9 builds 10^9
     try:
-        return [Fraction(tok.strip()) for tok in s.split(",")]
+        return [Fraction(tok) for tok in toks]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"expected comma-separated rationals, got {s!r}") from exc
 

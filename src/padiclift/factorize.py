@@ -101,30 +101,20 @@ class SeriesInput:
         return self.head[-1] * self.tail_ratio ** (j - len(self.head) + 1)
 
     def eval_exact(self, c) -> Fraction:
-        """f(c) as an exact rational: the head by Horner's rule plus the closed
-        tail h r c^H / (1 - r c), the p-adic sum whenever vp(r c) >= 1."""
-        H, c = len(self.head), Fraction(c)
-        if H == 0:
-            return Fraction(0)
-        value = polys.evaluate(self.head, c)
-        if self.tail_ratio is not None:
-            h, r = self.head[-1], self.tail_ratio
-            value += h * r * c ** H / (1 - r * c)
-        return value
+        """f(c) = F(c) / (1 - r c) as an exact rational, F the :meth:`numerator`
+        and r = 0 for a polynomial: the p-adic sum whenever vp(r c) >= 1."""
+        c, r = Fraction(c), self.tail_ratio or 0
+        return polys.evaluate(self.numerator(), c) / (1 - r * c)
 
     def eval_derivative_exact(self, c) -> Fraction:
-        """f'(c) as an exact rational; the tail adds
-        h r c^(H-1) (H - (H-1) r c) / (1 - r c)^2."""
-        H, c = len(self.head), Fraction(c)
-        value = polys.evaluate(polys.derivative(self.head), c)
-        if self.tail_ratio is not None:
-            h, r = self.head[-1], self.tail_ratio
-            value += h * r * c ** (H - 1) * (H - (H - 1) * r * c) / (1 - r * c) ** 2
-        return value
+        """f'(c) = (F'(c) (1 - r c) + r F(c)) / (1 - r c)^2, by the quotient rule."""
+        c, r, F = Fraction(c), self.tail_ratio or 0, self.numerator()
+        dF = polys.evaluate(polys.derivative(F), c)
+        return (dF * (1 - r * c) + r * polys.evaluate(F, c)) / (1 - r * c) ** 2
 
     def numerator(self) -> list:
-        """The integer F whose roots on p Z_p are those of f: the head, or
-        (1 - r x) head(x) + h r x^H for a tail of ratio r (1 - r x is a unit)."""
+        """The integer F with f = F / (1 - r x), whose roots on p Z_p are those of f:
+        the head, or (1 - r x) head(x) + h r x^H for a tail of ratio r."""
         F, r = list(self.head), self.tail_ratio
         return F if r is None else polys.add(polys.mul([1, -r], F), [0] * len(F) + [F[-1] * r])
 
@@ -142,6 +132,7 @@ IRREDUCIBLE_PRIME = "IrreduciblePrime"
 IRREDUCIBLE_PRIME_POWER_UNIT_LINEAR = "IrreduciblePrimePowerUnitLinear"
 REDUCIBLE_COMPOSITE = "ReducibleComposite"
 NEEDS_ROOT_ANALYSIS = "NeedsRootAnalysis"
+IRREDUCIBLE_X_TIMES_UNIT = "IrreducibleXTimesUnit"
 
 
 @dataclass(frozen=True)
@@ -180,13 +171,16 @@ def classify(f0: int, f1: int) -> Classification:
     """Reducibility case analysis on the two lowest coefficients.
 
     Units and series with prime |f0| are irreducible; prime-power |f0|
-    with gcd(p, f1) = 1 likewise; composite (non-prime-power) f0 means
-    reducible.  The remaining case carries its (p, w, m) on to the root
-    analysis.
+    with gcd(p, f1) = 1 likewise; f0 = 0 with f1 = +-1 is x times a unit,
+    and x is prime in Z[[x]]; any other f0 that is not a prime power
+    means reducible.  The remaining case carries its (p, w, m) on to the
+    root analysis.
     """
     a = abs(f0)
     if a == 1:
         return Classification(UNIT)
+    if a == 0 and abs(f1) == 1:
+        return Classification(IRREDUCIBLE_X_TIMES_UNIT)
     pw = _prime_power(a)
     if pw is None:
         return Classification(REDUCIBLE_COMPOSITE)
@@ -344,7 +338,7 @@ def _find_valuation_root(g, p: int, ell: int, N: int) -> LiftReport | None:
     vp(r - r') <= min(kappa, kappa'), so x and x' hold the first digit where r, r' differ.
     """
     first = min(_newton_balls(g, p, 0, ell, {0}), default=None,
-                key=lambda ball: PadicInt(p, ball[1] + 1, ball[0]).digits().digits)
+                key=lambda ball: PadicInt(p, ball[1] + 1, ball[0]).digits())
     return None if first is None else lift_general(g, first[0], p, N)
 
 

@@ -59,10 +59,6 @@ class BadExponents(DomainError):
     """Sparse lift needs 1 < l < m."""
 
 
-class NotDivisible(DomainError):
-    """Sparse lift needs p | a0."""
-
-
 class ZeroPolynomial(DomainError):
     """The zero polynomial has no isolated roots to lift."""
 
@@ -293,20 +289,25 @@ def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
     return [found[k] for k in sorted(found)]
 
 
+def _simple_seed(f, r0: int, p: int) -> int:
+    """r0 mod p, once r0 is checked to be a simple root of f mod p, at a prime base p."""
+    check_prime_base(p)
+    if polys.evaluate(f, r0) % p != 0:
+        raise NotARootModP(f"f({r0}) != 0 mod {p}")
+    if polys.evaluate(polys.derivative(f), r0) % p == 0:
+        raise DerivativeNotUnit(f"f'({r0}) = 0 mod {p}: seed is not a simple root")
+    return r0 % p
+
+
 def newton_lift(f, r0: int, p: int, N: int) -> PadicInt:
     """Classical Newton/Hensel iteration, the oracle for the series lifts.
 
     Quadratic convergence: precision doubles per step.  Same simple-root
-    hypotheses as lift_simple, but any prime is accepted.
+    hypothesis as the closed forms, checked by :func:`_simple_seed`.
     """
-    check_prime_base(p)
     f = [int(c) for c in f]
-    if polys.evaluate(f, r0) % p != 0:
-        raise NotARootModP(f"f({r0}) != 0 mod {p}")
+    r = _simple_seed(f, r0, p)
     df = polys.derivative(f)
-    if polys.evaluate(df, r0) % p == 0:
-        raise DerivativeNotUnit(f"f'({r0}) = 0 mod {p}")
-    r = r0 % p
     prec = 1
     while prec < N:
         prec = min(2 * prec, N)
@@ -339,14 +340,15 @@ def lift_cubic(a0: int, a1: int, a2: int, a3: int, r0: int, p: int, N: int) -> L
     with c2 = f''(r0)/2 and c3 the leading coefficient: the sparse double
     sum of :func:`lift_sparse` at (l, m) = (2, 3) on the shifted polynomial.
     """
-    check_prime_base(p)
-    f = [int(a0), int(a1), int(a2), int(a3)]
-    if polys.evaluate(f, r0) % p != 0:
-        raise NotARootModP(f"f({r0}) != 0 mod {p}")
-    if polys.evaluate(polys.derivative(f), r0) % p == 0:
-        raise DerivativeNotUnit(f"f'({r0}) = 0 mod {p}: seed is not a simple root")
-    r0 %= p
-    rho, terms = _sparse_sum(*polys.taylor_coeffs(f, r0), 2, 3, p, N)
+    return _closed_form([int(a0), int(a1), int(a2), int(a3)], r0, 2, 3, p, N)
+
+
+def _closed_form(f, r0: int, l: int, m: int, p: int, N: int) -> LiftReport:
+    """The sparse double sum on the Taylor data c of f at the simple seed r0, for f
+    whose c_j vanish but for j in (0, 1, l, m): the one path of every closed form."""
+    r0 = _simple_seed(f, r0, p)
+    c = polys.taylor_coeffs(f, r0)
+    rho, terms = _sparse_sum(c[0], c[1], c[l], c[m], l, m, p, N)
     return _report(f, p, N, (r0 + rho) % p ** N, terms)
 
 
@@ -412,28 +414,32 @@ def lift_sparse(a0: int, a1: int, al: int, am: int, l: int, m: int,
                 p: int, N: int) -> LiftReport:
     """Lift of the seed 0 for f = a0 + a1 x + al x^l + am x^m, 1 < l < m.
 
-    Needs p | a0 and p coprime to a1.  Implements the closed double sum
+    Needs 0 to be a simple root mod p: p | a0, p coprime to a1.  Implements
+    the closed double sum
 
     r = -(a0/a1) sum_k [ sum_j (-1)^(m(k-j)+l j) al^j / (m(k-j)+l j-k+1)
         C(k,j) C(m(k-j)+l j, k) (a0^(m-l) am / a1^(m-l))^(k-j) ]
         (a0^(l-1) / a1^l)^k.
     """
-    check_prime_base(p)
     if not 1 < l < m:
         raise BadExponents(f"need 1 < l < m, got l={l}, m={m}")
-    a0, a1, al, am = int(a0), int(a1), int(al), int(am)
     f = [0] * (m + 1)
-    f[0], f[1], f[l], f[m] = a0, a1, al, am
-    if a0 % p != 0:
-        raise NotDivisible(f"p={p} does not divide a0={a0}")
-    if a1 % p == 0:
-        raise DerivativeNotUnit(f"p={p} divides a1={a1}")
-    return _report(f, p, N, *_sparse_sum(a0, a1, al, am, l, m, p, N))
+    f[0], f[1], f[l], f[m] = int(a0), int(a1), int(al), int(am)
+    return _closed_form(f, 0, l, m, p, N)
 
 
 # ---------------------------------------------------------------------------
 # Teichmuller lifts
 # ---------------------------------------------------------------------------
+
+
+def _teichmuller_modulus(q: int, p: int, N: int) -> int:
+    """p**N, once 1 <= q <= p - 1 and N >= 1 are checked: the domain of both lifts."""
+    if not 1 <= q <= p - 1:
+        raise OutOfRange(f"need 1 <= q <= p-1, got q={q}, p={p}")
+    if N < 1:
+        raise OutOfRange(f"need precision N >= 1, got N={N}")
+    return p ** N
 
 
 def teichmuller(q: int, p: int, N: int) -> PadicInt:
@@ -453,11 +459,7 @@ def teichmuller(q: int, p: int, N: int) -> PadicInt:
     within p^N Z_p.  If vp(c0) < N the reduction keeps vp(c0); otherwise the
     reduced c0 is 0 and xi = q.  Checked: xi = q mod p, xi^(p-1) = 1 mod p**N.
     """
-    if not 1 <= q <= p - 1:
-        raise OutOfRange(f"need 1 <= q <= p-1, got q={q}, p={p}")
-    if N < 1:
-        raise OutOfRange(f"need precision N >= 1, got N={N}")
-    modulus = p ** N
+    modulus = _teichmuller_modulus(q, p, N)
     c0 = (1 - pow(q, 1 - p, modulus)) % modulus
     cs = [c0] + [math.comb(p - 1, j) for j in range(1, min(p - 1, N) + 1)]
     rho, _ = _root_series_residue(cs, p, N)
@@ -469,11 +471,7 @@ def teichmuller(q: int, p: int, N: int) -> PadicInt:
 
 def teichmuller_oracle(q: int, p: int, N: int) -> PadicInt:
     """Iterated powering: xi = lim q^(p^k) mod p**N, the independent check."""
-    if not 1 <= q <= p - 1:
-        raise OutOfRange(f"need 1 <= q <= p-1, got q={q}, p={p}")
-    if N < 1:
-        raise OutOfRange(f"need precision N >= 1, got N={N}")
-    modulus = p ** N
+    modulus = _teichmuller_modulus(q, p, N)
     x = q % modulus
     while True:
         y = pow(x, p, modulus)

@@ -43,17 +43,6 @@ class AtLeast:
 
 
 @dataclass(frozen=True)
-class DigitVector:
-    """Base-p digit expansion d_0, d_1, ..., d_(N-1) of a residue."""
-
-    p: int
-    digits: tuple
-
-    def value(self) -> int:
-        return polys.evaluate(self.digits, self.p)
-
-
-@dataclass(frozen=True)
 class PadicInt:
     """An element of Z_p known modulo p**precision."""
 
@@ -100,13 +89,14 @@ class PadicInt:
             return AtLeast(self.precision)
         return vp(self.residue, self.p)
 
-    def digits(self) -> DigitVector:
+    def digits(self) -> tuple:
+        """Base-p digits d_0, d_1, ..., d_(N-1) of the residue, lowest first."""
         ds = []
         r = self.residue
         for _ in range(self.precision):
             r, d = divmod(r, self.p)
             ds.append(d)
-        return DigitVector(self.p, tuple(ds))
+        return tuple(ds)
 
     def unit_inverse(self) -> "PadicInt":
         """Multiplicative inverse, defined exactly when vp = 0."""
@@ -160,7 +150,7 @@ class PadicInt:
 
     def __str__(self):
         parts = []
-        for i, d in enumerate(self.digits().digits):
+        for i, d in enumerate(self.digits()):
             if i == 0:
                 parts.append(str(d))
             elif i == 1:
@@ -174,10 +164,9 @@ class PadicInt:
         return {
             "p": self.p,
             "precision": self.precision,
-            "digits": list(self.digits().digits),
+            "digits": list(self.digits()),
         }
 
     @classmethod
     def from_json(cls, d: dict) -> "PadicInt":
-        dv = DigitVector(d["p"], tuple(d["digits"]))
-        return cls(d["p"], d["precision"], dv.value())
+        return cls(d["p"], d["precision"], polys.evaluate(d["digits"], d["p"]))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -466,10 +467,27 @@ def test_the_printable_precision_edge_is_exact(capsys):
 @pytest.mark.parametrize("argv", [
     ("bell", "2", "2", str(10 ** 2199)),          # B(2, 2) = x1^2 has 4399 digits
     ("invert", "--alphas", f"{10 ** 2199},1"),    # beta_2 has about 4399 digits
-    ("bell", "--json", "1", "1", "1e5000"),       # the input itself prints 5001 digits
+    ("bell", "--json", "1", "1", "0." + "0" * 4299 + "1"),  # the input prints 1/10^4300
 ], ids=["bell", "invert", "bell-input"])
 def test_a_value_too_long_to_print_is_a_usage_error(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (2, "")
     assert err == ("usage error: a number to print has more than 4300 decimal digits, "
                    "the most Python prints\n")
+
+
+@pytest.mark.parametrize("argv, token", [
+    (("bell", "1", "1", "1e3000000"), "1e3000000"),  # Fraction would build 10^(3*10^6)
+    (("bell", "2", "1", "1/2,2E-3"), "2E-3"),
+    (("invert", "--alphas", "1,.5e3,x"), ".5e3"),
+    (("invert", "--json", "--alphas=1.e5"), "1.e5"),
+])
+def test_exponent_notation_is_refused_before_it_is_parsed(capsys, monkeypatch, argv, token):
+    parsed = []
+    monkeypatch.setattr(cli, "Fraction", lambda tok: parsed.append(tok) or Fraction(tok))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"usage error: exponent notation is not accepted, got {token!r}\n"
+    assert parsed == []
+    # integers, a/b and decimals are still rationals
+    assert run(capsys, "bell", "1", "1", "-1.25")[:2] == (0, "-5/4\n")

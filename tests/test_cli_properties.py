@@ -79,9 +79,19 @@ def factor_argv(draw):
     return argv + ["--coeffs=" + joined(f)]
 
 
-def rational():
+def plain_rational():
     return st.one_of(st.integers(-50, 50).map(str),
-                     st.tuples(st.integers(-50, 50), st.integers(1, 9)).map(lambda t: "%d/%d" % t),
+                     st.tuples(st.integers(-50, 50), st.integers(1, 9)).map(lambda t: "%d/%d" % t))
+
+
+def exponent_rational():
+    """A rational in exponent notation, which the parser refuses by its form."""
+    return st.builds("{}{}{}".format, st.sampled_from(["1", "-2", "3.5", ".5", "7."]),
+                     st.sampled_from("eE"), st.integers(-400, 400))
+
+
+def rational():
+    return st.one_of(plain_rational(), exponent_rational(),
                      st.sampled_from([str(BIG), f"-{BIG}/7", "1/0", "x"]))
 
 
@@ -98,9 +108,10 @@ def other_argv(draw):
         return [kind, "--", str(n), str(draw(st.integers(-1, n + 1))), joined(xs)]
     if kind == "invert":
         return [kind, "--alphas=" + joined(draw(st.lists(rational(), min_size=1, max_size=6)))]
-    f0 = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+    f0 = draw(st.one_of(st.integers(-10 ** 6, 10 ** 6), st.just(0),
                         st.tuples(st.sampled_from(PRIMES), st.integers(1, 12)).map(lambda t: t[0] ** t[1])))
-    return [kind, "--f0", str(f0), "--f1", str(draw(st.integers(-500, 500)))]
+    f1 = draw(st.one_of(st.integers(-500, 500), st.sampled_from([-1, 1])))
+    return [kind, "--f0", str(f0), "--f1", str(f1)]
 
 
 def swap_type(value):
@@ -159,3 +170,22 @@ def test_every_request_exits_0_1_or_2_and_every_payload_verifies(argv, as_json, 
     apply(payload, *data.draw(st.sampled_from(mutations(payload))))
     rc, out, err = run(["verify"], json.dumps(payload))
     assert rc in (1, 2) and out == "" and err
+
+
+@given(st.sampled_from(["bell", "invert"]), st.lists(plain_rational(), max_size=3),
+       exponent_rational(), st.lists(rational(), max_size=3), st.booleans())
+def test_exponent_notation_is_a_usage_error_naming_the_token(kind, before, token, after, as_json):
+    xs = joined(before + [token] + after)
+    argv = [kind] + ["--json"] * as_json
+    argv += ["--", "2", "1", xs] if kind == "bell" else ["--alphas=" + xs]
+    assert run(argv) == (2, "", f"usage error: exponent notation is not accepted, got {token!r}\n")
+
+
+@given(st.sampled_from([-1, 1]), st.lists(st.integers(-9, 9), max_size=3), st.booleans())
+def test_x_times_a_unit_is_irreducible_and_factor_refuses_it(f1, tail, as_json):
+    argv = ["classify"] + ["--json"] * as_json + ["--f0", "0", "--f1", str(f1)]
+    rc, out, err = run(argv)
+    assert (rc, err) == (0, "")
+    assert (json.loads(out)["classification"] if as_json else out.strip()) == "IrreducibleXTimesUnit"
+    assert run(["factor", "--order", "4", "--coeffs=" + joined([0, f1, *tail])]) == (
+        1, "", "error: WrongShape: classification is IrreducibleXTimesUnit, not NeedsRootAnalysis\n")

@@ -49,7 +49,10 @@ def test_classify_cases():
     assert classify(1, 5).kind == "Unit"
     assert classify(-1, 5).kind == "Unit"
     assert classify(12, 1).kind == "ReducibleComposite"
-    assert classify(0, 1).kind == "ReducibleComposite"
+    assert classify(0, 1).kind == "IrreducibleXTimesUnit"  # x is prime in Z[[x]]
+    assert classify(0, -1).kind == "IrreducibleXTimesUnit"
+    assert classify(0, 0).kind == "ReducibleComposite"      # x * x * h
+    assert classify(0, 2).kind == "ReducibleComposite"      # x * (2 + ...), a non-unit
     c = classify(9, 12)
     assert (c.kind, c.p, c.w, c.m) == (NEEDS_ROOT_ANALYSIS, 3, 2, 1)
     c = classify(9, 0)
@@ -869,13 +872,13 @@ def test_scan_finds_a_root_no_later_in_digit_order_than_the_digit_scan(case):
     if rep is not None:
         r = rep.root
         assert r.valuation() == ell and polys.evaluate(F, r.residue) % p ** N == 0
-        assert met is None or r.digits().digits <= PadicInt(p, N, met).digits().digits
+        assert met is None or r.digits() <= PadicInt(p, N, met).digits()
 
 
 def lift_every_ball(g, p, ell, N):
     """Reference for the root rule: lift every ball, keep the first root in digit order."""
     reps = [lift_general(g, x, p, N) for x, _ in hensel._newton_balls(g, p, 0, ell, {0})]
-    return min(reps, key=lambda rep: rep.root.digits().digits, default=None)
+    return min(reps, key=lambda rep: rep.root.digits(), default=None)
 
 
 @st.composite
@@ -938,6 +941,9 @@ def test_factor_wrong_shape():
         factor([5, 3, 1], 6)       # prime constant term
     with pytest.raises(WrongShape):
         factor([9, 2, 1], 6)       # gcd(p, f1) = 1: irreducible
+    for f1 in (-1, 0, 1, 2):       # f0 = 0: x times a unit, or reducible
+        with pytest.raises(WrongShape):
+            factor([0, f1, 1], 6)
 
 
 def test_factor_negative_order():

@@ -12,7 +12,7 @@ from padiclift.cli import main
 from padiclift.errors import DomainError
 from padiclift.hensel import (BadExponents, DerivativeNotUnit,
                               InsufficientCongruence, NonIntegralShift,
-                              NotARootModP, NotDivisible, OutOfRange,
+                              NotARootModP, OutOfRange,
                               ZeroPolynomial,
                               lift_all, lift_cubic, lift_general,
                               lift_quadratic, lift_simple, lift_sparse,
@@ -235,6 +235,26 @@ def test_all_lift_routes_agree():
     assert len({r.residue for r in routes}) == 1
 
 
+@settings(max_examples=150)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 40), st.data())
+def test_one_engine_sums_every_closed_form(p, N, data):
+    # f has Taylor data (c0, c1, c2, c3) at its simple seed r0 mod p
+    r0 = data.draw(st.integers(0, p - 1))
+    c0 = p * data.draw(st.integers(-30, 30))
+    c1 = data.draw(st.integers(-30, 30).filter(lambda c: c % p))
+    c2, c3 = (data.draw(st.one_of(st.just(0), st.integers(-30, 30))) for _ in range(2))
+    f = polys.taylor_coeffs([c0, c1, c2, c3], -r0)
+    cubic = lift_cubic(*f, r0, p, N)
+    sparse = lift_sparse(c0, c1, c2, c3, 2, 3, p, N)
+    assert cubic.root.residue == (r0 + sparse.root.residue) % p ** N
+    assert cubic.terms_used == sparse.terms_used
+    assert cubic.root == newton_lift(f, r0, p, N)
+    g = polys.taylor_coeffs([c0, c1, c2], -r0)
+    quadratic = lift_quadratic(*g, r0, p, N)
+    assert quadratic == lift_cubic(*g, 0, r0, p, N)
+    assert quadratic.root == newton_lift(g, r0, p, N)
+
+
 def test_sparse_exact_zero_root():
     rep = lift_sparse(0, 1, 2, 3, 2, 4, 7, 10)
     assert rep.root.residue == 0
@@ -263,7 +283,7 @@ def test_sparse_errors():
         lift_sparse(5, 1, 1, 1, 1, 3, 5, 10)
     with pytest.raises(BadExponents):
         lift_sparse(5, 1, 1, 1, 3, 3, 5, 10)
-    with pytest.raises(NotDivisible):
+    with pytest.raises(NotARootModP):
         lift_sparse(1, 1, 1, 1, 2, 3, 5, 10)
     with pytest.raises(DerivativeNotUnit):
         lift_sparse(5, 10, 1, 1, 2, 3, 5, 10)
