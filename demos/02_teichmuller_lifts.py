@@ -7,8 +7,9 @@ get there:
 
 * the closed series of the simple root of x^(p-1) - 1 above q; the paper
   writes it as a triple sum in Bell-polynomial style, and this library
-  sums it with the root-series engine of ``lift_simple`` on the
-  normalized equation (1+y)^(p-1) = q^(1-p), x = q(1+y), and
+  sums the same root as a binomial series: x = q(1+y) turns the equation
+  into (1+y)^(p-1) = 1 - c0, c0 = 1 - q^(1-p), so
+  y = sum_k C(1/(p-1), k) (-c0)^k, in O(N) terms and with no Bell table, and
 * the folklore iteration xi = lim q^(p^k), which stabilizes once the
   p-th-power map becomes the identity on the residue.
 

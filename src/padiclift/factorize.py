@@ -85,6 +85,10 @@ class SeriesInput:
     head: tuple
     tail_ratio: int | None = None
 
+    def __post_init__(self):
+        if not self.head and self.tail_ratio is not None:
+            raise ValueError("a geometric tail extends head[-1], and the head is empty")
+
     @classmethod
     def polynomial(cls, coeffs) -> "SeriesInput":
         return cls(tuple(int(c) for c in coeffs), None)
@@ -240,11 +244,11 @@ def root_to_digits(r: PadicInt, ell: int, M: int) -> RootDigits:
     return RootDigits(p, ell, tuple(es))
 
 
-def _exact(num: int, den: int, what: str) -> int:
+def _exact(num: int, den: int, what: str, *args) -> int:
     """num / den, an integer by a lemma; a remainder raises IntegralityViolation."""
     q, r = divmod(num, den)
     if r:
-        raise IntegralityViolation(f"{what} = {Fraction(num, den)} is not an integer")
+        raise IntegralityViolation(f"{what.format(*args)} = {Fraction(num, den)} is not an integer")
     return q
 
 
@@ -253,7 +257,7 @@ def a_coeffs(e: RootDigits, M: int) -> list[int]:
     n = 1..M; these are the coefficients of the compositional inverse of
     x*E(x) and are provably integers."""
     table = e.bell_table(M)
-    return [_exact(lagrange_sum(table, n, n), math.factorial(n), f"a_{n}")
+    return [_exact(lagrange_sum(table, n, n), math.factorial(n), "a_{}", n)
             for n in range(1, M + 1)]
 
 
@@ -284,7 +288,7 @@ def tn_series(e: RootDigits, n: int, order: int) -> Series:
     cs, fact = [1], 1
     for k in range(1, order + 1):
         fact *= k
-        cs.append(_exact((n + 1 - k) * lagrange_sum(table, n, k), fact, f"[x^{k}] T_{n}"))
+        cs.append(_exact((n + 1 - k) * lagrange_sum(table, n, k), fact, "[x^{}] T_{}", k, n))
     return Series(cs, order)
 
 

@@ -14,7 +14,7 @@ kappa > 0) go through the rescaled expansion c_j = p^((j-2)kappa)
 f^(j)(r0)/j! with 2*kappa < nu; see :func:`lift_general`.  :func:`lift_all`
 finds every root over a seed class, repeated and close roots included, on
 the rescaled root tree of the squarefree part (:func:`_newton_balls`).
-:func:`teichmuller` is the same simple-root series, on x^(p-1) - 1 at q.
+:func:`teichmuller` sums the root of x^(p-1) - 1 above q as a binomial series.
 
 Every closed-form path has an independent check: :func:`newton_lift` is
 the classical quadratically-convergent iteration, kept free of any Bell
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .bigmath import INFINITY, check_prime_base, vp
+from .bigmath import INFINITY, check_prime_base, vp, vp_factorial
 from .errors import DomainError
 from .padic import PadicInt
 # formal_root_brackets stays bound: bench/tracer.py:layer_patches patches it here
@@ -448,21 +448,37 @@ def teichmuller(q: int, p: int, N: int) -> PadicInt:
     The paper's triple sum, with c0 = q^(p-1) - 1 and c1 = (p-1) q^(p-2),
     xi = q - (c0/c1) sum_n bracket'_n (c0/(q c1))^n, where bracket'_n =
     sum_k sum_j (-1)^(n-j) C(2n+1, n-k) C(k, j) (j(p-1))_(n+k) / ((p-1)^k (n+1)! k!),
-    is the root series of x^(p-1) - 1 at q: bracket'_n = -q^n bracket_n on
-    its Taylor data.  It is summed here on normalized data: x = q(1+y) gives
-    x^(p-1) - 1 = q^(p-1) g(y), g(y) = (1+y)^(p-1) - q^(1-p), so c0 = 1 - q^(1-p)
-    and c_j = C(p-1, j), j <= min(p-1, N); the engine reads c_j for j <= its
-    term count only (:func:`_root_series_residue`); xi = q(1 + rho).
+    is the root series of x^(p-1) - 1 at q.  Here it is summed in closed
+    form: x = q(1+y) turns x^(p-1) = 1 into (1+y)^(p-1) = 1 - c0, with
+    c0 = 1 - q^(1-p), so xi = q(1 + rho), rho = sum_(k>=1) C(1/(p-1), k) (-c0)^k.
 
-    Reducing c0 mod p^N shifts g by a constant in p^N Z_p; on pZ_p,
-    g'(y) = (p-1)(1+y)^(p-2) is a unit, so the simple root rho moves only
-    within p^N Z_p.  If vp(c0) < N the reduction keeps vp(c0); otherwise the
-    reduced c0 is 0 and xi = q.  Checked: xi = q mod p, xi^(p-1) = 1 mod p**N.
+    C(a, k) is a polynomial in a and an integer on N, dense in Z_p, so it
+    lies in Z_p at a = 1/(p-1): term k has vp >= k vp(c0), and the
+    :func:`_term_count` K leaves every omitted term at vp >= N.  Term k is
+    term k-1 times (1 - (k-1)(p-1)) (-c0) / ((p-1) k).  A running numerator
+    takes the first factor and divides out the p-part of k exactly, losing
+    that many digits, so it runs mod p^(N + vp(K!)); the unit rest of the
+    divisor goes into a running denominator, inverted once.
+
+    Reducing c0 mod p^N moves the simple root rho only within p^N Z_p (the
+    derivative (p-1)(1+y)^(p-2) is a unit on pZ_p); a reduced c0 of 0 gives
+    xi = q.  Checked: xi = q mod p, xi^(p-1) = 1 mod p**N.
     """
     modulus = _teichmuller_modulus(q, p, N)
     c0 = (1 - pow(q, 1 - p, modulus)) % modulus
-    cs = [c0] + [math.comb(p - 1, j) for j in range(1, min(p - 1, N) + 1)]
-    rho, _ = _root_series_residue(cs, p, N)
+    rho = 0
+    if c0:
+        K = _term_count(vp(c0, p), p, N)
+        work = p ** (N + vp_factorial(K, p))
+        term, acc, den = 1, 0, 1  # the terms so far sum to acc / den
+        for k in range(1, K + 1):
+            u = k
+            while u % p == 0:
+                u //= p
+            term = term * (1 - (k - 1) * (p - 1)) * -c0 % work // (k // u)
+            acc = (acc * (p - 1) * u + term) % modulus
+            den = den * (p - 1) * u % modulus
+        rho = acc * pow(den, -1, modulus) % modulus
     xi = q * (1 + rho) % modulus
     if xi % p != q % p or pow(xi, p - 1, modulus) != 1:
         raise DomainError("teichmuller series failed its root-of-unity check")

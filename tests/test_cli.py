@@ -131,6 +131,17 @@ def test_teichmuller_at_a_large_prime(capsys):
     assert json.loads(out)["residue"] == str(want)
 
 
+def test_teichmuller_at_the_largest_printable_precision(capsys):
+    # 1000003^716 has 4296 digits, the most --precision prints at this prime;
+    # the residue is checked as a root of unity here, not against the oracle
+    p, N = 1000003, 716
+    rc, out, _ = run(capsys, "teichmuller", "--prime", str(p), "--q", "2",
+                     "--precision", str(N), "--json")
+    assert rc == 0
+    xi = int(json.loads(out)["residue"])
+    assert xi % p == 2 and pow(xi, p - 1, p ** N) == 1
+
+
 def test_teichmuller_refuses_precision_zero(capsys):
     rc, out, err = run(capsys, "teichmuller", "--prime", "5", "--q", "1", "--precision", "0")
     assert rc == 1 and out == ""

@@ -121,6 +121,17 @@ def test_series_input_tail():
     assert poly.coeff(5) == 0
 
 
+@pytest.mark.parametrize("make", [lambda: SeriesInput.geometric([], 3),
+                                  lambda: SeriesInput((), 1),
+                                  lambda: SeriesInput((), 0)],
+                         ids=["geometric", "ratio-1", "ratio-0"])
+def test_series_input_refuses_a_tail_with_no_head(make):
+    # the tail extends head[-1], so an empty head has nothing to extend
+    with pytest.raises(ValueError, match="head is empty"):
+        make()
+    assert SeriesInput.polynomial([]).coeff(0) == 0
+
+
 def test_series_input_exact_eval():
     # closed form against a long truncation at a point of positive valuation
     c = 3

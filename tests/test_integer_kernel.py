@@ -12,7 +12,9 @@ The t stream, the reciprocal of Ahat, is checked against the
 per-coefficient one, t_n = T_n(p^ell) from one closed form per n.  The one polynomial product
 ``polys.mul`` is checked against the double loop that skips zero
 coefficients, ``bhat_coeffs`` against bhat_n summed term by term, and
-``polys.roots_mod_p`` against the scan of all p residues.
+``polys.roots_mod_p`` against the scan of all p residues.  The Teichmuller
+binomial series is checked against the root series of the same equation on
+the Bell engine, whose brackets are the triple sum's.
 """
 
 import math
@@ -21,11 +23,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import padiclift
-from padiclift import hensel, polys
+from padiclift import bell, hensel, polys, series
 from padiclift.bell import BellTable
 from padiclift.bigmath import binom, falling, vp
 from padiclift.factorize import (DivisibilityViolation, FactorizationProblem, RootDigits,
@@ -287,11 +289,30 @@ def test_teichmuller_every_residue_at_n_40(p):
         assert teichmuller(q, p, 40) == teichmuller_oracle(q, p, 40)
 
 
-@settings(max_examples=80)
-@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 12), st.integers(1, 40))
+def bell_engine_teichmuller(q, p, N):
+    """The Teichmuller residue by the root series of x^(p-1) - 1 on the Bell
+    engine: Taylor data c0 = 1 - q^(1-p) and c_j = C(p-1, j) of the normalized
+    equation at x = q(1+y), the data whose brackets the triple sum above gives."""
+    modulus = p ** N
+    c0 = (1 - pow(q, 1 - p, modulus)) % modulus
+    cs = [c0] + [math.comb(p - 1, j) for j in range(1, min(p - 1, N) + 1)]
+    rho, _ = _root_series_residue(cs, p, N)
+    return q * (1 + rho) % modulus
+
+
+@settings(max_examples=120)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 1093]), st.integers(1, 1092), st.integers(1, 40))
+@example(11, 3, 40)    # 3^10 = 1 mod 11^2: vp(c0) = 2
+@example(11, 3, 7)
+@example(1093, 2, 40)  # 2^1092 = 1 mod 1093^2: vp(c0) = 2
+@example(1093, 2, 5)
 def test_teichmuller_matches_powering(p, q, N):
-    q = 1 + (q - 1) % (p - 1)
-    assert teichmuller(q, p, N) == teichmuller_oracle(q, p, N)
+    # the binomial series, the powering oracle and the Bell engine agree;
+    # q = 1 and q = p - 1 have c0 = 0, and the lift is q itself
+    for q in {1, p - 1, 1 + (q - 1) % (p - 1)}:
+        xi = teichmuller(q, p, N)
+        assert xi == teichmuller_oracle(q, p, N)
+        assert xi.residue == bell_engine_teichmuller(q, p, N), (q, p, N)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -305,10 +326,19 @@ def test_triple_sum_is_the_root_series_of_x_p_minus_1(p):
             assert reference[n] == -q ** n * brackets[n], (q, p, n)
 
 
+def test_teichmuller_builds_no_bell_table():
+    # the binomial series needs no table at any p, so a table that cannot be
+    # built changes nothing
+    with mock.patch.object(series, "BellTable", side_effect=AssertionError("BellTable built")), \
+            mock.patch.object(bell, "BellTable", side_effect=AssertionError("BellTable built")):
+        for q, N in ((2, 160), (123456, 40)):
+            assert teichmuller(q, 1000003, N) == teichmuller_oracle(q, 1000003, N)
+
+
 @pytest.mark.parametrize("p", [1009, 1093, 10007, 1000003])
 def test_teichmuller_at_large_primes(p):
-    # p = 1093: 2^1092 = 1 mod p^2, so at q = 2 the engine sums about N/2
-    # terms of data that runs to N
+    # p = 1093: 2^1092 = 1 mod p^2, so at q = 2 vp(c0) = 2 and the binomial
+    # series sums about N/2 terms
     rng = random.Random(p)
     for q in (1, 2, p - 1, rng.randint(3, p - 2), rng.randint(3, p - 2)):
         for N in range(1, 7):
