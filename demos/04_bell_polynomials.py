@@ -3,19 +3,21 @@
 
 B(n, k) of a sequence x_1, x_2, ... sums over set partitions of an n-set
 into k blocks, weighting a block of size j by x_j.  The library computes
-them by the binomial recurrence (polynomial time) and keeps the literal
-partition-sum definition as a slow independent oracle.
+them as B(n, k) = n!/k! [x^n] A(x)^k, A = sum_j x_j x^j / j!, from a table
+of the powers of A (polynomial time), and keeps the literal partition-sum
+definition as a slow independent oracle.
 """
 
+import math
 from fractions import Fraction
 
 from padiclift.bell import BellTable, bell, bell_falling, bell_oracle
 from padiclift.bigmath import falling
 
 # On the all-ones sequence, B(n, k) counts set partitions: Stirling numbers.
+# BellTable takes the coefficients of A, here A(x) = e^x - 1 = sum x^j / j!.
 print("B(n, k) on (1, 1, 1, ...) = Stirling numbers of the second kind:")
-ones = (1,) * 8
-table = BellTable(ones, 8)
+table = BellTable([Fraction(1, math.factorial(j)) for j in range(1, 9)], 8)
 for n in range(1, 8):
     print("  ", [int(table.value(n, k)) for k in range(1, n + 1)])
 print()

@@ -11,10 +11,11 @@ so a table of B(n, k) is a table of the ordinary power coefficients
     [x^n] A^k = sum_{j>=1} a_j [x^(n-j)] A^(k-1).
 
 That recurrence has no binomial, and its cells grow like powers of the
-a_j, not like n!.  It runs on plain ``int``: the a_j are first cleared to
-E a_j with E the lcm of their denominators, and since [x^n] A^k is
-homogeneous of degree k in the a_j, the table stores E^k [x^n] A^k.  The
-engines read those stored values; B(n, k) itself is rebuilt on read.
+a_j, not like n!.  The table is given the a_j, the coefficients of the
+series it powers, and runs on plain ``int``: since [x^n] A^k is homogeneous
+of degree k in the a_j, it stores E^k [x^n] A^k, E the lcm of their
+denominators.  The engines read those values; B(n, k) is rebuilt on read,
+and :func:`bell` is the one place that turns the x_j into the a_j.
 The defining sum over the partition index set pi(n, k) is kept as
 :func:`bell_oracle`, an independent reference used by the test-suite only
 (it is exponential and refuses n > 14).
@@ -39,28 +40,22 @@ class OracleTooLarge(DomainError):
 
 
 class BellTable:
-    """B(n, k) for all 0 <= k <= n <= n_max on a fixed sequence x_1, x_2, ...,
-    stored as ordinary power coefficients.
+    """[x^n] A(x)^k for 0 <= k <= n <= n_max, A = sum_j a_j x^j on the given
+    a_1, a_2, ... (``int`` or ``Fraction``), and B(n, k) on x_j = j! a_j.
 
     Built once, then read-only.  :meth:`ordinary` reads the stored integer
-    E^k [x^n] A(x)^k = E^k k!/n! B(n, k), where a_j = x_j / j!,
-    A(x) = sum_j a_j x^j and E = :attr:`ordinary_denominator` is the lcm of
-    the denominators of the a_j (1 whenever every x_j / j! is an integer).
-    :meth:`value` rebuilds B(n, k) from it on read.
+    E^k [x^n] A(x)^k = E^k k!/n! B(n, k), E = :attr:`ordinary_denominator`
+    the lcm of the denominators of the a_j (1 on the digits' table and on
+    integer lift data); :meth:`value` rebuilds B(n, k) from it.
 
     With L the index of the last nonzero a_j (1 if none), [x^n] A^k = 0 for
     k < n/L, so row n is built from k = :meth:`band_start` (n) = ceil(n/L)
     on; the stored rows keep their length n + 1."""
 
-    def __init__(self, xs, n_max: int):
-        ratios = [x.as_integer_ratio() for x in xs]
-        a, fact = [], 1
-        for j, (u, v) in enumerate(ratios, start=1):
-            fact *= j
-            g = math.gcd(u, fact)  # a_j = u / (v j!) with gcd(u, v) = 1
-            a.append((u // g, v * (fact // g)))
-        E = math.lcm(*(d for _, d in a))
-        ys = [u * (E // d) for u, d in a]
+    def __init__(self, a, n_max: int):
+        ratios = [c.as_integer_ratio() for c in a]
+        E = math.lcm(*(d for _, d in ratios))
+        ys = [u * (E // d) for u, d in ratios]
         L = self._degree = max((j for j, y in enumerate(ys, start=1) if y), default=1)
         self.n_max = n_max
         self.ordinary_denominator = E
@@ -104,10 +99,12 @@ class BellTable:
 
 
 def bell(n: int, k: int, xs) -> Fraction:
-    """Exact B(n, k) on the sequence xs (zero-padded past its end)."""
+    """Exact B(n, k) on the sequence xs (zero-padded past its end), read from
+    the table on a_j = x_j / j!."""
     if k < 0 or n < 0 or k > n:
         return Fraction(0)
-    return BellTable(xs, n).value(n, k)
+    a = [Fraction(x) / math.factorial(j) for j, x in zip(range(1, n + 1), xs)]
+    return BellTable(a, n).value(n, k)
 
 
 def _partitions(n, k, jmax):

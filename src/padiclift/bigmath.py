@@ -74,8 +74,10 @@ def vp_rat(x: Fraction | int, p: int) -> int | _Infinity:
 
 
 def digit_sum(n: int, p: int) -> int:
-    """Sum of the base-p digits of n >= 0."""
+    """Sum of the base-p digits of n >= 0 (the digits of n < 0 never end)."""
     check_prime_base(p)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     s = 0
     while n:
         n, r = divmod(n, p)
@@ -87,10 +89,8 @@ def vp_factorial(n: int, p: int) -> int:
     """vp(n!) via the digit-sum form of Legendre's formula.
 
     Equals (n - digit_sum_base_p(n)) / (p - 1), which is always an exact
-    integer.
+    integer; :func:`digit_sum` refuses n < 0.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     return (n - digit_sum(n, p)) // (p - 1)
 
 

@@ -32,7 +32,7 @@ from .bigmath import INFINITY, iroot, is_prime, vp
 from .errors import DomainError
 from .hensel import LiftReport, _newton_balls, lift_general
 from .padic import PadicInt
-from .series import Series, bell_args, lagrange_sum
+from .series import Series, lagrange_sum, root_numerators
 
 
 class WrongShape(DomainError):
@@ -210,11 +210,11 @@ class RootDigits:
     digits: tuple
 
     def bell_table(self, n_max: int) -> BellTable:
-        """B(n, k) on (1! e_1, 2! e_2, ...) for n <= max(n_max, digit count),
-        built once per instance and shared by the a and T streams."""
+        """The Bell table on D = E - 1 = sum_j e_j x^j to n <= max(n_max, digit
+        count), built once per instance and shared by the a and T streams."""
         table = vars(self).get("_bell")
         if table is None or table.n_max < n_max:
-            table = BellTable(bell_args(self.digits), max(n_max, len(self.digits)))
+            table = BellTable(self.digits, max(n_max, len(self.digits)))
             object.__setattr__(self, "_bell", table)
         return table
 
@@ -254,11 +254,11 @@ def _exact(num: int, den: int, what: str, *args) -> int:
 
 def a_coeffs(e: RootDigits, M: int) -> list[int]:
     """a_n = (1/n!) sum_k (-1)^k (n+k)!/(n+1)! B(n,k)(1! e_1, 2! e_2, ...),
-    n = 1..M; these are the coefficients of the compositional inverse of
-    x*E(x) and are provably integers."""
-    table = e.bell_table(M)
-    return [_exact(lagrange_sum(table, n, n), math.factorial(n), "a_{}", n)
-            for n in range(1, M + 1)]
+    n = 1..M, the coefficients of the compositional inverse of x*E(x), read as
+    the provable integers X_n / (n+1), X_n of
+    :func:`~padiclift.series.root_numerators` with c = 1 on the digits' table."""
+    X = root_numerators(e.bell_table(M), 1, 1, M)
+    return [_exact(X[n], n + 1, "a_{}", n) for n in range(1, M + 1)]
 
 
 def t_coeffs(a: list[int], P: int) -> list[int]:
@@ -276,8 +276,8 @@ def e_series(e: RootDigits, order: int) -> Series:
 
 
 def tn_series(e: RootDigits, n: int, order: int) -> Series:
-    """T_n(x) = 1 + sum_k (n+1-k)/k! lagrange_sum(B, n, k) x^k, B(k, j) the
-    Bell table on (1! e_1, 2! e_2, ...): integer coefficients, T_(n-1) = E * T_n.
+    """T_n(x) = 1 + sum_k (n+1-k)/k! lagrange_sum(B, n, k) x^k, B(k, j) read
+    from the digits' table: integer coefficients, T_(n-1) = E * T_n.
 
     One formula for every integer n.  For each k, the x^k coefficients of this
     closed form and of E^(-n-2) (E + x E') are polynomials in n of degree <= k

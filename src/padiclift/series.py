@@ -12,19 +12,20 @@ On top of the ring operations sit the three series engines used by the
 lifting and factorization code:
 
 * :func:`lagrange_invert` - coefficients of the compositional inverse of
-  phi(t) = t*(1 + sum alpha_r t^r / r!), as Bell-polynomial sums; the
-  sum itself is :func:`lagrange_sum`, which the factorization's a_n and
-  its closed-form T_n share;
+  phi(t) = t*(1 + sum alpha_r t^r / r!), as Bell-polynomial sums;
 * :func:`formal_root_brackets` / :func:`formal_root_brackets_alt` (and
   :func:`formal_root_terms` on the first) - the term stream of the formal
   root of a_0 + a_1 x + a_2 x^2 + ... when a_1 is invertible, in two
   algebraically-equal forms.  The engine is the intermediate form, which
   reads the ordinary entries [x^n] S^j of one n_max-row table on
-  (a_2, a_3, ...), through the integer kernel :func:`formal_root_numerators`;
-  the regrouped form on B(n+k, k)(1! a_1, 2! a_2, ...), over 2 n_max rows,
-  is kept as the cross-check of the regrouping identity;
+  (a_2, a_3, ...), through :func:`formal_root_numerators`; the regrouped
+  form on B(n+k, k)(1! a_1, 2! a_2, ...), over 2 n_max rows, is kept as
+  the cross-check of the regrouping identity;
 * :func:`trinomial_root_terms` - the sparse specialization for
   x^m + p*x = q, whose m = 5 case is Eisenstein's classical series.
+
+The first two and the factorization's a_n read one integer kernel,
+:func:`root_numerators`, over a Bell table on the series they invert.
 
 "Formal root" is made literally testable by :func:`formal_root_series`,
 which treats the constant term as an indeterminate t and returns the root
@@ -207,21 +208,48 @@ class Series:
 # ---------------------------------------------------------------------------
 
 
-def lagrange_sum(table: BellTable, n: int, k: int) -> int:
-    """E^k sum_{j=1..k} (-1)^j (n+j)!/(n+1)! B(k, j) as an ``int``, B read
-    from ``table`` and E its ordinary denominator (1 on every digits table):
-    the Lagrange-inversion sum behind :func:`lagrange_invert` (k = n) and
-    the factorization streams a_n and T_n.
+def root_numerators(table: BellTable, u: int, v: int, rows: int) -> list[int]:
+    """The Lagrange-inversion kernel: [X_0, ..., X_rows], X_n / ((n+1) c u^n)
+    the x^(n+1) coefficient of the compositional inverse of x (c + S(x)),
 
-    B(k, j) = k!/j! [x^k] A^j, and the table stores E^j [x^k] A^j, so the
-    sum times E^k is summed in ``int`` with the weight
+    X_n = sum_j (-1)^j C(n+j, j) E^j [x^n] S(x)^j v^j u^(n-j),
+
+    E^j [x^n] S^j read over the band of ``table``, the Bell table on S, and
+    u/v = E c in lowest terms.  C(n+j, j) is stepped exactly, along j and
+    from row to row at the band start."""
+    u_pows = [u ** i for i in range(rows + 1)]
+    v_pows = [v ** i for i in range(rows + 1)]
+    X = []
+    lo, c_lo = 0, 1  # C(n + lo, lo) at the band start lo of row n
+    for n in range(rows + 1):
+        if n:
+            c_lo = c_lo * (n + lo) // n
+        while lo < table.band_start(n):
+            c_lo = c_lo * (n + lo + 1) // (lo + 1)
+            lo += 1
+        row = table.ordinary_row(n)
+        c = c_lo
+        acc = 0
+        for j in range(lo, n + 1):
+            b = row[j]
+            if b:
+                t = c * b * v_pows[j] * u_pows[n - j]
+                acc += -t if j & 1 else t
+            c = c * (n + j + 1) // (j + 1)
+        X.append(acc)
+    return X
+
+
+def lagrange_sum(table: BellTable, n: int, k: int) -> int:
+    """sum_{j=1..k} (-1)^j (n+j)!/(n+1)! B(k, j) as an ``int``, B read from
+    ``table``, whose ordinary denominator must be 1: the row sum behind the
+    factorization's closed form T_n, which reads it on the digits' table.
+
+    B(k, j) = k!/j! [x^k] A^j, so the sum runs in ``int`` with the weight
     c_j = (n+j)!/(n+1)! k!/j! kept as a running product,
     c_(j+1) = c_j (n+j+1)/(j+1), an exact division.  (n+j)!/(n+1)! is the
     product (n+2)...(n+j), so negative n works too."""
     row = table.ordinary_row(k)
-    E = table.ordinary_denominator
-    if E != 1:
-        row = [b * E ** (k - j) for j, b in enumerate(row)]
     acc = 0
     c = math.factorial(k)  # c_1 = k!/1!
     for j in range(1, k + 1):
@@ -237,12 +265,14 @@ def lagrange_invert(alphas) -> list[Fraction]:
 
     beta_n = sum_{j=1..n} (-1)^j (n+j)!/(n+1)! B(n, j)(alpha_1, alpha_2, ...),
     returned for n = 1..len(alphas); then
-    phi^{-1}(u) = u(1 + sum beta_n u^n / n!).
+    phi^{-1}(u) = u(1 + sum beta_n u^n / n!).  Read as beta_n =
+    n! X_n / ((n+1) E^n), X_n of :func:`root_numerators` on phi(t)/t - 1.
     """
-    alphas = [Fraction(a) for a in alphas]
-    table = BellTable(alphas, len(alphas))
+    a = series_from_alphas(alphas).coeffs[2:]
+    table = BellTable(a, len(a))
     E = table.ordinary_denominator
-    return [Fraction(lagrange_sum(table, n, n), E ** n) for n in range(1, len(alphas) + 1)]
+    X = root_numerators(table, E, 1, len(a))
+    return [Fraction(math.factorial(n) * X[n], (n + 1) * E ** n) for n in range(1, len(a) + 1)]
 
 
 def series_from_alphas(alphas, order: int | None = None) -> Series:
@@ -286,12 +316,6 @@ class InversionProblem:
 # ---------------------------------------------------------------------------
 
 
-def bell_args(cs):
-    """x_j = j! cs[j-1] for j = 1, 2, ...: the Bell arguments whose ordinary
-    generating function is sum_j cs[j-1] x^j."""
-    return [math.factorial(j) * c for j, c in enumerate(cs, start=1)]
-
-
 def _checked(a) -> list:
     a = [c if type(c) is int else Fraction(c) for c in a]
     if len(a) < 2 or a[1] == 0:
@@ -300,41 +324,15 @@ def _checked(a) -> list:
 
 
 def formal_root_numerators(a, n_max: int) -> tuple[int, list[int]]:
-    """The integer kernel of the brackets: (u, [X_0, ..., X_n_max]) with
-
-    bracket_n = (-1)^(n+1) X_n / ((n+1) u^n),
-    X_n = sum_j (-1)^j C(n+j, j) E^j [x^n] S(x)^j v^j u^(n-j),
-
-    where E a1 = u/v in lowest terms; E^j [x^n] S^j is read over the band of
-    one n_max-row Bell table and C(n+j, j) is stepped exactly, along j and
-    from row to row at the band start.
-    Linear data (S = 0) has X_n = 0 for n >= 1 and builds the table to row 0.
-    """
+    """(u, [X_0, ..., X_n_max]), bracket_n = (-1)^(n+1) X_n / ((n+1) u^n): X_n
+    of :func:`root_numerators` with c = a1 on the table on S(x) = a2 x + a3 x^2
+    + ..., u/v = E a1 in lowest terms.  Linear data (S = 0) has X_n = 0 for
+    n >= 1 and builds the table to row 0."""
     a = _checked(a)
     rows = n_max if any(a[2:]) else min(n_max, 0)
-    table = BellTable(bell_args(a[2:]), rows)
+    table = BellTable(a[2:], rows)
     u, v = (table.ordinary_denominator * a[1]).as_integer_ratio()
-    u_pows = [u ** i for i in range(rows + 1)]
-    v_pows = [v ** i for i in range(rows + 1)]
-    X = []
-    lo, c_lo = 0, 1  # C(n + lo, lo) at the band start lo of row n
-    for n in range(rows + 1):
-        if n:
-            c_lo = c_lo * (n + lo) // n
-        while lo < table.band_start(n):
-            c_lo = c_lo * (n + lo + 1) // (lo + 1)
-            lo += 1
-        row = table.ordinary_row(n)
-        c = c_lo
-        acc = 0
-        for j in range(lo, n + 1):
-            b = row[j]
-            if b:
-                t = c * b * v_pows[j] * u_pows[n - j]
-                acc += -t if j & 1 else t
-            c = c * (n + j + 1) // (j + 1)
-        X.append(acc)
-    return u, X + [0] * (n_max - rows)
+    return u, root_numerators(table, u, v, rows) + [0] * (n_max - rows)
 
 
 def formal_root_brackets(a, n_max: int) -> list[Fraction]:
@@ -365,7 +363,7 @@ def formal_root_brackets_alt(a, n_max: int) -> list[Fraction]:
     regrouping identity; summed entry by entry in Fraction.
     """
     a = _checked(a)
-    table = BellTable(bell_args(a[1:]), 2 * n_max)
+    table = BellTable(a[1:], 2 * n_max)
     out = []
     for n in range(n_max + 1):
         acc = Fraction(0)

@@ -1,13 +1,23 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import settings
 
 from padiclift import polys
+from padiclift.bell import BellTable
 from padiclift.factorize import SeriesInput
 
 # Property tests draw the same examples on every run and never fail on
 # timing, so the suite stays deterministic.
 settings.register_profile("padiclift", derandomize=True, deadline=None, database=None)
 settings.load_profile("padiclift")
+
+
+def bell_table(xs, n_max):
+    """The BellTable of B(n, k) on the Bell arguments xs: the table on the
+    ordinary coefficients a_j = x_j / j!, the one such conversion here."""
+    return BellTable([Fraction(x) / math.factorial(j) for j, x in enumerate(xs, start=1)], n_max)
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import bell_table
 
-from padiclift.bell import BellTable, OracleTooLarge, bell, bell_falling, bell_oracle
+from padiclift.bell import OracleTooLarge, bell, bell_falling, bell_oracle
 from padiclift.bigmath import binom, falling
 
 
@@ -45,7 +46,7 @@ def test_recurrence_matches_oracle():
     rng = random.Random(20)
     for _ in range(20):
         xs = rand_seq(rng)
-        table = BellTable(xs, 10)
+        table = bell_table(xs, 10)
         for n in range(11):
             for k in range(n + 1):
                 assert table.value(n, k) == bell_oracle(n, k, xs), (n, k, xs)

@@ -147,6 +147,24 @@ def test_is_prime():
 
 def test_digit_sum_and_iroot():
     assert digit_sum(239, 7) == 1 + 6 + 4
+    assert digit_sum(0, 5) == 0
     assert iroot(10**12, 3) == 10**4
     assert iroot(26, 3) == 2
     assert iroot(27, 3) == 3
+
+
+@pytest.mark.parametrize("call", [lambda: digit_sum(-1, 3), lambda: digit_sum(-10 ** 30, 2),
+                                  lambda: vp_factorial(-1, 3)],
+                         ids=["digit_sum", "digit_sum_large", "vp_factorial"])
+def test_negative_n_is_refused(call):
+    # divmod(-1, 3) = (-1, 2): the digit loop never reached 0 before the check
+    def hang(signum, frame):
+        raise AssertionError("no answer within 3 s")
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(3)
+    try:
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

@@ -208,7 +208,10 @@ def test_a_coeffs_hand_value():
 
 
 def test_a_coeffs_lagrange_oracle():
-    # A = p^ell - phi^(-1)(x) for phi(t) = t E(t), so a_n = beta_n / n!
+    # A = p^ell - phi^(-1)(x) for phi(t) = t E(t), so a_n = beta_n / n!.  Both
+    # sides read series.root_numerators, so this checks the rescaling
+    # a_n = beta_n / n!, not the kernel itself; test_a_coeffs_invert_e_series
+    # checks the a_n with no Bell table
     rng = random.Random(73)
     for _ in range(10):
         d = rand_digits(rng, 5, 1, 8)
@@ -218,14 +221,18 @@ def test_a_coeffs_lagrange_oracle():
         assert [Fraction(x) for x in a_coeffs(d, 8)] == expect
 
 
-def test_a_coeffs_invert_e_series():
-    # phi(phi^(-1)) = identity with phi = x * E(x)
-    rng = random.Random(74)
-    d = rand_digits(rng, 7, 1, 8)
-    a = a_coeffs(d, 8)
-    phi = (Series.x(9) * e_series(d, 8).truncate(9))
-    phinv = Series([0, 1] + a, 9)
-    assert phi.compose(phinv.truncate(9)) == Series.x(9)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 2),
+       st.lists(st.integers(0, 10 ** 6), max_size=20))
+@example(7, 1, list(rand_digits(random.Random(74), 7, 1, 8).digits))
+def test_a_coeffs_invert_e_series(p, ell, raw):
+    # phi(phi^(-1)) = x with phi = x * E(x), by Series composition: the
+    # reference reads no Bell table
+    d = RootDigits(p, ell, tuple(r % p ** ell for r in raw))
+    M = len(raw)
+    phi = Series.x(M + 1) * e_series(d, M + 1)
+    phinv = Series([0, 1, *a_coeffs(d, M)], M + 1)
+    assert phi.compose(phinv) == Series.x(M + 1)
 
 
 def test_t_coeffs_zero_digits():
@@ -332,10 +339,10 @@ def test_tn_congruences_catch_a_corrupted_t(monkeypatch):
         bad = list(t)
         bad[nu - 1] += p ** (ell * (nu + 1))
         assert not factorize._tn_congruences(E, p ** ell, bad), nu
-    # a wrong stream: t comes from the a_n, which read W(k, j) from the Bell
-    # table, and the check does not.  W(M, 1) += M + 1 keeps the division by
-    # M! exact, moves a_M by -(M + 1) and so t_M by -(M + 1) p^(ell M) =
-    # -7 * 5^6, which is not 0 mod 5^8
+    # a wrong stream: t comes from the a_n, which read [x^k] D^j from the
+    # Bell table, and the check does not.  [x^M] D += M + 1 moves X_M by
+    # -(M + 1)^2, keeps the division by M + 1 exact, moves a_M by -(M + 1)
+    # and so t_M by -(M + 1) p^(ell M) = -7 * 5^6, which is not 0 mod 5^8
     honest_row = factorize.BellTable.ordinary_row
 
     def skewed(table, n):
@@ -397,12 +404,19 @@ def test_a_remainder_raises_integrality_violation(monkeypatch):
     # every provably-integer quotient of the factor streams goes through one
     # exact division; a skewed numerator that leaves a remainder must raise
     d = rand_digits(random.Random(85), 5, 1, 8)
-    honest_sum = factorize.lagrange_sum
-    monkeypatch.setattr(factorize, "lagrange_sum", lambda *args: honest_sum(*args) + 1)
-    # a_2 = (L + 1)/2! with L/2! an integer
+    honest_numerators, honest_sum = factorize.root_numerators, factorize.lagrange_sum
+
+    def skewed(*args):
+        X = honest_numerators(*args)
+        X[2] += 1
+        return X
+
+    monkeypatch.setattr(factorize, "root_numerators", skewed)
+    # a_2 = (X_2 + 1)/3 with X_2/3 an integer
     with pytest.raises(factorize.IntegralityViolation, match="a_2"):
         a_coeffs(d, 4)
-    # [x^2] T_2 = (L + 1)/2! likewise
+    monkeypatch.setattr(factorize, "lagrange_sum", lambda *args: honest_sum(*args) + 1)
+    # [x^2] T_2 = (L + 1)/2! with L/2! an integer
     with pytest.raises(factorize.IntegralityViolation, match=r"\[x\^2\] T_2"):
         tn_series(d, 2, 4)
 
@@ -504,6 +518,9 @@ def test_streams_share_one_bell_table(monkeypatch):
     assert built == [9]
     factor(GEOM_F, 12)
     assert len(built) == 2  # the factor digits' table; the root was exact
+    # a_n, T_n and every lemma check of one factor call read one table
+    factor(polys.mul(polys.add([7], [0, -1, 3, -2]), [49, 3, -5]), 8)
+    assert len(built) == 3
 
 
 def test_streams_past_the_digits_are_zero_padded():

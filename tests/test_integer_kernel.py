@@ -23,6 +23,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from conftest import bell_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,7 @@ from padiclift.factorize import (DivisibilityViolation, FactorizationProblem, Ro
 from padiclift.hensel import (_root_series_residue, _sparse_sum, _term_count,
                               lift_general, lift_simple, newton_lift,
                               teichmuller, teichmuller_oracle)
-from padiclift.series import (InversionProblem, Series, bell_args, formal_root_brackets,
+from padiclift.series import (InversionProblem, Series, formal_root_brackets,
                               formal_root_brackets_alt, formal_root_numerators,
                               formal_root_terms, lagrange_invert)
 
@@ -227,7 +228,7 @@ def test_bell_module_is_not_shadowed():
 @settings(max_examples=60)
 @given(sequences, st.integers(0, 40))
 def test_table_matches_fraction_recurrence(xs, n_max):
-    table = BellTable(xs, n_max)
+    table = bell_table(xs, n_max)
     for n, row in enumerate(fraction_bell_rows(xs, n_max)):
         for k, b in enumerate(row):
             assert table.value(n, k) == b
@@ -237,7 +238,7 @@ def test_table_matches_fraction_recurrence(xs, n_max):
 @given(sequences, st.integers(0, 40))
 def test_ordinary_entries_match_the_fraction_recurrence(xs, n_max):
     # the stored entry is E^k [x^n] A(x)^k = E^k k!/n! B(n, k), A = sum x_j/j! x^j
-    table = BellTable(xs, n_max)
+    table = bell_table(xs, n_max)
     E = math.lcm(*(Fraction(x, math.factorial(j)).denominator
                    for j, x in enumerate(xs, start=1)))
     assert table.ordinary_denominator == E
@@ -247,10 +248,25 @@ def test_ordinary_entries_match_the_fraction_recurrence(xs, n_max):
             assert table.ordinary(n, k) == b * math.factorial(k) / math.factorial(n) * E ** k
 
 
+@settings(max_examples=60)
+@given(st.lists(st.one_of(small_ints, rationals), max_size=8), st.integers(0, 16))
+def test_table_stores_the_powers_of_its_series(a, n_max):
+    # BellTable takes the ordinary coefficients a_j of A themselves: the stored
+    # row n is E^k [x^n] A^k, read off Series powers of A = sum a_j x^j
+    table = BellTable(a, n_max)
+    E = math.lcm(*(Fraction(c).denominator for c in a))
+    assert table.ordinary_denominator == E
+    A = Series([0, *a], n_max)
+    for k in range(n_max + 1):
+        power = (A ** k).coeffs
+        for n in range(k, n_max + 1):
+            assert table.ordinary(n, k) == power[n] * E ** k
+
+
 def test_ordinary_denominator_on_integer_input():
     # a = (1, 1/2, 1/6): E = 6 although every x_j is an integer, and
     # 36 [x^4] (x + x^2/2 + x^3/6)^2 = 36 (2/6 + 1/4) = 21 = 36 * 2!/4! * B(4, 2)
-    table = BellTable((1, 1, 1), 6)
+    table = bell_table((1, 1, 1), 6)
     assert table.ordinary_denominator == 6
     assert table.ordinary(4, 2) == 21 and table.value(4, 2) == 7
     assert table.ordinary(2, 3) == 0 and table.ordinary(-1, 0) == 0
@@ -260,7 +276,7 @@ def test_ordinary_denominator_on_integer_input():
 
 def test_long_sequence_at_n_40():
     xs = [(-1) ** j * Fraction(j % 5, 1 + j % 3) for j in range(40)]
-    table = BellTable(xs, 40)
+    table = bell_table(xs, 40)
     for n, row in enumerate(fraction_bell_rows(xs, 40)):
         assert [table.value(n, k) for k in range(n + 1)] == row
 
@@ -281,6 +297,12 @@ def test_brackets_match_the_alternative_form(a, n_max):
 def test_lagrange_inversion_on_rational_alphas(alphas):
     assert lagrange_invert(alphas) == fraction_lagrange_invert(alphas)
     assert InversionProblem(alphas).roundtrip_is_identity()
+
+
+def test_lagrange_invert_is_lambert_w_at_n_60():
+    # alpha_r = 1: phi(t) = t e^t, whose inverse is Lambert's
+    # W(u) = sum_n (-n)^(n-1) u^n / n!, so beta_n = (-(n+1))^n / (n+1)
+    assert lagrange_invert([1] * 60) == [Fraction((-(n + 1)) ** n, n + 1) for n in range(1, 61)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -526,7 +548,7 @@ def comb_per_term_numerators(a, n_max):
     term of the band: the reference for the stepped binomial."""
     a = [Fraction(c) for c in a]
     rows = n_max if any(a[2:]) else min(n_max, 0)
-    table = BellTable(bell_args(a[2:]), rows)
+    table = BellTable(a[2:], rows)
     u, v = (table.ordinary_denominator * a[1]).as_integer_ratio()
     X = [sum((-1) ** j * math.comb(n + j, j) * table.ordinary(n, j) * v ** j * u ** (n - j)
              for j in range(table.band_start(n), n + 1))
@@ -563,7 +585,7 @@ def test_root_numerators_call_no_comb():
     (0, 0),                                   # A = 0: only row 0 is nonzero
 ])
 def test_banded_table_matches_fraction_recurrence(xs):
-    table = BellTable(xs, 24)
+    table = bell_table(xs, 24)
     L = max((j for j, x in enumerate(xs, start=1) if x), default=1)
     for n, row in enumerate(fraction_bell_rows(xs, 24)):
         assert table.band_start(n) == -(-n // L)

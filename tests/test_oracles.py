@@ -13,8 +13,8 @@ import pytest
 
 from padiclift import bell, factorize, hensel, series
 
-ENGINES = {"BellTable", "lagrange_sum", "formal_root_brackets", "formal_root_numerators",
-           "_sparse_sum", "_root_series_residue"}
+ENGINES = {"BellTable", "lagrange_sum", "root_numerators", "formal_root_brackets",
+           "formal_root_numerators", "_sparse_sum", "_root_series_residue"}
 
 
 def names_used(module, name):
@@ -61,3 +61,16 @@ def test_the_scan_follows_helpers_of_the_same_module():
     # and reaches none of the engines
     used = names_used(hensel, "teichmuller")
     assert "_term_count" in used and not used & ENGINES
+
+
+def test_the_factor_streams_read_one_kernel_each():
+    # a_n is the Lagrange-inversion kernel of the lift and of lagrange_invert;
+    # the closed form T_n is the row sum, so the tn_recurrence check compares
+    # two different sums of the same table
+    assert "root_numerators" in names_used(factorize, "a_coeffs")
+    assert "lagrange_sum" not in names_used(factorize, "a_coeffs")
+    assert "lagrange_sum" in names_used(factorize, "tn_series")
+    assert "root_numerators" not in names_used(factorize, "tn_series")
+    for name in ("formal_root_numerators", "lagrange_invert"):
+        used = names_used(series, name)
+        assert "root_numerators" in used and "lagrange_sum" not in used
