@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from . import polys
 from .bell import BellTable
@@ -32,7 +34,7 @@ from .bigmath import INFINITY, iroot, is_prime, vp
 from .errors import DomainError
 from .hensel import LiftReport, _newton_balls, lift_general
 from .padic import PadicInt
-from .series import Series, lagrange_sum, root_numerators
+from .series import Series, root_numerators
 
 
 class WrongShape(DomainError):
@@ -218,6 +220,17 @@ class RootDigits:
             object.__setattr__(self, "_bell", table)
         return table
 
+    def signed_bell_rows(self, order: int) -> list:
+        """V_k = ((-1)^j k!/j! [x^k] D^j for j = 1..k) = ((-1)^j B(k, j)), k = 0..order,
+        read from :meth:`bell_table`: the rows of the closed form T_n, which depend
+        on k only, built once per instance and shared by every index n."""
+        rows, table = vars(self).get("_signed", [()]), self.bell_table(order)
+        for k in range(len(rows), order + 1):  # weights (-1)^j k!/j!, j = k down to 1
+            w = accumulate(range(k, 1, -1), lambda c, j: -c * j, initial=(-1) ** k)
+            rows.append(list(map(mul, reversed(list(w)), table.ordinary_row(k)[1:])))
+        object.__setattr__(self, "_signed", rows)
+        return rows
+
     def reconstruct(self, precision: int) -> int:
         return polys.evaluate((0, 1, *self.digits), self.p ** self.ell) % self.p ** precision
 
@@ -276,19 +289,22 @@ def e_series(e: RootDigits, order: int) -> Series:
 
 
 def tn_series(e: RootDigits, n: int, order: int) -> Series:
-    """T_n(x) = 1 + sum_k (n+1-k)/k! lagrange_sum(B, n, k) x^k, B(k, j) read
-    from the digits' table: integer coefficients, T_(n-1) = E * T_n.
+    """T_n(x) = 1 + sum_k (n+1-k)/k! sum_j (-1)^j (n+2)...(n+j) B(k, j) x^k:
+    integer coefficients, T_(n-1) = E * T_n.  Each coefficient is one dot
+    product of R_n = ((n+2)...(n+j))_j, built once per call, with the shared
+    signed Bell row V_k of :meth:`RootDigits.signed_bell_rows`.
 
     One formula for every integer n.  For each k, the x^k coefficients of this
     closed form and of E^(-n-2) (E + x E') are polynomials in n of degree <= k
-    (the rising product (n+2)...(n+j) inside lagrange_sum is one); they agree
-    for every n >= 1, so they agree for all n, negative n included.
+    (the rising products in R_n are); they agree for every n >= 1, so they
+    agree for all n, negative n included.
     """
-    table = e.bell_table(order)
+    V = e.signed_bell_rows(order)
+    R = list(accumulate(range(n + 2, n + order + 1), mul, initial=1))
     cs, fact = [1], 1
     for k in range(1, order + 1):
         fact *= k
-        cs.append(_exact((n + 1 - k) * lagrange_sum(table, n, k), fact, "[x^{}] T_{}", k, n))
+        cs.append(_exact((n + 1 - k) * sum(map(mul, R, V[k])), fact, "[x^{}] T_{}", k, n))
     return Series(cs, order)
 
 
@@ -465,7 +481,7 @@ def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> Fac
     order, pl = len(digits.digits), p ** ell
     E = e_series(digits, order)
     T = {n: tn_series(digits, n, order) for n in range(-3, min(5, M) + 1)}
-    rec_ok = (all(T[n - 1] == (E * T[n]).truncate(order) for n in range(-2, min(5, M) + 1))
+    rec_ok = (all(T[n - 1] == E * T[n] for n in range(-2, min(5, M) + 1))
               and all(polys.evaluate(T[n].int_coeffs[: n + 1], pl) == t[n - 1]
                       for n in range(1, min(5, M) + 1)))
 

@@ -104,17 +104,19 @@ def quotient(f, g) -> list:
 
 
 def gcd_primitive(f, g) -> list:
-    """Primitive gcd of two integer polynomials, by primitive pseudo-remainders."""
+    """Primitive gcd of two integer polynomials, by primitive pseudo-remainders,
+    each kept trimmed ([] for zero), so that its degree is its length - 1."""
     a, b = primitive(f), primitive(g)
     if degree(a) < degree(b):
         a, b = b, a
-    while degree(b) >= 0:
-        r, db = a, degree(b)
-        while degree(r) >= db:  # r <- lc(b) r - r_top x^(dr-db) b
-            dr, top = degree(r), r[degree(r)]
+    while any(b):
+        r, db = a, len(b) - 1
+        while len(r) > db:  # r <- lc(b) r - r_top x^(dr-db) b
+            dr, top = len(r) - 1, r[-1]
             r = [c * b[db] for c in r]
             for i in range(db + 1):
                 r[dr - db + i] -= top * b[i]
+            del r[degree(r) + 1:]
         a, b = b, primitive(r)
     return a
 

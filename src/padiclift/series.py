@@ -240,26 +240,6 @@ def root_numerators(table: BellTable, u: int, v: int, rows: int) -> list[int]:
     return X
 
 
-def lagrange_sum(table: BellTable, n: int, k: int) -> int:
-    """sum_{j=1..k} (-1)^j (n+j)!/(n+1)! B(k, j) as an ``int``, B read from
-    ``table``, whose ordinary denominator must be 1: the row sum behind the
-    factorization's closed form T_n, which reads it on the digits' table.
-
-    B(k, j) = k!/j! [x^k] A^j, so the sum runs in ``int`` with the weight
-    c_j = (n+j)!/(n+1)! k!/j! kept as a running product,
-    c_(j+1) = c_j (n+j+1)/(j+1), an exact division.  (n+j)!/(n+1)! is the
-    product (n+2)...(n+j), so negative n works too."""
-    row = table.ordinary_row(k)
-    acc = 0
-    c = math.factorial(k)  # c_1 = k!/1!
-    for j in range(1, k + 1):
-        b = row[j]
-        if b:
-            acc += -c * b if j & 1 else c * b
-        c = c * (n + j + 1) // (j + 1)
-    return acc
-
-
 def lagrange_invert(alphas) -> list[Fraction]:
     """Inverse-series coefficients beta_n for phi(t) = t(1 + sum alpha_r t^r/r!).
 

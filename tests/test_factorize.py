@@ -290,13 +290,17 @@ def test_tn_series_recurrence():
 
 
 def test_recurrence_check_tests_the_closed_form_at_negative_indices(monkeypatch):
-    # T_n for n <= 0 is the same Lagrange sum as for n >= 1, so a sum skewed
-    # only there (by k!, which keeps T_n integral) fails the recurrence check
-    honest, run_checks = factorize.lagrange_sum, factorize._run_checks
+    # T_n for n <= 0 is the same closed form as for n >= 1, so a T_n skewed
+    # only there (each row sum by k!, which keeps T_n integral: [x^k] T_n
+    # moves by n+1-k) fails the recurrence check
+    honest, run_checks = factorize.tn_series, factorize._run_checks
     seen = []
 
-    def skewed(table, n, k):
-        return honest(table, n, k) + (math.factorial(k) if n <= 0 else 0)
+    def skewed(e, n, order):
+        T = honest(e, n, order)
+        if n > 0:
+            return T
+        return Series([c + (n + 1 - k if k else 0) for k, c in enumerate(T.int_coeffs)], order)
 
     def recording(*args):
         seen.append(run_checks(*args))
@@ -305,7 +309,7 @@ def test_recurrence_check_tests_the_closed_form_at_negative_indices(monkeypatch)
     f = polys.mul(polys.add([7], [0, -1, 3, -2]), [49, 3, -5])
     monkeypatch.setattr(factorize, "_run_checks", recording)
     assert all(factor(f, 8).digits.digits)
-    monkeypatch.setattr(factorize, "lagrange_sum", skewed)
+    monkeypatch.setattr(factorize, "tn_series", skewed)
     with pytest.raises(factorize.PrecisionExhausted, match="tn_recurrence=False"):
         factor(f, 8)
     checks = seen[-1]
@@ -404,7 +408,7 @@ def test_a_remainder_raises_integrality_violation(monkeypatch):
     # every provably-integer quotient of the factor streams goes through one
     # exact division; a skewed numerator that leaves a remainder must raise
     d = rand_digits(random.Random(85), 5, 1, 8)
-    honest_numerators, honest_sum = factorize.root_numerators, factorize.lagrange_sum
+    honest_numerators, honest_rows = factorize.root_numerators, RootDigits.signed_bell_rows
 
     def skewed(*args):
         X = honest_numerators(*args)
@@ -415,7 +419,13 @@ def test_a_remainder_raises_integrality_violation(monkeypatch):
     # a_2 = (X_2 + 1)/3 with X_2/3 an integer
     with pytest.raises(factorize.IntegralityViolation, match="a_2"):
         a_coeffs(d, 4)
-    monkeypatch.setattr(factorize, "lagrange_sum", lambda *args: honest_sum(*args) + 1)
+
+    def skewed_rows(self, order):
+        V = [list(v) for v in honest_rows(self, order)]
+        V[2][0] += 1  # the j = 1 entry of V_2, whose weight in T_n is 1
+        return V
+
+    monkeypatch.setattr(RootDigits, "signed_bell_rows", skewed_rows)
     # [x^2] T_2 = (L + 1)/2! with L/2! an integer
     with pytest.raises(factorize.IntegralityViolation, match=r"\[x\^2\] T_2"):
         tn_series(d, 2, 4)

@@ -9,10 +9,13 @@ and the evaluators of a factorization input, with every
 partial sum a reduced rational and no cleared denominator.  Unlike
 ``bell_oracle`` the recurrence is polynomial, so it covers n up to 40.
 The t stream, the reciprocal of Ahat, is checked against the
-per-coefficient one, t_n = T_n(p^ell) from one closed form per n.  The one polynomial product
+per-coefficient one, t_n = T_n(p^ell) from one closed form per n, and the
+closed form T_n, a dot product with shared signed Bell rows, against the row
+sum with a running weight.  The one polynomial product
 ``polys.mul`` is checked against the double loop that skips zero
 coefficients, ``bhat_coeffs`` against bhat_n summed term by term, and
-``polys.roots_mod_p`` against the scan of all p residues.  The Teichmuller
+``polys.roots_mod_p`` against the scan of all p residues, ``polys.gcd_primitive``
+against the pseudo-remainder loop that rescans every degree.  The Teichmuller
 binomial series is checked against the root series of the same equation on
 the Bell engine, whose brackets are the triple sum's.
 """
@@ -177,6 +180,36 @@ def per_coefficient_t(e, M):
     O(M^3) work in the Lagrange sums."""
     P = e.p ** e.ell
     return [int(tn_series(e, n, n).evaluate(P)) for n in range(1, M + 1)]
+
+
+def row_sum_tn(e, n, order):
+    """T_n to x^order, each coefficient (n+1-k)/k! times the row sum
+    sum_j (-1)^j (n+j)!/(n+1)! B(k, j) with a running weight
+    c_j = (n+j)!/(n+1)! k!/j!, c_(j+1) = c_j (n+j+1)/(j+1), on the digits' table."""
+    table, cs = e.bell_table(order), [1]
+    for k in range(1, order + 1):
+        row, acc, c = table.ordinary_row(k), 0, math.factorial(k)
+        for j in range(1, k + 1):
+            acc += -c * row[j] if j & 1 else c * row[j]
+            c = c * (n + j + 1) // (j + 1)
+        cs.append(Fraction((n + 1 - k) * acc, math.factorial(k)))
+    return cs
+
+
+def pseudo_remainder_gcd(f, g):
+    """Primitive gcd by primitive pseudo-remainders, each degree rescanned."""
+    a, b = polys.primitive(f), polys.primitive(g)
+    if polys.degree(a) < polys.degree(b):
+        a, b = b, a
+    while polys.degree(b) >= 0:
+        r, db = a, polys.degree(b)
+        while polys.degree(r) >= db:
+            dr = polys.degree(r)
+            top, r = r[dr], [c * b[db] for c in r]
+            for i in range(db + 1):
+                r[dr - db + i] -= top * b[i]
+        a, b = b, polys.primitive(r)
+    return a
 
 
 def fraction_eval(si, c):
@@ -708,6 +741,18 @@ def test_t_stream_matches_the_per_coefficient_closed_form(p, ell, M, data):
     assert t_coeffs(a_coeffs(e, M), blk) == per_coefficient_t(e, M)
 
 
+@settings(max_examples=150)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 2), st.integers(0, 30), st.integers(-3, 5),
+       st.data())
+def test_tn_series_matches_the_row_sum(p, ell, order, n, data):
+    # a second, drawn order on the same digits reads the shared rows built for
+    # the first, or extends them
+    digits = data.draw(st.lists(st.integers(0, p ** ell - 1), max_size=30))
+    e = RootDigits(p, ell, tuple(digits))
+    for m in (order, data.draw(st.integers(0, 30))):
+        assert tn_series(e, n, m).int_coeffs == tuple(row_sum_tn(e, n, m))
+
+
 scan_primes = st.sampled_from([3, 5, 7, 11])
 # points in pZ (every scan point is one) and rational points
 eval_points = st.one_of(st.builds(lambda p, k: (p, p * k), scan_primes, st.integers(-60, 60)),
@@ -845,6 +890,19 @@ def test_series_products_check_product_and_bhat_run_on_polys_mul(monkeypatch):
     assert calls == [2, 3]
     assert bhat_coeffs(FactorizationProblem(3, 2, 1, (1,)), 1, [2], 1) == ([3], [1])
     assert calls == [2, 3, 3]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(small_ints, min_size=1, max_size=4), max_size=3), st.data())
+def test_gcd_primitive_matches_the_rescanning_loop(factors, data):
+    # products with repeated factors, a constant (no factor) and the zero
+    # polynomial, against their derivatives and against each other
+    f = [data.draw(st.sampled_from([0, 1, -3, 12]))]
+    for h in factors + factors[: data.draw(st.integers(0, len(factors)))]:
+        f = polys.mul(f, h)
+    g = polys.mul(f, data.draw(st.lists(small_ints, max_size=3)) or [0])
+    for u, v in ((f, polys.derivative(f)), (f, g), (g, f), (f, [0]), ([0], f)):
+        assert polys.gcd_primitive(u, v) == pseudo_remainder_gcd(u, v)
 
 
 PRIMES_TO_211 = [q for q in range(2, 212) if all(q % d for d in range(2, q))]

@@ -13,7 +13,7 @@ import pytest
 
 from padiclift import bell, factorize, hensel, series
 
-ENGINES = {"BellTable", "lagrange_sum", "root_numerators", "formal_root_brackets",
+ENGINES = {"BellTable", "signed_bell_rows", "root_numerators", "formal_root_brackets",
            "formal_root_numerators", "_sparse_sum", "_root_series_residue"}
 
 
@@ -65,12 +65,12 @@ def test_the_scan_follows_helpers_of_the_same_module():
 
 def test_the_factor_streams_read_one_kernel_each():
     # a_n is the Lagrange-inversion kernel of the lift and of lagrange_invert;
-    # the closed form T_n is the row sum, so the tn_recurrence check compares
-    # two different sums of the same table
+    # the closed form T_n is a dot product with the signed Bell rows, so the
+    # tn_recurrence check compares two different sums of the same table
     assert "root_numerators" in names_used(factorize, "a_coeffs")
-    assert "lagrange_sum" not in names_used(factorize, "a_coeffs")
-    assert "lagrange_sum" in names_used(factorize, "tn_series")
+    assert "signed_bell_rows" not in names_used(factorize, "a_coeffs")
+    assert "signed_bell_rows" in names_used(factorize, "tn_series")
     assert "root_numerators" not in names_used(factorize, "tn_series")
     for name in ("formal_root_numerators", "lagrange_invert"):
         used = names_used(series, name)
-        assert "root_numerators" in used and "lagrange_sum" not in used
+        assert "root_numerators" in used and "signed_bell_rows" not in used
