@@ -110,7 +110,7 @@ def taylor_shift(f, r0: int, kappa: int = 0, p: int | None = None) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _term_count(v0: int, p: int, N: int) -> int:
+def _term_count(v0: int, N: int) -> int:
     """The least count >= 1 with (count + 1) v0 >= N, v0 = vp(c0) >= 1: the
     terms needed so every omitted term has valuation >= N, at any p.
 
@@ -136,7 +136,7 @@ def _root_series_residue(cs, p: int, N: int) -> tuple[int, int]:
     c0 = cs[0]
     if c0 == 0:
         return 0, 0
-    count = _term_count(vp(c0, p), p, N)
+    count = _term_count(vp(c0, p), N)
     modulus = p ** N
     c1, X = formal_root_numerators(cs, count - 1)
     while not X[-1]:  # trailing zero X_n add nothing (linear data: all past X_0 = 1)
@@ -171,14 +171,34 @@ def _report(f, p: int, N: int, residue: int, terms: int) -> LiftReport:
     return LiftReport(root, terms, rv)
 
 
+def _simple_seed(f, r0: int, p: int, N: int) -> int:
+    """r0 mod p, once p is a prime base, N >= 1 and r0 a simple root of f mod p."""
+    check_prime_base(p)
+    if N < 1:
+        raise ValueError("precision must be >= 1")
+    if polys.evaluate(f, r0) % p != 0:
+        raise NotARootModP(f"f({r0}) != 0 mod {p}")
+    if polys.evaluate(polys.derivative(f), r0) % p == 0:
+        raise DerivativeNotUnit(f"f'({r0}) = 0 mod {p}: seed is not a simple root")
+    return r0 % p
+
+
+def _closed_form(f, r0: int, p: int, N: int, total) -> LiftReport:
+    """The sum total(c, p, N) = (residue, terms) of a root series on the Taylor data
+    c of f at the simple seed r0, certified: the one path of every simple-seed series lift."""
+    r0 = _simple_seed(f, r0, p, N)
+    rho, terms = total(polys.taylor_coeffs(f, r0), p, N)
+    return _report(f, p, N, (r0 + rho) % p ** N, terms)
+
+
 def lift_simple(f, r0: int, p: int, N: int) -> LiftReport:
     """Lift a simple root mod p to a root of f modulo p**N, at any prime p.
 
     Needs f(r0) = 0 mod p and vp(f'(r0)) = 0; the result is congruent to
-    r0 mod p and satisfies f(root) = 0 mod p**N.  This is
-    :func:`lift_general` at nu = 1, kappa = 0, which checks both hypotheses.
+    r0 mod p and satisfies f(root) = 0 mod p**N.  This is :func:`_closed_form`
+    with the root series of :func:`_root_series_residue` as its sum.
     """
-    return lift_general(f, r0 % p, p, N, nu=1, kappa=0)
+    return _closed_form([int(c) for c in f], r0, p, N, _root_series_residue)
 
 
 def lift_general(f, r0: int, p: int, N: int,
@@ -289,16 +309,6 @@ def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
     return [found[k] for k in sorted(found)]
 
 
-def _simple_seed(f, r0: int, p: int) -> int:
-    """r0 mod p, once r0 is checked to be a simple root of f mod p, at a prime base p."""
-    check_prime_base(p)
-    if polys.evaluate(f, r0) % p != 0:
-        raise NotARootModP(f"f({r0}) != 0 mod {p}")
-    if polys.evaluate(polys.derivative(f), r0) % p == 0:
-        raise DerivativeNotUnit(f"f'({r0}) = 0 mod {p}: seed is not a simple root")
-    return r0 % p
-
-
 def newton_lift(f, r0: int, p: int, N: int) -> PadicInt:
     """Classical Newton/Hensel iteration, the oracle for the series lifts.
 
@@ -306,7 +316,7 @@ def newton_lift(f, r0: int, p: int, N: int) -> PadicInt:
     hypothesis as the closed forms, checked by :func:`_simple_seed`.
     """
     f = [int(c) for c in f]
-    r = _simple_seed(f, r0, p)
+    r = _simple_seed(f, r0, p, N)
     df = polys.derivative(f)
     prec = 1
     while prec < N:
@@ -340,16 +350,8 @@ def lift_cubic(a0: int, a1: int, a2: int, a3: int, r0: int, p: int, N: int) -> L
     with c2 = f''(r0)/2 and c3 the leading coefficient: the sparse double
     sum of :func:`lift_sparse` at (l, m) = (2, 3) on the shifted polynomial.
     """
-    return _closed_form([int(a0), int(a1), int(a2), int(a3)], r0, 2, 3, p, N)
-
-
-def _closed_form(f, r0: int, l: int, m: int, p: int, N: int) -> LiftReport:
-    """The sparse double sum on the Taylor data c of f at the simple seed r0, for f
-    whose c_j vanish but for j in (0, 1, l, m): the one path of every closed form."""
-    r0 = _simple_seed(f, r0, p)
-    c = polys.taylor_coeffs(f, r0)
-    rho, terms = _sparse_sum(c[0], c[1], c[l], c[m], l, m, p, N)
-    return _report(f, p, N, (r0 + rho) % p ** N, terms)
+    f = [int(a0), int(a1), int(a2), int(a3)]
+    return _closed_form(f, r0, p, N, lambda c, p, N: _sparse_sum(*c, 2, 3, p, N))
 
 
 def _sparse_sum(a0: int, a1: int, al: int, am: int, l: int, m: int,
@@ -425,7 +427,8 @@ def lift_sparse(a0: int, a1: int, al: int, am: int, l: int, m: int,
         raise BadExponents(f"need 1 < l < m, got l={l}, m={m}")
     f = [0] * (m + 1)
     f[0], f[1], f[l], f[m] = int(a0), int(a1), int(al), int(am)
-    return _closed_form(f, 0, l, m, p, N)
+    return _closed_form(f, 0, p, N,
+                        lambda c, p, N: _sparse_sum(c[0], c[1], c[l], c[m], l, m, p, N))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +471,7 @@ def teichmuller(q: int, p: int, N: int) -> PadicInt:
     c0 = (1 - pow(q, 1 - p, modulus)) % modulus
     rho = 0
     if c0:
-        K = _term_count(vp(c0, p), p, N)
+        K = _term_count(vp(c0, p), N)
         work = p ** (N + vp_factorial(K, p))
         term, acc, den = 1, 0, 1  # the terms so far sum to acc / den
         for k in range(1, K + 1):

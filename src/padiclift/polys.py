@@ -91,8 +91,7 @@ def quotient(f, g) -> list:
     if dg < 0:
         raise ZeroDivisionError("division by zero polynomial")
     q = [0] * max(len(r) - dg, 1)
-    while degree(r) >= dg:
-        dr = degree(r)
+    for dr in range(len(r) - 1, dg - 1, -1):
         q[dr - dg], rem = divmod(r[dr], g[dg])
         if rem:
             break

@@ -12,7 +12,7 @@ On top of the ring operations sit the three series engines used by the
 lifting and factorization code:
 
 * :func:`lagrange_invert` - coefficients of the compositional inverse of
-  phi(t) = t*(1 + sum alpha_r t^r / r!), as Bell-polynomial sums;
+  phi(t) = t*(1 + sum alpha_r t^r / r!), the formal root of phi(t) - u;
 * :func:`formal_root_brackets` / :func:`formal_root_brackets_alt` (and
   :func:`formal_root_terms` on the first) - the term stream of the formal
   root of a_0 + a_1 x + a_2 x^2 + ... when a_1 is invertible, in two
@@ -245,14 +245,13 @@ def lagrange_invert(alphas) -> list[Fraction]:
 
     beta_n = sum_{j=1..n} (-1)^j (n+j)!/(n+1)! B(n, j)(alpha_1, alpha_2, ...),
     returned for n = 1..len(alphas); then
-    phi^{-1}(u) = u(1 + sum beta_n u^n / n!).  Read as beta_n =
-    n! X_n / ((n+1) E^n), X_n of :func:`root_numerators` on phi(t)/t - 1.
+    phi^{-1}(u) = u(1 + sum beta_n u^n / n!).  phi^{-1}(u) is the formal root of
+    phi(t) - u, whose u^(n+1) coefficient is X_n / ((n+1) E^n) for (E, X) the
+    :func:`formal_root_numerators` of phi (a_1 = 1), so beta_n = n! X_n / ((n+1) E^n).
     """
-    a = series_from_alphas(alphas).coeffs[2:]
-    table = BellTable(a, len(a))
-    E = table.ordinary_denominator
-    X = root_numerators(table, E, 1, len(a))
-    return [Fraction(math.factorial(n) * X[n], (n + 1) * E ** n) for n in range(1, len(a) + 1)]
+    cs = series_from_alphas(alphas).coeffs
+    E, X = formal_root_numerators(cs, len(cs) - 2)
+    return [Fraction(math.factorial(n) * X[n], (n + 1) * E ** n) for n in range(1, len(cs) - 1)]
 
 
 def series_from_alphas(alphas, order: int | None = None) -> Series:

@@ -390,12 +390,45 @@ def test_lift_all_refuses_p_below_2(p):
     lambda p: lift_cubic(-3, 1, 1, 1, 0, p, 5),
     lambda p: lift_quadratic(-3, 1, 1, 0, p, 5),
     lambda p: newton_lift([-3, 1, 1], 0, p, 5),
-], ids=["lift_sparse", "lift_cubic", "lift_quadratic", "newton_lift"])
+    lambda p: lift_simple([-3, 1, 1], 0, p, 5),
+    lambda p: lift_general([-3, 1, 1], 0, p, 5),
+], ids=["lift_sparse", "lift_cubic", "lift_quadratic", "newton_lift", "lift_simple",
+        "lift_general"])
 def test_closed_forms_and_newton_refuse_p_below_2(lift, p):
     # the refusal comes before any arithmetic mod p, which divides by zero
     # at p = 0 and certifies nothing at p = 1 or p = -3
     with pytest.raises(DomainError, match="not prime"):
         lift(p)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+@pytest.mark.parametrize("lift", [
+    lambda N: lift_simple([-3, 1, 1], 0, 3, N),
+    lambda N: lift_sparse(-3, 1, 1, 1, 2, 3, 3, N),
+    lambda N: lift_cubic(-3, 1, 1, 1, 0, 3, N),
+    lambda N: lift_quadratic(-3, 1, 1, 0, 3, N),
+    lambda N: newton_lift([-3, 1, 1], 0, 3, N),
+], ids=["lift_simple", "lift_sparse", "lift_cubic", "lift_quadratic", "newton_lift"])
+def test_simple_seed_lifts_refuse_precision_below_1(lift, N):
+    # one refusal for every simple-seed lift, before p**N is formed: p**-1
+    # is a float, which pow() refuses as a modulus
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        lift(N)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(-30, 30), min_size=1, max_size=5),
+       st.integers(-50, 50), st.integers(1, 12))
+def test_lift_simple_and_newton_refuse_a_bad_seed_alike(p, f, r0, N):
+    # seeds that are not roots mod p, or not simple ones, meet one check
+    if polys.evaluate(f, r0) % p == 0 and polys.evaluate(polys.derivative(f), r0) % p:
+        f = polys.mul(f, [-r0, 1])  # make r0 a double root
+    with pytest.raises(DomainError) as series_refusal:
+        lift_simple(f, r0, p, N)
+    with pytest.raises(DomainError) as newton_refusal:
+        newton_lift(f, r0, p, N)
+    assert type(series_refusal.value) is type(newton_refusal.value)
+    assert str(series_refusal.value) == str(newton_refusal.value)
 
 
 def test_lift_all_complete_against_enumeration():

@@ -15,7 +15,8 @@ sum with a running weight.  The one polynomial product
 ``polys.mul`` is checked against the double loop that skips zero
 coefficients, ``bhat_coeffs`` against bhat_n summed term by term, and
 ``polys.roots_mod_p`` against the scan of all p residues, ``polys.gcd_primitive``
-against the pseudo-remainder loop that rescans every degree.  The Teichmuller
+against the pseudo-remainder loop that rescans every degree, and
+``polys.quotient`` against the ``polys.mul`` it undoes.  The Teichmuller
 binomial series is checked against the root series of the same equation on
 the Bell engine, whose brackets are the triple sum's.
 """
@@ -104,7 +105,7 @@ def fraction_root_series_residue(cs, p, N):
     c0 = cs[0]
     if c0 == 0:
         return 0, 0
-    count = _term_count(vp(c0, p), p, N)
+    count = _term_count(vp(c0, p), N)
     modulus = p ** N
     ratio = reduce_mod(Fraction(c0, cs[1]), modulus)
     acc, power = 0, 1
@@ -498,7 +499,7 @@ def test_series_summed_to_the_integrality_bound_is_the_root(p, v0, kappa, r0, u0
     u1 += u1 % p == 0
     f = from_taylor([p ** (2 * kappa + v0) * u0, p ** kappa * u1] + rest, r0)
     rep = lift_general(f, r0, p, N)
-    with mock.patch.object(hensel, "_term_count", old_term_count):
+    with mock.patch.object(hensel, "_term_count", lambda v0, N: old_term_count(v0, p, N)):
         old = lift_general(f, r0, p, N)
     assert rep.root == old.root and rep.terms_used <= old.terms_used
     assert rep.root.residue == newton_from(f, r0, p, N, kappa)
@@ -516,7 +517,7 @@ def test_sparse_sum_stops_at_the_integrality_bound(p, v0, u0, a1, al, am, l, gap
     f[m] += am
     rho, terms = _sparse_sum(f[0], a1, al, am, l, m, p, N)
     assert terms == next(k for k in range(1, N + 1) if (1 + (l - 1) * k) * v0 >= N)
-    with mock.patch.object(hensel, "_term_count", old_term_count):
+    with mock.patch.object(hensel, "_term_count", lambda v0, N: old_term_count(v0, p, N)):
         assert rho == _root_series_residue(f, p, N)[0] == newton_lift(f, 0, p, N).residue
 
 
@@ -527,7 +528,7 @@ def test_one_term_fewer_than_the_bound_misses_the_root():
     for p in (3, 5, 7, 11):
         for v0 in (1, 2, 3):
             for N in range(2 * v0 + 1, 30):
-                count = _term_count(v0, p, N)
+                count = _term_count(v0, N)
                 assert count * v0 < N <= (count + 1) * v0
                 if math.comb(2 * count - 2, count - 1) // count % p == 0:
                     continue
@@ -547,7 +548,7 @@ def test_root_series_residue_matches_term_by_term_reduction(p, v0, u0, c1, rest,
     c1 += c1 % p == 0
     cs = [p ** v0 * u0, c1] + rest
     modulus = p ** N
-    count = _term_count(vp(cs[0], p), p, N)
+    count = _term_count(vp(cs[0], p), N)
     expected = sum(reduce_mod(t, modulus) for _, t in formal_root_terms(cs, count - 1)) % modulus
     assert _root_series_residue(cs, p, N) == (expected, count)
 
@@ -561,7 +562,7 @@ def test_root_series_residue_divides_out_high_powers_of_p(p_count, v0, u0, c1, r
     p, min_count = p_count
     c1 += c1 % p == 0
     u0 += u0 % p == 0
-    N = next(N for N in range(1, 200) if _term_count(v0, p, N) >= min_count) + extra
+    N = next(N for N in range(1, 200) if _term_count(v0, N) >= min_count) + extra
     cs = [p ** v0 * u0, c1] + rest
     assert _root_series_residue(cs, p, N) == fraction_root_series_residue(cs, p, N)
 
@@ -903,6 +904,20 @@ def test_gcd_primitive_matches_the_rescanning_loop(factors, data):
     g = polys.mul(f, data.draw(st.lists(small_ints, max_size=3)) or [0])
     for u, v in ((f, polys.derivative(f)), (f, g), (g, f), (f, [0]), ([0], f)):
         assert polys.gcd_primitive(u, v) == pseudo_remainder_gcd(u, v)
+
+
+@settings(max_examples=300)
+@given(st.lists(small_ints, min_size=1, max_size=5).filter(any),
+       st.lists(small_ints, min_size=1, max_size=6), st.sampled_from([1, -1]))
+def test_quotient_undoes_mul_and_refuses_a_remainder(g, q, shift):
+    f = polys.mul(g, q)
+    assert polys.quotient(f, g) == polys.trim(q)
+    f[0] += shift
+    if polys.trim(g) not in ([1], [-1]):
+        with pytest.raises(ValueError, match="does not divide"):
+            polys.quotient(f, g)
+    with pytest.raises(ZeroDivisionError):
+        polys.quotient(f, [0] * len(g))
 
 
 PRIMES_TO_211 = [q for q in range(2, 212) if all(q % d for d in range(2, q))]

@@ -74,3 +74,19 @@ def test_the_factor_streams_read_one_kernel_each():
     for name in ("formal_root_numerators", "lagrange_invert"):
         used = names_used(series, name)
         assert "root_numerators" in used and "signed_bell_rows" not in used
+
+
+def test_lift_simple_takes_the_closed_forms_path():
+    # one simple-seed check and one Taylor expansion for every simple-seed
+    # lift; lift_general's (nu, kappa) path is for degenerate seeds only
+    used = names_used(hensel, "lift_simple")
+    assert {"_simple_seed", "taylor_coeffs", "_root_series_residue", "_report"} <= used
+    assert not used & {"lift_general", "taylor_shift"}
+
+
+def test_lagrange_invert_is_a_formal_root():
+    # phi^-1(u) is the formal root of phi(t) - u: lagrange_invert builds no
+    # table of its own, it reads formal_root_numerators
+    own = {node.id for node in ast.walk(ast.parse(inspect.getsource(series.lagrange_invert)))
+           if isinstance(node, ast.Name)}
+    assert "formal_root_numerators" in own and "BellTable" not in own
