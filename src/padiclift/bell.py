@@ -14,8 +14,9 @@ That recurrence has no binomial, and its cells grow like powers of the
 a_j, not like n!.  The table is given the a_j, the coefficients of the
 series it powers, and runs on plain ``int``: since [x^n] A^k is homogeneous
 of degree k in the a_j, it stores E^k [x^n] A^k, E the lcm of their
-denominators.  The engines read those values; B(n, k) is rebuilt on read,
-and :func:`bell` is the one place that turns the x_j into the a_j.
+denominators, on the band k >= n/L of row n, L the last j with a_j != 0.
+The engines read those values; B(n, k) is rebuilt on read, and :func:`bell`
+is the one place that turns the x_j into the a_j.
 The defining sum over the partition index set pi(n, k) is kept as
 :func:`bell_oracle`, an independent reference used by the test-suite only
 (it is exponential and refuses n > 14).
@@ -43,45 +44,48 @@ class BellTable:
     """[x^n] A(x)^k for 0 <= k <= n <= n_max, A = sum_j a_j x^j on the given
     a_1, a_2, ... (``int`` or ``Fraction``), and B(n, k) on x_j = j! a_j.
 
-    Built once, then read-only.  :meth:`ordinary` reads the stored integer
-    E^k [x^n] A(x)^k = E^k k!/n! B(n, k), E = :attr:`ordinary_denominator`
-    the lcm of the denominators of the a_j (1 on the digits' table and on
-    integer lift data); :meth:`value` rebuilds B(n, k) from it.
-
-    With L the index of the last nonzero a_j (1 if none), [x^n] A^k = 0 for
-    k < n/L, so row n is built from k = :meth:`band_start` (n) = ceil(n/L)
-    on; the stored rows keep their length n + 1."""
+    Built once, then read-only.  With L the index of the last nonzero a_j
+    (1 if none), [x^n] A^k = 0 for k < n/L, so only the band of row n is
+    stored, read by :meth:`band`: E^k [x^n] A^k = E^k k!/n! B(n, k) for k >= n/L,
+    E = :attr:`ordinary_denominator` the lcm of the denominators of the a_j (1 on
+    the digits' table and on integer lift data).  :meth:`ordinary_row` pads a
+    band to its n + 1 entries on read, and :meth:`value` rebuilds B(n, k)."""
 
     def __init__(self, a, n_max: int):
         ratios = [c.as_integer_ratio() for c in a]
         E = math.lcm(*(d for _, d in ratios))
         ys = [u * (E // d) for u, d in ratios]
         L = self._degree = max((j for j, y in enumerate(ys, start=1) if y), default=1)
-        self.n_max = n_max
-        self.ordinary_denominator = E
-        rows = [(1,)]
+        taps = [(j, y) for j, y in enumerate(ys[:L], start=1) if y]
+        self.n_max, self.ordinary_denominator = n_max, E
+        starts, bands = self._starts, self._bands = [0], [(1,)]
         for n in range(1, n_max + 1):
-            row = [0] * (n + 1)
-            # row[k] = sum_j y_j [x^(n-j)] A^(k-1), over the band of row n - j
-            for j, y in enumerate(ys[:min(n, L)], start=1):
-                if y:
-                    prev = rows[n - j]
-                    for i in range(self.band_start(n - j), n - j + 1):
-                        b = prev[i]
-                        if b:
-                            row[i + 1] += y * b
-            rows.append(tuple(row))
-        self._rows = rows
+            lo = -(-n // L)
+            band = [0] * (n + 1 - lo)
+            # entry k of row n gets y_j times entry k - 1 of row n - j, for every j
+            for j, y in taps:
+                if j > n:
+                    break
+                for i, b in enumerate(bands[n - j], starts[n - j] + 1 - lo):
+                    if b:
+                        band[i] += y * b
+            starts.append(lo)
+            bands.append(tuple(band))
 
     def band_start(self, n: int) -> int:
         """ceil(n/L): every entry of row n below this k is zero."""
         return -(-n // self._degree)
 
-    def ordinary_row(self, n: int) -> tuple:
-        """The stored row (E^k [x^n] A(x)^k for k = 0..n), 0 <= n <= n_max."""
+    def band(self, n: int) -> tuple[int, tuple]:
+        """(s, E^k [x^n] A(x)^k for k = s..n), s = :meth:`band_start` (n); 0 <= n <= n_max."""
         if not 0 <= n <= self.n_max:
             raise IndexError(f"table built to n_max={self.n_max}, asked for n={n}")
-        return self._rows[n]
+        return self._starts[n], self._bands[n]
+
+    def ordinary_row(self, n: int) -> tuple:
+        """E^k [x^n] A(x)^k for k = 0..n, 0 <= n <= n_max: the band, zero-padded."""
+        start, entries = self.band(n)
+        return (0,) * start + entries
 
     def ordinary(self, n: int, k: int) -> int:
         """E^k [x^n] A(x)^k; zero outside 0 <= k <= n by convention."""

@@ -212,6 +212,8 @@ def lift_general(f, r0: int, p: int, N: int,
     """
     f = [int(c) for c in f]
     check_prime_base(p)
+    if N < 1:
+        raise ValueError("precision must be >= 1")
     fr0 = polys.evaluate(f, r0)
     dfr0 = polys.evaluate(polys.derivative(f), r0)
     nu_true = vp(fr0, p)
@@ -294,6 +296,8 @@ def lift_all(f, r0: int, p: int, N: int) -> list[LiftReport]:
     """
     f = [int(c) for c in f]
     check_prime_base(p)
+    if N < 1:
+        raise ValueError("precision must be >= 1")
     if not any(f):
         raise ZeroPolynomial("f = 0: every element of Z_p is a root")
     r0 %= p

@@ -212,30 +212,26 @@ def root_numerators(table: BellTable, u: int, v: int, rows: int) -> list[int]:
     """The Lagrange-inversion kernel: [X_0, ..., X_rows], X_n / ((n+1) c u^n)
     the x^(n+1) coefficient of the compositional inverse of x (c + S(x)),
 
-    X_n = sum_j (-1)^j C(n+j, j) E^j [x^n] S(x)^j v^j u^(n-j),
+    X_n = sum_j C(n+j, j) E^j [x^n] S(x)^j (-v)^j u^(n-j),
 
-    E^j [x^n] S^j read over the band of ``table``, the Bell table on S, and
-    u/v = E c in lowest terms.  C(n+j, j) is stepped exactly, along j and
-    from row to row at the band start."""
-    u_pows = [u ** i for i in range(rows + 1)]
-    v_pows = [v ** i for i in range(rows + 1)]
-    X = []
-    lo, c_lo = 0, 1  # C(n + lo, lo) at the band start lo of row n
+    summed by Horner's rule in u over the :meth:`~BellTable.band` (n) of
+    ``table``, the Bell table on S, u/v = E c in lowest terms.  C(n+j, j) and
+    (-v)^j are stepped exactly, along j and from row to row at the band start."""
+    X, w = [], -v
+    lo, c_lo, w_lo = 0, 1, 1  # C(n + lo, lo) and (-v)^lo at the band start lo of row n
     for n in range(rows + 1):
+        start, band = table.band(n)
         if n:
             c_lo = c_lo * (n + lo) // n
-        while lo < table.band_start(n):
+        while lo < start:
             c_lo = c_lo * (n + lo + 1) // (lo + 1)
+            w_lo *= w
             lo += 1
-        row = table.ordinary_row(n)
-        c = c_lo
-        acc = 0
-        for j in range(lo, n + 1):
-            b = row[j]
-            if b:
-                t = c * b * v_pows[j] * u_pows[n - j]
-                acc += -t if j & 1 else t
+        c, t, acc = c_lo, w_lo, 0
+        for j, b in enumerate(band, start):
+            acc = acc * u + c * b * t
             c = c * (n + j + 1) // (j + 1)
+            t *= w
         X.append(acc)
     return X
 

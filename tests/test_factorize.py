@@ -347,13 +347,16 @@ def test_tn_congruences_catch_a_corrupted_t(monkeypatch):
     # Bell table, and the check does not.  [x^M] D += M + 1 moves X_M by
     # -(M + 1)^2, keeps the division by M + 1 exact, moves a_M by -(M + 1)
     # and so t_M by -(M + 1) p^(ell M) = -7 * 5^6, which is not 0 mod 5^8
-    honest_row = factorize.BellTable.ordinary_row
+    honest_band = factorize.BellTable.band
 
     def skewed(table, n):
-        row = honest_row(table, n)
-        return (row[0], row[1] + M + 1) + row[2:] if n == M else row
+        start, entries = honest_band(table, n)
+        if n != M:
+            return start, entries
+        i = 1 - start  # the entry k = 1 of the band
+        return start, entries[:i] + (entries[i] + M + 1,) + entries[i + 1:]
 
-    monkeypatch.setattr(factorize.BellTable, "ordinary_row", skewed)
+    monkeypatch.setattr(factorize.BellTable, "band", skewed)
     assert not factorize._tn_congruences(E, p ** ell, t_of(d, M))
 
 

@@ -416,6 +416,26 @@ def test_simple_seed_lifts_refuse_precision_below_1(lift, N):
         lift(N)
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_lift_all_refuses_precision_below_1(N):
+    # x^2 - 3 has no root over the class 0 mod 3: the empty list is no answer
+    # to a precision that names no p-adic ball
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        lift_all([-3, 0, 1], 0, 3, N)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_lift_general_refuses_precision_below_1_before_any_series(monkeypatch, N):
+    # the refusal comes before the Taylor shift and the series sum, not from
+    # the certificate of a root already summed
+    def refuse(*args):
+        raise AssertionError("a root series summed for a refused precision")
+
+    monkeypatch.setattr(hensel, "formal_root_numerators", refuse)
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        lift_general([-3, 1, 1], 0, 3, N, nu=1, kappa=0)
+
+
 @settings(max_examples=200)
 @given(st.sampled_from([2, 3, 5, 7]), st.lists(st.integers(-30, 30), min_size=1, max_size=5),
        st.integers(-50, 50), st.integers(1, 12))

@@ -628,6 +628,14 @@ def test_banded_table_matches_fraction_recurrence(xs):
         assert not any(row[:table.band_start(n)])
 
 
+def test_a_one_entry_sequence_stores_one_cell_per_row():
+    # A = x: [x^n] A^k = 0 unless k = n, so each band is one cell and the
+    # table grows with n_max, not with n_max^2
+    table = BellTable([1], 4000)
+    assert sum(len(table.band(n)[1]) for n in range(table.n_max + 1)) == table.n_max + 1
+    assert bell.bell(4000, 1, [1]) == 0
+
+
 @settings(max_examples=150)
 @given(coeff_lists, coeff_lists)
 def test_series_product_matches_fraction_convolution(f, g):
