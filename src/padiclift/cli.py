@@ -7,7 +7,10 @@ byte-identical output.  The hidden ``verify`` subcommand re-checks a
 previously emitted JSON payload (root residual / factor product) and is
 what CI uses for round-trip testing; a field of the wrong type is a usage error.
 
-:func:`main` builds its argument parser once per process, on its first call.
+:func:`main` builds its argument parser once per process, on its first call,
+and hands a request whose first word names a subcommand straight to that
+subcommand's parser; the top-level parser reads only the other requests (none,
+``-h``, an unknown name, an option first), with the same messages either way.
 ``lift`` without ``--seed`` seeds from :func:`polys.roots_mod_p` of f over
 its p-content, as every node of the root tree does, at any p.
 """
@@ -387,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=_cmd_verify)
 
+    ap.commands = sub.choices  # the subcommand parsers by name, for main
     return ap
 
 
@@ -397,8 +401,15 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = _parser.commands.get(argv[0]) if argv else None
     try:
-        args = _parser.parse_args(argv)
+        if sub is None:
+            args = _parser.parse_args(argv)
+        else:  # the top-level parse would hand argv[1:] to sub and refuse what it leaves
+            args, extra = sub.parse_known_args(argv[1:])
+            if extra:
+                _parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

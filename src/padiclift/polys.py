@@ -168,28 +168,35 @@ def roots_mod_p(f, p: int) -> list[int]:
     """The sorted r in range(p) with f(r) = 0 mod p, p prime; all of range(p)
     when f = 0 mod p.
 
-    A linear f mod p gives its root at once.  Below p = 500 a scan of the
-    residues beats the split for degrees 2-8 (degree 2: 3 against 38 us at
-    p = 3, 267 against 279 us at p = 499; Python 3.11, 2 vCPUs).  Above, a
-    factor h with two or more roots of g = gcd(f mod p, x^p - x), the product
-    of x - r over the roots r, splits on gcd(h, (x + delta)^((p-1)/2) - 1),
+    A linear f mod p gives its root at once.  Below p = 500 the residues are
+    scanned: for f with all its roots mod p the scan beats the split at
+    degrees 2-8 (degree 2: 2 against 24 us at p = 3, 119 against 164 us at
+    p = 499), though a random monic f of degree 3-8 splits faster from about
+    p = 400 (best of 5 on 20 polynomials; Python 3.11, 2 vCPUs).  Above, one
+    power y = x^((p-1)/2) mod g, g = f mod p, gives x^p = x y^2 for
+    g = gcd(g, x^p - x), the product of x - r over the roots r.  A factor h
+    of g with two or more roots splits on gcd(h, (x + delta)^((p-1)/2) - 1),
     the roots r with chi(r + delta) = 1 (chi the Legendre symbol), for
-    delta = 0, 1, 2, ...  The loop ends: for roots a != b the Jacobi sum of
-    chi((a + delta)(b + delta)) over range(p) is -1, so (p-1)/2 delta put a
-    and b apart, chi(a + delta) = -chi(b + delta) != 0.  Those tried on h kept
-    its roots together, so the parts of a split resume at delta + 1.
+    delta = 0 (y mod h), 1, 2, ...  The loop ends: for roots a != b the
+    Jacobi sum of chi((a + delta)(b + delta)) over range(p) is -1, so
+    (p-1)/2 delta put a and b apart, chi(a + delta) = -chi(b + delta) != 0.
+    Those tried on h kept its roots together, so the parts of a split resume
+    at delta + 1.
     """
     g = _monic_mod(f, p)
     if len(g) == 2:
         return [-g[0] % p]
     if p < 500 or not g:
         return [r for r in range(p) if evaluate(g, r) % p == 0]
-    g = _gcd_mod(g, add(_pow_mod([0, 1], p, g, p), [0, -1]), p)
+    y = _pow_mod([0, 1], (p - 1) // 2, g, p)
+    g = _gcd_mod(g, add(_divmod_mod([0] + mul(y, y), g, p)[1], [0, -1]), p)
     roots, stack = [], [(g, 0)]
     while stack:
         h, delta = stack.pop()
-        if len(h) > 2:
-            w = _gcd_mod(h, add(_pow_mod([delta, 1], (p - 1) // 2, h, p), [-1]), p)
+        if len(h) > 2:  # delta = 0 only on the first h, a divisor of the g y is taken mod
+            power = (_divmod_mod(y, h, p)[1] if delta == 0
+                     else _pow_mod([delta, 1], (p - 1) // 2, h, p))
+            w = _gcd_mod(h, add(power, [-1]), p)
             parts = [w, _divmod_mod(h, w, p)[0]] if 1 < len(w) < len(h) else [h]
             stack += [(part, delta + 1) for part in parts]
         elif len(h) == 2:

@@ -75,11 +75,20 @@ def test_lift_without_seed_takes_any_prime(capsys, evaluation_budget):
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
-    build, built = cli.build_parser, []
+    build, built, used = cli.build_parser, [], []
 
     def counting():
-        built.append(1)
-        return build()
+        parser = build()
+        classify = parser.commands["classify"]
+        parse = classify.parse_known_args
+
+        def recording(*args):
+            used.append(parser)
+            return parse(*args)
+
+        monkeypatch.setattr(classify, "parse_known_args", recording)
+        built.append(parser)
+        return parser
 
     monkeypatch.setattr(cli, "_parser", None)
     monkeypatch.setattr(cli, "build_parser", counting)
@@ -88,6 +97,32 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "bell", "3", "2", "1,1,1")[0] == 0
     assert len(built) == 1
+    # a reset parser is rebuilt, and its own subcommand parsers read the requests
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run(capsys, "classify", "--f0", "9", "--f1", "3")[0] == 0
+    assert run(capsys, "classify", "--f0", "9", "--f1", "3", "extra")[0] == 2
+    assert len(built) == 2 and cli._parser is built[1]
+    assert [built.index(parser) for parser in used] == [0, 1, 1]
+
+
+def test_a_request_naming_a_subcommand_skips_the_top_level_parse(capsys, monkeypatch):
+    # the top-level parse would only hand argv[1:] to the subcommand's parser
+    main(["classify", "--f0", "9", "--f1", "3"])
+    capsys.readouterr()
+    entered = []
+    parse = cli._parser.parse_known_args
+    monkeypatch.setattr(cli._parser, "parse_known_args",
+                        lambda *args: entered.append(args) or parse(*args))
+    for argv, rc in ((["lift", "--poly", "1,11,-5", "--prime", "7", "--precision", "3"], 0),
+                     (["lift", "--poly", "1,11,-5", "--prime", "x", "--precision", "3"], 2),
+                     (["classify", "--f0", "9", "--f1", "3", "extra"], 2),
+                     (["teichmuller", "--prime", "5", "--q", "2", "--precision", "0"], 1),
+                     (["bell", "-h"], 0)):
+        assert run(capsys, *argv)[0] == rc
+    assert entered == []
+    for argv in ([], ["-h"], ["frobnicate"], ["--json", "classify", "--f0", "9", "--f1", "3"]):
+        run(capsys, *argv)
+    assert len(entered) == 4
 
 
 def test_lift_with_no_root_over_the_seeds_says_so(capsys):

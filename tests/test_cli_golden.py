@@ -15,7 +15,8 @@ from padiclift.cli import main
 GOLDEN = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
 
 
-@pytest.mark.parametrize("record", GOLDEN, ids=[" ".join(r["argv"]) for r in GOLDEN])
+@pytest.mark.parametrize("record", GOLDEN,
+                         ids=[" ".join(r["argv"]) or "(no arguments)" for r in GOLDEN])
 def test_cli_output_is_byte_identical(record, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to this width
     rc = main(list(record["argv"]))

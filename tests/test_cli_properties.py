@@ -3,32 +3,40 @@ or 2 without a traceback, every ``--json`` payload of ``lift`` and ``factor``
 verifies, and the same payload with one checked field changed does not.
 
 The draws stay inside p <= 13, precision <= 12 and degree <= 5, so the cost is
-bounded by the ranges.  They never draw the four shapes the bench probes as
-known defects: a negative ``factor --order``, a ``verify --input`` file that
-is missing, a payload with a key dropped, and ``teichmuller --precision 0``.
+bounded by the ranges; ``lift`` without ``--seed`` also draws primes past the
+scan of ``polys.roots_mod_p`` (503, 1009, 10007), so its split runs too.  They
+never draw the four shapes the bench probes as known defects: a negative
+``factor --order``, a ``verify --input`` file that is missing, a payload with a
+key dropped, and ``teichmuller --precision 0``.  Any request, with junk words,
+unknown names, ``-h`` and extra arguments put in, gives what the top-level
+parse of the whole argv gives.
 """
 
 import contextlib
 import io
 import json
+import sys
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiclift import cli, polys
+from padiclift.errors import DomainError
 from padiclift.hensel import newton_lift
 
 PRIMES = [2, 3, 5, 7, 11, 13]
+PRIMES_PAST_THE_SCAN = [503, 1009, 10007]  # lift without --seed only
 BIG = 10 ** 1999  # a 2,000-digit value for bell and invert
 
 
-def run(argv, stdin=""):
-    """(exit code, stdout, stderr) of cli.main(argv) with ``stdin`` as its input."""
+def run(argv, stdin="", main=None):
+    """(exit code, stdout, stderr) of main(argv), cli.main by default, with ``stdin``
+    as its input."""
     out, err = io.StringIO(), io.StringIO()
     with (mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(out),
           contextlib.redirect_stderr(err)):
-        rc = cli.main(argv)
+        rc = (main or cli.main)(argv)
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -38,14 +46,15 @@ def joined(cs):
 
 @st.composite
 def lift_argv(draw):
-    p = draw(st.sampled_from(PRIMES))
+    p = draw(st.sampled_from(PRIMES + PRIMES_PAST_THE_SCAN))
     f, r = draw(st.lists(st.integers(-60, 60), min_size=1, max_size=6)), None
     if draw(st.sampled_from([True, True, False])):  # plant a root, keeping the degree <= 5
         r = draw(st.integers(-p ** 3, p ** 3))
         f = polys.mul(f[:5], [-r, 1])
     argv = ["lift", "--poly=" + joined(f), "--prime", str(p),
             "--precision", str(draw(st.integers(1, 12)))]
-    seed = draw(st.sampled_from([None, None, r, draw(st.integers(-2 * p, 2 * p))]))
+    seed = None if p in PRIMES_PAST_THE_SCAN else draw(
+        st.sampled_from([None, None, r, draw(st.integers(-2 * p, 2 * p))]))
     nu, kappa = (draw(st.sampled_from([None, None, None, k]))
                  for k in (draw(st.integers(-1, 6)), draw(st.integers(-1, 3))))
     for flag, value in (("--seed", seed), ("--nu", nu), ("--kappa", kappa)):
@@ -189,3 +198,34 @@ def test_x_times_a_unit_is_irreducible_and_factor_refuses_it(f1, tail, as_json):
     assert (json.loads(out)["classification"] if as_json else out.strip()) == "IrreducibleXTimesUnit"
     assert run(["factor", "--order", "4", "--coeffs=" + joined([0, f1, *tail])]) == (
         1, "", "error: WrongShape: classification is IrreducibleXTimesUnit, not NeedsRootAnalysis\n")
+
+
+def reference_main(argv):
+    """cli.main with every request read by the top-level parser, once main has built it."""
+    try:
+        args = cli._parser.parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    try:
+        return args.func(args)
+    except cli.UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except DomainError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+
+
+# words put anywhere in a request: options of no parser, of the top level, of
+# another subcommand, unknown names, subcommand names, extra arguments
+JUNK = ["-h", "--help", "--json", "--", "-", "extra", "7", "--nope", "--prime", "--f0=3",
+        "lif", "Lift", "lift", "classify", "verify", "", "help"]
+
+
+@settings(max_examples=400)
+@given(st.one_of(lift_argv(), factor_argv(), other_argv(), st.just([])),
+       st.lists(st.tuples(st.integers(0, 12), st.sampled_from(JUNK)), max_size=3))
+def test_main_answers_as_the_top_level_parse_does(argv, junk):
+    for at, word in junk:
+        argv.insert(min(at, len(argv)), word)
+    assert run(argv) == run(argv, main=reference_main)

@@ -929,7 +929,9 @@ def test_quotient_undoes_mul_and_refuses_a_remainder(g, q, shift):
 
 
 PRIMES_TO_211 = [q for q in range(2, 212) if all(q % d for d in range(2, q))]
-PRIMES_PAST_THE_SCAN = [503, 509, 997, 1009, 2003]  # roots_mod_p splits from p = 500 on
+# roots_mod_p splits from p = 500 on: below, the scan is the cheaper for f with all its
+# roots mod p (degree 2: 119 against 164 us at p = 499), though not for every f
+PRIMES_PAST_THE_SCAN = [503, 509, 997, 1009, 2003]
 
 
 @settings(max_examples=300)
@@ -953,3 +955,16 @@ def test_roots_mod_p_match_the_scan_of_all_residues(p, data):
         a1 = p * data.draw(small_ints) + data.draw(st.integers(1, p - 1))
         f = [data.draw(small_ints), a1] + [p * c for c in f]
     assert polys.roots_mod_p(f, p) == [r for r in range(p) if polys.evaluate(f, r) % p == 0]
+
+
+@pytest.mark.parametrize("roots, powers", [([1, 5], 1), ([2, 3], 3), ([0, 4, 9], 4)])
+def test_roots_mod_p_takes_x_to_the_p_from_the_first_split_power(roots, powers):
+    # one power y = x^((p-1)/2) mod g gives x^p = x y^2 for the filter and, mod h, the
+    # delta = 0 split (1 and 5 split there: chi(5) = -1); each later delta takes one
+    # more; x^2 + 1 has no root mod 10007 = 3 mod 4
+    f = [1, 0, 1]
+    for r in roots:
+        f = polys.mul(f, [-r, 1])
+    with mock.patch.object(polys, "_pow_mod", wraps=polys._pow_mod) as pow_mod:
+        assert polys.roots_mod_p(f, 10007) == roots
+    assert pow_mod.call_count == powers
