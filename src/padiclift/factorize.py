@@ -17,7 +17,10 @@ the code asserts on every coefficient it produces.  c = 1 is the paper's
 case; nothing here needs p odd.
 
 Inputs may be polynomials or power series with an eventually-geometric
-tail, whose roots on p*Z_p are those of an integer numerator.
+tail, whose roots on p*Z_p are those of an integer numerator.  The streams
+and the lemma checks run on int lists: t is 1/Ahat by the integer recurrence,
+the sampled closed forms T_n come from one read of the signed Bell rows, and
+each series identity is one :func:`polys.is_product`.
 """
 
 from __future__ import annotations
@@ -274,25 +277,28 @@ def a_coeffs(e: RootDigits, M: int) -> list[int]:
     return [_exact(X[n], n + 1, "a_{}", n) for n in range(1, M + 1)]
 
 
+def _ahat(a: list[int], P: int) -> list[int]:
+    """Ahat(x) = A(P x)/P = 1 - x - x sum P^n a_n x^n, P = p^ell, as a list."""
+    return [1, -1] + [-an * P ** n for n, an in enumerate(a, start=1)]
+
+
 def t_coeffs(a: list[int], P: int) -> list[int]:
-    """t_n, n = 1..len(a): 1/Ahat = 1 + x + sum t_n x^(n+1) for
-    Ahat(x) = A(P x)/P = 1 - x - x sum P^n a_n x^n, P = p^ell.  Ahat(0) = 1,
-    so the t_n are integers; by the paper they are also T_n(P), T_n the
-    closed form of :func:`tn_series` truncated at x^n."""
-    ahat = Series([1, -1] + [-an * P ** n for n, an in enumerate(a, start=1)])
-    return list(ahat.reciprocal().int_coeffs[2:])
+    """t_n, n = 1..len(a): 1/Ahat = 1 + x + sum t_n x^(n+1) for :func:`_ahat`,
+    by g_0 = 1, g_n = -sum_(i=1..n) Ahat_i g_(n-i).  Ahat(0) = 1, so the t_n
+    are integers; by the paper they are also T_n(P), T_n the closed form of
+    :func:`tn_coeffs` truncated at x^n."""
+    ahat, g = _ahat(a, P), [1]
+    for n in range(1, len(ahat)):
+        g.append(-sum(map(mul, ahat[1: n + 1], reversed(g))))
+    return g[2:]
 
 
-def e_series(e: RootDigits, order: int) -> Series:
-    """E(x) = 1 + sum e_j x^j as a truncated series."""
-    return Series([1] + list(e.digits), order)
-
-
-def tn_series(e: RootDigits, n: int, order: int) -> Series:
-    """T_n(x) = 1 + sum_k (n+1-k)/k! sum_j (-1)^j (n+2)...(n+j) B(k, j) x^k:
-    integer coefficients, T_(n-1) = E * T_n.  Each coefficient is one dot
-    product of R_n = ((n+2)...(n+j))_j, built once per call, with the shared
-    signed Bell row V_k of :meth:`RootDigits.signed_bell_rows`.
+def tn_coeffs(e: RootDigits, ns, order: int) -> dict[int, list[int]]:
+    """{n: [x^0..x^order] T_n} for n in ns, T_n(x) = 1 + sum_k (n+1-k)/k! sum_j
+    (-1)^j (n+2)...(n+j) B(k, j) x^k: integer coefficients, T_(n-1) = E * T_n.
+    Each coefficient is one dot product of R_n = ((n+2)...(n+j))_j, built once
+    per index, with the signed Bell row V_k of :meth:`RootDigits.signed_bell_rows`,
+    read once for every index.
 
     One formula for every integer n.  For each k, the x^k coefficients of this
     closed form and of E^(-n-2) (E + x E') are polynomials in n of degree <= k
@@ -300,12 +306,18 @@ def tn_series(e: RootDigits, n: int, order: int) -> Series:
     agree for all n, negative n included.
     """
     V = e.signed_bell_rows(order)
-    R = list(accumulate(range(n + 2, n + order + 1), mul, initial=1))
-    cs, fact = [1], 1
+    R = {n: list(accumulate(range(n + 2, n + order + 1), mul, initial=1)) for n in ns}
+    T, fact = {n: [1] for n in ns}, 1
     for k in range(1, order + 1):
         fact *= k
-        cs.append(_exact((n + 1 - k) * sum(map(mul, R, V[k])), fact, "[x^{}] T_{}", k, n))
-    return Series(cs, order)
+        for n, cs in T.items():
+            cs.append(_exact((n + 1 - k) * sum(map(mul, R[n], V[k])), fact, "[x^{}] T_{}", k, n))
+    return T
+
+
+def tn_series(e: RootDigits, n: int, order: int) -> Series:
+    """T_n of :func:`tn_coeffs` as a truncated series."""
+    return Series(tn_coeffs(e, [n], order)[n], order)
 
 
 @dataclass(frozen=True)
@@ -472,17 +484,16 @@ def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> Fac
                                          for n in range(1, M + 1))
 
     # reciprocal: Ahat * (1 + x + x sum t_n x^n) = 1 mod x^(M+2)
-    ahat = Series([1, -1] + [-(p ** (ell * n)) * a[n - 1] for n in range(1, M + 1)], M + 1)
-    recip_ok = ahat * Series([1, 1, *t], M + 1) == Series.one(M + 1)
+    pl = p ** ell
+    recip_ok = polys.is_product(_ahat(a, pl), [1, 1, *t], [1] + [0] * (M + 1))
 
     # recurrence T_(n-1) = E * T_n on a sample of indices, negative ones
     # included: each side is the closed form at its own index; on the same
     # sample the closed form and the reciprocal of Ahat agree, t_n = T_n(p^ell)
-    order, pl = len(digits.digits), p ** ell
-    E = e_series(digits, order)
-    T = {n: tn_series(digits, n, order) for n in range(-3, min(5, M) + 1)}
-    rec_ok = (all(T[n - 1] == E * T[n] for n in range(-2, min(5, M) + 1))
-              and all(polys.evaluate(T[n].int_coeffs[: n + 1], pl) == t[n - 1]
+    E = [1, *digits.digits]
+    T = tn_coeffs(digits, range(-3, min(5, M) + 1), len(digits.digits))
+    rec_ok = (all(polys.is_product(E, T[n], T[n - 1]) for n in range(-2, min(5, M) + 1))
+              and all(polys.evaluate(T[n][: n + 1], pl) == t[n - 1]
                       for n in range(1, min(5, M) + 1)))
 
     # A annihilates the root r mod p^(ell(M+2)): A(r) = A'(c r)
@@ -493,16 +504,17 @@ def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> Fac
                         _tn_congruences(E, pl, t), rec_ok, ann_ok, 2 * ell <= w)
 
 
-def _tn_congruences(E: Series, pl: int, t: list) -> bool:
+def _tn_congruences(E: list, pl: int, t: list) -> bool:
     """T_nu(pl) = t_nu mod pl^(nu+2) for nu in [-1, len(t)] (t_0 = t_(-1) = 1),
     T_nu = E^(-nu-2) (E + x E'), independent of the Bell closed form behind t;
-    E is an integer series, E(0) = 1, of order > len(t).  T_nu has integer
-    coefficients, so at x = pl its terms past x^(nu+1) vanish mod pl^(nu+2):
-    T_nu(pl) = e^(-nu-2) (e + d) with e = E(pl), a unit, and d = pl E'(pl)."""
-    cs, mod = E.int_coeffs, pl ** (len(t) + 2)
+    E lists the coefficients of an integer series, E(0) = 1, more than
+    len(t) + 1 of them.  T_nu has integer coefficients, so at x = pl its terms
+    past x^(nu+1) vanish mod pl^(nu+2): T_nu(pl) = e^(-nu-2) (e + d) with
+    e = E(pl), a unit, and d = pl E'(pl)."""
+    mod = pl ** (len(t) + 2)
     e = d = 0
-    for k in range(len(cs) - 1, -1, -1):  # Horner's rule
-        e, d = e * pl + cs[k], d * pl + k * cs[k]
+    for k in range(len(E) - 1, -1, -1):  # Horner's rule
+        e, d = e * pl + E[k], d * pl + k * E[k]
     inv, T = pow(e, -1, mod), e + d  # T = T_(-2)(pl)
     for nu, t_nu in enumerate([1, 1, *t], start=-1):
         T = T * inv % mod

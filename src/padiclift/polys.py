@@ -4,8 +4,10 @@ Exact, on ints.  Only what the lifting and factorization code needs: the
 package's one product (:func:`mul`, full or truncated) and one Horner's rule
 (:func:`evaluate`), both of which take Fractions too, as a rational ``Series``
 and the ``SeriesInput`` evaluators do (``evaluate`` also takes a ``Series`` point,
-so it composes series); derivatives, Taylor shifts, exact division, and
-squarefree parts by a primitive gcd.  :func:`roots_mod_p` finds the roots
+so it composes series); :func:`is_product`, which decides a truncated product
+identity of int lists by one product of packed integers (Kronecker
+substitution), for the lemma checks of ``factor``; derivatives, Taylor shifts,
+exact division, and squarefree parts by a primitive gcd.  :func:`roots_mod_p` finds the roots
 of f mod a prime p, by a scan of the residues below p = 500, else by a split.
 """
 
@@ -63,6 +65,32 @@ def mul(f, g, n: int | None = None) -> list:
     out = [sum(map(operator.mul, f[: k + 1], G[lg - 1 - k:])) for k in range(min(top, lg))]
     out += [sum(map(operator.mul, f[k - lg + 1: k + 1], G)) for k in range(lg, top)]
     return out + [0] * (n - len(out))
+
+
+def is_product(f, g, h) -> bool:
+    """Whether f g = h mod x^len(h), for int lists, by one product of integers.
+
+    With L = len(h), f and g cut to L terms and bits(n) = n.bit_length(), pack each
+    list q to Q = q(2^b) (Horner's rule by shifts), b = max(bits(max|f|) + bits(max|g|)
+    + bits(min(len f, len g)), bits(max|h|)) + 2, and test F G - H = 0 mod 2^(b L).
+    Exact: F G - H = sum_(k<L) d_k 2^(b k) mod 2^(b L), d_k = [x^k] (f g - h), and each
+    d_k fits a signed b-bit slot, |d_k| <= min(len f, len g) max|f| max|g| + max|h| <
+    2^(b-1).  If some d_k != 0, the least such k puts the lowest set bit of the sum at
+    b k + v_2(d_k) < b (k + 1) <= b L, so the sum is not 0 mod 2^(b L)."""
+    L = len(h)
+    f, g = f[:L], g[:L]
+    if not (f and g):
+        return not any(h)
+    bf, bg, bh = (max(-min(q), max(q)).bit_length() for q in (f, g, h))
+    b = max(bf + bg + min(len(f), len(g)).bit_length(), bh) + 2
+    return not (_pack(f, b) * _pack(g, b) - _pack(h, b)) & ((1 << (b * L)) - 1)
+
+
+def _pack(q, b: int) -> int:
+    acc = 0
+    for c in reversed(q):
+        acc = (acc << b) + c
+    return acc
 
 
 def add(f, g) -> list:

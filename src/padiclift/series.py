@@ -3,10 +3,11 @@
 The :class:`Series` type is dense and exact, with an explicit truncation
 order: a series of order M is known modulo x**(M+1).  Binary operations
 truncate to the smaller order.  A series keeps its coefficients as given,
-``int`` or ``Fraction``, so an integer series (every series the
-factorization builds) stays on plain ``int`` through sums, products
-(:func:`polys.mul`), reciprocals with a unit constant term and evaluation
-(:func:`polys.evaluate`); the Fraction coefficients are built only when read.
+``int`` or ``Fraction``, so an integer series stays on plain ``int``
+through sums, products (:func:`polys.mul`), reciprocals with a unit constant
+term and evaluation (:func:`polys.evaluate`); the Fraction coefficients are
+built only when read.  No engine path builds a Series: the lifts, ``factor``
+and :func:`lagrange_invert` run on coefficient lists.
 
 On top of the ring operations sit the three series engines used by the
 lifting and factorization code:
@@ -245,20 +246,21 @@ def lagrange_invert(alphas) -> list[Fraction]:
     phi(t) - u, whose u^(n+1) coefficient is X_n / ((n+1) E^n) for (E, X) the
     :func:`formal_root_numerators` of phi (a_1 = 1), so beta_n = n! X_n / ((n+1) E^n).
     """
-    cs = series_from_alphas(alphas).coeffs
+    cs = _phi_coeffs(alphas)
     E, X = formal_root_numerators(cs, len(cs) - 2)
     return [Fraction(math.factorial(n) * X[n], (n + 1) * E ** n) for n in range(1, len(cs) - 1)]
 
 
+def _phi_coeffs(alphas) -> list:
+    """[0, 1, alpha_1/1!, alpha_2/2!, ...]: the coefficients of phi(t) = t(1 + sum
+    alpha_r t^r / r!)."""
+    return [0, 1] + [Fraction(a) / math.factorial(r) for r, a in enumerate(alphas, start=1)]
+
+
 def series_from_alphas(alphas, order: int | None = None) -> Series:
     """Rebuild phi(t) = t(1 + sum alpha_r t^r / r!) as a Series."""
-    alphas = list(alphas)
-    if order is None:
-        order = len(alphas) + 1
-    cs = [Fraction(0), Fraction(1)]
-    for r, a in enumerate(alphas, start=1):
-        cs.append(Fraction(a) / math.factorial(r))
-    return Series(cs, order)
+    cs = _phi_coeffs(alphas)
+    return Series(cs, len(cs) - 1 if order is None else order)
 
 
 class InversionProblem:

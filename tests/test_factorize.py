@@ -17,7 +17,7 @@ from padiclift.factorize import (NEEDS_ROOT_ANALYSIS, Classification,
                                  InsufficientPrecision, NoMultipleRoot,
                                  NoSuitableRoot, RootDigits, SeriesInput,
                                  UnitPartNotOne, WrongShape, WrongValuation,
-                                 a_coeffs, bhat_coeffs, classify, e_series,
+                                 a_coeffs, bhat_coeffs, classify,
                                  factor, factor_multiple_root, root_to_digits,
                                  t_coeffs, tn_series, verify_factorization)
 from padiclift.hensel import lift_general
@@ -31,6 +31,11 @@ GEOM_F = SeriesInput.geometric((9, 12, 7, 8), 1)
 def rand_digits(rng, p, ell, count):
     blk = p ** ell
     return RootDigits(p, ell, tuple(rng.randrange(blk) for _ in range(count)))
+
+
+def e_series(e, order):
+    """E(x) = 1 + sum e_j x^j, the digit series, as a truncated series."""
+    return Series([1] + list(e.digits), order)
 
 
 def t_of(d, M):
@@ -293,14 +298,12 @@ def test_recurrence_check_tests_the_closed_form_at_negative_indices(monkeypatch)
     # T_n for n <= 0 is the same closed form as for n >= 1, so a T_n skewed
     # only there (each row sum by k!, which keeps T_n integral: [x^k] T_n
     # moves by n+1-k) fails the recurrence check
-    honest, run_checks = factorize.tn_series, factorize._run_checks
+    honest, run_checks = factorize.tn_coeffs, factorize._run_checks
     seen = []
 
-    def skewed(e, n, order):
-        T = honest(e, n, order)
-        if n > 0:
-            return T
-        return Series([c + (n + 1 - k if k else 0) for k, c in enumerate(T.int_coeffs)], order)
+    def skewed(e, ns, order):
+        return {n: cs if n > 0 else [c + (n + 1 - k if k else 0) for k, c in enumerate(cs)]
+                for n, cs in honest(e, ns, order).items()}
 
     def recording(*args):
         seen.append(run_checks(*args))
@@ -309,12 +312,95 @@ def test_recurrence_check_tests_the_closed_form_at_negative_indices(monkeypatch)
     f = polys.mul(polys.add([7], [0, -1, 3, -2]), [49, 3, -5])
     monkeypatch.setattr(factorize, "_run_checks", recording)
     assert all(factor(f, 8).digits.digits)
-    monkeypatch.setattr(factorize, "tn_series", skewed)
+    monkeypatch.setattr(factorize, "tn_coeffs", skewed)
     with pytest.raises(factorize.PrecisionExhausted, match="tn_recurrence=False"):
         factor(f, 8)
     checks = seen[-1]
     assert not checks.tn_recurrence
     assert checks.product and checks.divisibility and checks.reciprocal and checks.tn_congruences
+
+
+def test_one_corrupted_closed_form_coefficient_fails_the_recurrence(monkeypatch):
+    # every T_n of the sample enters one identity T_(n-1) = E T_n or two, so
+    # moving any one coefficient of any one of them by 1 breaks the check
+    honest, run_checks = factorize.tn_coeffs, factorize._run_checks
+    seen, where = [], []
+
+    def skewed(e, ns, order):
+        T = honest(e, ns, order)
+        n, k = where[-1]
+        T[n][k] += 1
+        return T
+
+    def recording(*args):
+        seen.append(run_checks(*args))
+        return seen[-1]
+
+    f = polys.mul(polys.add([7], [0, -1, 3, -2]), [49, 3, -5])
+    monkeypatch.setattr(factorize, "_run_checks", recording)
+    monkeypatch.setattr(factorize, "tn_coeffs", skewed)
+    for n in range(-3, 6):
+        for k in (0, 1, 4, 9):
+            where.append((n, k))
+            with pytest.raises(factorize.PrecisionExhausted):
+                factor(f, 8)
+            assert not seen[-1].tn_recurrence, (n, k)
+            assert seen[-1].reciprocal and seen[-1].tn_congruences
+
+
+def run_checks_by_series(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root):
+    """The reference for factorize._run_checks: the lemma checks on Series, as
+    they ran before they moved to int lists.  Each identity is a Series
+    product compared coefficient by coefficient, each closed form T_n is
+    built on its own, and the congruences are Series algebra."""
+    product = factorize.check_product(A_ext, B_ext, si, M, p ** w)
+    div_ok = product.integral_ok and all(bhat[n - 1] == B_ext[n + 1] * p ** (ell * n)
+                                         for n in range(1, M + 1))
+    ahat = Series([1, -1] + [-(p ** (ell * n)) * a[n - 1] for n in range(1, M + 1)], M + 1)
+    recip_ok = ahat * Series([1, 1, *t], M + 1) == Series.one(M + 1)
+    order, pl = len(digits.digits), p ** ell
+    E = e_series(digits, order)
+    T = {n: tn_series(digits, n, order) for n in range(-3, min(5, M) + 1)}
+    rec_ok = (all(T[n - 1] == E * T[n] for n in range(-2, min(5, M) + 1))
+              and all(polys.evaluate(T[n].int_coeffs[: n + 1], pl) == t[n - 1]
+                      for n in range(1, min(5, M) + 1)))
+    ann_ok = polys.evaluate(A_ext, root.residue) % p ** (ell * (M + 2)) == 0
+    return factorize.FactorChecks(product.product_ok, product.constant_ok, div_ok, recip_ok,
+                                  tn_congruences_by_series_algebra(E, pl, t), rec_ok, ann_ok,
+                                  2 * ell <= w)
+
+
+def test_checks_on_int_lists_match_the_series_reference(monkeypatch):
+    # 50 planted inputs, each checked honest, with one t_n moved and with one
+    # of its first M digits moved: 150 argument sets, every check result the
+    # reference's; a moved t_n fails the reciprocal, a moved digit the congruences
+    run_checks, captured = factorize._run_checks, []
+
+    def capturing(*args):
+        captured.append(args)
+        return run_checks(*args)
+
+    monkeypatch.setattr(factorize, "_run_checks", capturing)
+    rng, results = random.Random(86), []
+    while len(captured) < 50:
+        f = plant(rng)
+        if f is not None:
+            factor(f, rng.randint(1, 12))
+    for args in captured:
+        M, t, d = args[4], list(args[8]), args[10]
+        nu = rng.randint(1, M)
+        t[nu - 1] += rng.choice([1, -1]) * d.p ** (d.ell * rng.randint(0, nu + 3))
+        j = rng.randrange(M)
+        moved = RootDigits(d.p, d.ell, d.digits[:j] + ((d.digits[j] + 1) % d.p ** d.ell,)
+                           + d.digits[j + 1:])
+        for case in (args, args[:8] + (t,) + args[9:], args[:10] + (moved,) + args[11:]):
+            got = run_checks(*case)
+            assert got == run_checks_by_series(*case), case
+            results.append(got)
+    assert all(r.all_passed() for r in results[::3])
+    assert not any(r.reciprocal for r in results[1::3])
+    assert not any(r.tn_congruences for r in results[2::3])
+    assert {r.tn_recurrence for r in results[1::3]} == {True, False}
 
 
 def test_tn_congruences_random():
@@ -336,7 +422,7 @@ def test_tn_congruences_catch_a_corrupted_t(monkeypatch):
     rng = random.Random(80)
     p, ell, M = 5, 1, 6
     d = rand_digits(rng, p, ell, M + 1)
-    E = e_series(d, M + 1)
+    E = [1, *d.digits]
     t = t_of(d, M)
     assert factorize._tn_congruences(E, p ** ell, t)
     for nu in (1, 3, M):
@@ -390,9 +476,8 @@ def test_tn_congruences_match_the_series_algebra_reference(p, ell, M, data):
         unit = data.draw(st.integers(1, p * P).filter(lambda u: u % p))
         t[nu - 1] += unit * P ** step
         expect = step == nu + 2
-    E = e_series(d, M + 1)
-    assert factorize._tn_congruences(E, P, t) is expect
-    assert tn_congruences_by_series_algebra(E, P, t) is expect
+    assert factorize._tn_congruences([1, *digits], P, t) is expect
+    assert tn_congruences_by_series_algebra(e_series(d, M + 1), P, t) is expect
 
 
 def test_tn_congruences_build_no_series_product(monkeypatch):
@@ -401,10 +486,24 @@ def test_tn_congruences_build_no_series_product(monkeypatch):
         raise AssertionError("Series algebra in the lemma check")
 
     d = rand_digits(random.Random(84), 7, 2, 21)
-    E, t = e_series(d, 21), t_of(d, 20)
+    t = t_of(d, 20)
     for name in ("__mul__", "__rmul__", "reciprocal"):
         monkeypatch.setattr(Series, name, refuse)
-    assert factorize._tn_congruences(E, 7 ** 2, t)
+    assert factorize._tn_congruences([1, *d.digits], 7 ** 2, t)
+
+
+@pytest.mark.parametrize("f", [polys.mul(polys.add([7], [0, -1, 3, -2]), [49, 3, -5]), GEOM_F])
+def test_factor_and_lagrange_invert_build_no_series(monkeypatch, f):
+    # the t stream, the closed forms, the lemma checks and phi run on int lists
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Series was built")
+
+    alphas = [1, Fraction(-2, 3), 5, 0, 7]
+    betas = lagrange_invert(alphas)
+    monkeypatch.setattr(Series, "__init__", refuse)
+    monkeypatch.setattr(Series, "_of", refuse)
+    assert factor(f, 8).checks.all_passed()
+    assert lagrange_invert(alphas) == betas
 
 
 def test_a_remainder_raises_integrality_violation(monkeypatch):
@@ -506,11 +605,11 @@ def test_t_stream_reads_no_closed_form(monkeypatch):
 
     def counting_tn(*args):
         closed_forms.append(args)
-        return tn_series(*args)
+        return factorize.tn_coeffs(*args)
 
     a = a_coeffs(rand_digits(random.Random(83), 5, 1, 41), 40)
     monkeypatch.setattr(factorize, "BellTable", Counting)
-    monkeypatch.setattr(factorize, "tn_series", counting_tn)
+    monkeypatch.setattr(factorize, "tn_coeffs", counting_tn)
     assert len(t_coeffs(a, 5)) == 40
     assert built == [] and closed_forms == []
 

@@ -13,7 +13,7 @@ per-coefficient one, t_n = T_n(p^ell) from one closed form per n, and the
 closed form T_n, a dot product with shared signed Bell rows, against the row
 sum with a running weight.  The one polynomial product
 ``polys.mul`` is checked against the double loop that skips zero
-coefficients, ``bhat_coeffs`` against bhat_n summed term by term, and
+coefficients, the product test ``polys.is_product`` against ``polys.mul``, ``bhat_coeffs`` against bhat_n summed term by term, and
 ``polys.roots_mod_p`` against the scan of all p residues, ``polys.gcd_primitive``
 against the pseudo-remainder loop that rescans every degree, and
 ``polys.quotient`` against the ``polys.mul`` it undoes.  The Teichmuller
@@ -853,6 +853,44 @@ def test_polys_mul_matches_the_zero_skipping_double_loop(f, g, data):
     got = polys.mul(f, g, n)
     assert got == (full + [0] * n)[:n]  # zeros past the full product
     assert polys.mul(tuple(f), tuple(g), n) == got
+
+
+# signed coefficients up to 2^400 or all zero, lengths 0-40
+big_coeffs = st.one_of(st.just(0), small_ints, st.integers(-2 ** 400, 2 ** 400))
+product_lists = st.one_of(st.lists(st.just(0), max_size=40), st.lists(big_coeffs, max_size=40))
+
+
+def bits(q):
+    return max(map(abs, q), default=0).bit_length()
+
+
+@settings(max_examples=100)
+@given(product_lists, product_lists, st.integers(1, 40), st.data())
+def test_is_product_matches_the_truncated_product(f, g, L, data):
+    # f and g may be longer than h.  Every move of one coefficient of the true
+    # h is refused: by +-1, +-2^(b-1) or +-2^b in each slot (b the slot width
+    # of the proof), and by +-2^k for every k in b-12..b+1 in slot 0 and in the
+    # top slot, where a narrower slot would let the move pass
+    true = polys.mul(f, g, L)
+    h = data.draw(st.one_of(st.just(true), st.lists(big_coeffs, min_size=L, max_size=L)))
+    assert polys.is_product(f, g, h) is (h == true)
+    f, g = f[:L], g[:L]
+    b = max(bits(f) + bits(g) + min(len(f), len(g)).bit_length(), bits(true)) + 2
+    moves = [(i, 2 ** k) for i in range(L) for k in (0, b - 1, b)]
+    moves += [(i, 2 ** k) for i in {0, L - 1} for k in range(max(0, b - 12), b + 2)]
+    for i, step in moves:
+        for sign in (1, -1):
+            moved = list(true)
+            moved[i] += sign * step
+            assert not polys.is_product(f, g, moved), (i, sign * step)
+
+
+def test_is_product_slot_width_counts_the_terms():
+    # [x^1] (7 + 3x)(7 + 7x + x^2) = 70 sums two products, which pass
+    # 2^(bits(7) + bits(7)) = 64; a slot of that width plus one bit reads the
+    # move of 70 by -2^7 as a carry out of the top slot and accepts it
+    assert polys.is_product([7, 3], [7, 7, 1], [49, 70])
+    assert not polys.is_product([7, 3], [7, 7, 1], [49, 70 - 2 ** 7])
 
 
 @settings(max_examples=200)
