@@ -15,8 +15,8 @@ a_j, not like n!.  The table is given the a_j, the coefficients of the
 series it powers, and runs on plain ``int``: since [x^n] A^k is homogeneous
 of degree k in the a_j, it stores E^k [x^n] A^k, E the lcm of their
 denominators, on the band k >= n/L of row n, L the last j with a_j != 0.
-The engines read those values; B(n, k) is rebuilt on read, and :func:`bell`
-is the one place that turns the x_j into the a_j.
+Every engine reads a row by :meth:`BellTable.band`, B(n, k) is rebuilt from
+it on read, and :func:`bell` is the one place that turns the x_j into the a_j.
 The defining sum over the partition index set pi(n, k) is kept as
 :func:`bell_oracle`, an independent reference used by the test-suite only
 (it is exponential and refuses n > 14).
@@ -48,14 +48,13 @@ class BellTable:
     (1 if none), [x^n] A^k = 0 for k < n/L, so only the band of row n is
     stored, read by :meth:`band`: E^k [x^n] A^k = E^k k!/n! B(n, k) for k >= n/L,
     E = :attr:`ordinary_denominator` the lcm of the denominators of the a_j (1 on
-    the digits' table and on integer lift data).  :meth:`ordinary_row` pads a
-    band to its n + 1 entries on read, and :meth:`value` rebuilds B(n, k)."""
+    the digits' table and on integer lift data), and :meth:`value` rebuilds B(n, k)."""
 
     def __init__(self, a, n_max: int):
         ratios = [c.as_integer_ratio() for c in a]
         E = math.lcm(*(d for _, d in ratios))
         ys = [u * (E // d) for u, d in ratios]
-        L = self._degree = max((j for j, y in enumerate(ys, start=1) if y), default=1)
+        L = max((j for j, y in enumerate(ys, start=1) if y), default=1)
         taps = [(j, y) for j, y in enumerate(ys[:L], start=1) if y]
         self.n_max, self.ordinary_denominator = n_max, E
         starts, bands = self._starts, self._bands = [0], [(1,)]
@@ -72,34 +71,19 @@ class BellTable:
             starts.append(lo)
             bands.append(tuple(band))
 
-    def band_start(self, n: int) -> int:
-        """ceil(n/L): every entry of row n below this k is zero."""
-        return -(-n // self._degree)
-
     def band(self, n: int) -> tuple[int, tuple]:
-        """(s, E^k [x^n] A(x)^k for k = s..n), s = :meth:`band_start` (n); 0 <= n <= n_max."""
+        """(s, E^k [x^n] A(x)^k for k = s..n), 0 <= n <= n_max; below s = ceil(n/L) all are 0."""
         if not 0 <= n <= self.n_max:
             raise IndexError(f"table built to n_max={self.n_max}, asked for n={n}")
         return self._starts[n], self._bands[n]
 
-    def ordinary_row(self, n: int) -> tuple:
-        """E^k [x^n] A(x)^k for k = 0..n, 0 <= n <= n_max: the band, zero-padded."""
-        start, entries = self.band(n)
-        return (0,) * start + entries
-
-    def ordinary(self, n: int, k: int) -> int:
-        """E^k [x^n] A(x)^k; zero outside 0 <= k <= n by convention."""
-        if k < 0 or n < 0 or k > n:
-            return 0
-        return self.ordinary_row(n)[k]
-
     def value(self, n: int, k: int) -> Fraction:
-        """B(n, k); zero outside 0 <= k <= n by convention."""
-        b = self.ordinary(n, k)
-        if not b:
+        """B(n, k); zero outside 0 <= k <= n by convention, IndexError past n_max."""
+        if k < 0 or n < 0 or k > n:
             return Fraction(0)
-        return Fraction(math.factorial(n) * b,
-                        math.factorial(k) * self.ordinary_denominator ** k)
+        start, entries = self.band(n)
+        b = entries[k - start] if k >= start else 0
+        return Fraction(math.factorial(n) * b, math.factorial(k) * self.ordinary_denominator ** k)
 
 
 def bell(n: int, k: int, xs) -> Fraction:

@@ -19,8 +19,9 @@ case; nothing here needs p odd.
 Inputs may be polynomials or power series with an eventually-geometric
 tail, whose roots on p*Z_p are those of an integer numerator.  The streams
 and the lemma checks run on int lists: t is 1/Ahat by the integer recurrence,
-the sampled closed forms T_n come from one read of the signed Bell rows, and
-each series identity is one :func:`polys.is_product`.
+the a_n and the sampled closed forms T_n read one Bell table on the digits,
+built once per :func:`factor` call and read one band per row, and each series
+identity is one :func:`polys.is_product`.
 """
 
 from __future__ import annotations
@@ -208,31 +209,12 @@ def classify(f0: int, f1: int) -> Classification:
 
 @dataclass(frozen=True)
 class RootDigits:
-    """Root written as p^ell (1 + sum_j e_j p^(ell j)), 0 <= e_j < p^ell."""
+    """Root written as p^ell (1 + sum_j e_j p^(ell j)), 0 <= e_j < p^ell; the streams
+    read the Bell table on its digits, which :func:`factor` builds once per call."""
 
     p: int
     ell: int
     digits: tuple
-
-    def bell_table(self, n_max: int) -> BellTable:
-        """The Bell table on D = E - 1 = sum_j e_j x^j to n <= max(n_max, digit
-        count), built once per instance and shared by the a and T streams."""
-        table = vars(self).get("_bell")
-        if table is None or table.n_max < n_max:
-            table = BellTable(self.digits, max(n_max, len(self.digits)))
-            object.__setattr__(self, "_bell", table)
-        return table
-
-    def signed_bell_rows(self, order: int) -> list:
-        """V_k = ((-1)^j k!/j! [x^k] D^j for j = 1..k) = ((-1)^j B(k, j)), k = 0..order,
-        read from :meth:`bell_table`: the rows of the closed form T_n, which depend
-        on k only, built once per instance and shared by every index n."""
-        rows, table = vars(self).get("_signed", [()]), self.bell_table(order)
-        for k in range(len(rows), order + 1):  # weights (-1)^j k!/j!, j = k down to 1
-            w = accumulate(range(k, 1, -1), lambda c, j: -c * j, initial=(-1) ** k)
-            rows.append(list(map(mul, reversed(list(w)), table.ordinary_row(k)[1:])))
-        object.__setattr__(self, "_signed", rows)
-        return rows
 
     def reconstruct(self, precision: int) -> int:
         return polys.evaluate((0, 1, *self.digits), self.p ** self.ell) % self.p ** precision
@@ -268,12 +250,12 @@ def _exact(num: int, den: int, what: str, *args) -> int:
     return q
 
 
-def a_coeffs(e: RootDigits, M: int) -> list[int]:
+def a_coeffs(table: BellTable, M: int) -> list[int]:
     """a_n = (1/n!) sum_k (-1)^k (n+k)!/(n+1)! B(n,k)(1! e_1, 2! e_2, ...),
     n = 1..M, the coefficients of the compositional inverse of x*E(x), read as
     the provable integers X_n / (n+1), X_n of
-    :func:`~padiclift.series.root_numerators` with c = 1 on the digits' table."""
-    X = root_numerators(e.bell_table(M), 1, 1, M)
+    :func:`~padiclift.series.root_numerators` with c = 1 on ``table``, the digits' table."""
+    X = root_numerators(table, 1, 1, M)
     return [_exact(X[n], n + 1, "a_{}", n) for n in range(1, M + 1)]
 
 
@@ -293,31 +275,34 @@ def t_coeffs(a: list[int], P: int) -> list[int]:
     return g[2:]
 
 
-def tn_coeffs(e: RootDigits, ns, order: int) -> dict[int, list[int]]:
+def tn_coeffs(table: BellTable, ns, order: int) -> dict[int, list[int]]:
     """{n: [x^0..x^order] T_n} for n in ns, T_n(x) = 1 + sum_k (n+1-k)/k! sum_j
     (-1)^j (n+2)...(n+j) B(k, j) x^k: integer coefficients, T_(n-1) = E * T_n.
     Each coefficient is one dot product of R_n = ((n+2)...(n+j))_j, built once
-    per index, with the signed Bell row V_k of :meth:`RootDigits.signed_bell_rows`,
-    read once for every index.
+    per index, with V_k = ((-1)^j k!/j! [x^k] D^j)_j = ((-1)^j B(k, j))_j, built
+    once per row k from the band of ``table``, the digits' table: weighted from
+    the band start s, zero-padded below it.
 
     One formula for every integer n.  For each k, the x^k coefficients of this
     closed form and of E^(-n-2) (E + x E') are polynomials in n of degree <= k
     (the rising products in R_n are); they agree for every n >= 1, so they
     agree for all n, negative n included.
     """
-    V = e.signed_bell_rows(order)
     R = {n: list(accumulate(range(n + 2, n + order + 1), mul, initial=1)) for n in ns}
     T, fact = {n: [1] for n in ns}, 1
     for k in range(1, order + 1):
         fact *= k
+        start, band = table.band(k)
+        w = accumulate(range(k, start, -1), lambda c, j: -c * j, initial=(-1) ** k)
+        V = [0] * (start - 1) + list(map(mul, reversed(list(w)), band))  # j = 1..k
         for n, cs in T.items():
-            cs.append(_exact((n + 1 - k) * sum(map(mul, R[n], V[k])), fact, "[x^{}] T_{}", k, n))
+            cs.append(_exact((n + 1 - k) * sum(map(mul, R[n], V)), fact, "[x^{}] T_{}", k, n))
     return T
 
 
 def tn_series(e: RootDigits, n: int, order: int) -> Series:
-    """T_n of :func:`tn_coeffs` as a truncated series."""
-    return Series(tn_coeffs(e, [n], order)[n], order)
+    """T_n of :func:`tn_coeffs` on the table of e's digits, as a truncated series."""
+    return Series(tn_coeffs(BellTable(e.digits, order), [n], order)[n], order)
 
 
 @dataclass(frozen=True)
@@ -457,7 +442,8 @@ def factor(f, M: int) -> FactorPair:
     c = pow(root.residue // p ** ell, -1, p ** ell)  # c r has unit part 1 mod p^ell
     digits = root_to_digits(root * c, ell, M + 1)
     dM = RootDigits(p, ell, digits.digits[:M])
-    a = a_coeffs(digits, M)
+    table = BellTable(digits.digits, M + 1)  # read by a, the T_n and the checks
+    a = a_coeffs(table, M)
     t = t_coeffs(a, p ** ell)
     gammas = (si.coeff(1) // p ** m,) + tuple(si.coeff(j) for j in range(2, M + 3))
     prob = FactorizationProblem(p, w, m, gammas)
@@ -468,15 +454,16 @@ def factor(f, M: int) -> FactorPair:
     A = tuple(A_ext[: M + 1])
     B = tuple(B_ext[: M + 1])
 
-    checks = _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root)
+    checks = _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, table, root)
     if not checks.all_passed():
         raise PrecisionExhausted(f"internal lemma checks failed: {checks}")
     return FactorPair(A, B, p, w, m, ell, root, dM, si, checks)
 
 
-def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> FactorChecks:
+def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, table, root) -> FactorChecks:
     """The paper's lemmas: a, t and digits belong to A' and c r, the product
-    and the annihilation to f, A(x) = A'(c x) and the root r of f."""
+    and the annihilation to f, A(x) = A'(c x) and the root r of f; the T_n
+    read ``table``, the digits' table."""
     product = check_product(A_ext, B_ext, si, M, p ** w)
 
     # divisibility: integer coefficients, and b_n = bhat_n / p^(ell n) exactly
@@ -491,7 +478,7 @@ def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root) -> Fac
     # included: each side is the closed form at its own index; on the same
     # sample the closed form and the reciprocal of Ahat agree, t_n = T_n(p^ell)
     E = [1, *digits.digits]
-    T = tn_coeffs(digits, range(-3, min(5, M) + 1), len(digits.digits))
+    T = tn_coeffs(table, range(-3, min(5, M) + 1), len(digits.digits))
     rec_ok = (all(polys.is_product(E, T[n], T[n - 1]) for n in range(-2, min(5, M) + 1))
               and all(polys.evaluate(T[n][: n + 1], pl) == t[n - 1]
                       for n in range(1, min(5, M) + 1)))

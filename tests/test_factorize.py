@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from padiclift import cli, factorize, hensel, polys
+from padiclift.bell import BellTable
 from padiclift.bigmath import INFINITY, iroot, is_prime, vp_rat
 from padiclift.factorize import (NEEDS_ROOT_ANALYSIS, Classification,
                                  DivisibilityViolation, FactorizationProblem,
@@ -40,7 +41,7 @@ def e_series(e, order):
 
 def t_of(d, M):
     """t_1..t_M of the root with digits d."""
-    return t_coeffs(a_coeffs(d, M), d.p ** d.ell)
+    return t_coeffs(a_coeffs(BellTable(d.digits, M), M), d.p ** d.ell)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +203,13 @@ def test_root_to_digits_errors():
 
 def test_a_coeffs_zero_digits():
     d = RootDigits(3, 1, (0,) * 8)
-    assert a_coeffs(d, 8) == [0] * 8
+    assert a_coeffs(BellTable(d.digits, 8), 8) == [0] * 8
 
 
 def test_a_coeffs_hand_value():
     # e1 = 1, rest 0: a2 = (1/2)[-(3!/3!) B(2,1)(1,0) + (4!/3!) B(2,2)(1,0)] = 2
     d = RootDigits(7, 1, (1, 0, 0, 0))
-    a = a_coeffs(d, 4)
+    a = a_coeffs(BellTable(d.digits, 4), 4)
     assert a[0] == -1 and a[1] == 2
 
 
@@ -223,7 +224,7 @@ def test_a_coeffs_lagrange_oracle():
         alphas = [math.factorial(j) * e for j, e in enumerate(d.digits, start=1)]
         betas = lagrange_invert(alphas)
         expect = [b / math.factorial(n) for n, b in enumerate(betas, start=1)]
-        assert [Fraction(x) for x in a_coeffs(d, 8)] == expect
+        assert [Fraction(x) for x in a_coeffs(BellTable(d.digits, 8), 8)] == expect
 
 
 @settings(max_examples=80, deadline=None)
@@ -236,7 +237,7 @@ def test_a_coeffs_invert_e_series(p, ell, raw):
     d = RootDigits(p, ell, tuple(r % p ** ell for r in raw))
     M = len(raw)
     phi = Series.x(M + 1) * e_series(d, M + 1)
-    phinv = Series([0, 1, *a_coeffs(d, M)], M + 1)
+    phinv = Series([0, 1, *a_coeffs(BellTable(d.digits, M), M)], M + 1)
     assert phi.compose(phinv) == Series.x(M + 1)
 
 
@@ -258,7 +259,7 @@ def test_t_coeffs_reciprocal_oracle():
     rng = random.Random(76)
     for p, ell in ((3, 1), (5, 1), (7, 2)):
         d = rand_digits(rng, p, ell, 8)
-        a = a_coeffs(d, 8)
+        a = a_coeffs(BellTable(d.digits, 8), 8)
         t = t_coeffs(a, p ** ell)
         ahat = Series([1, -1] + [-(p ** (ell * n)) * a[n - 1] for n in range(1, 9)], 8)
         that = Series([1, 1] + t, 8)
@@ -301,9 +302,9 @@ def test_recurrence_check_tests_the_closed_form_at_negative_indices(monkeypatch)
     honest, run_checks = factorize.tn_coeffs, factorize._run_checks
     seen = []
 
-    def skewed(e, ns, order):
+    def skewed(table, ns, order):
         return {n: cs if n > 0 else [c + (n + 1 - k if k else 0) for k, c in enumerate(cs)]
-                for n, cs in honest(e, ns, order).items()}
+                for n, cs in honest(table, ns, order).items()}
 
     def recording(*args):
         seen.append(run_checks(*args))
@@ -326,8 +327,8 @@ def test_one_corrupted_closed_form_coefficient_fails_the_recurrence(monkeypatch)
     honest, run_checks = factorize.tn_coeffs, factorize._run_checks
     seen, where = [], []
 
-    def skewed(e, ns, order):
-        T = honest(e, ns, order)
+    def skewed(table, ns, order):
+        T = honest(table, ns, order)
         n, k = where[-1]
         T[n][k] += 1
         return T
@@ -348,11 +349,12 @@ def test_one_corrupted_closed_form_coefficient_fails_the_recurrence(monkeypatch)
             assert seen[-1].reciprocal and seen[-1].tn_congruences
 
 
-def run_checks_by_series(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, root):
+def run_checks_by_series(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, table, root):
     """The reference for factorize._run_checks: the lemma checks on Series, as
     they ran before they moved to int lists.  Each identity is a Series
     product compared coefficient by coefficient, each closed form T_n is
-    built on its own, and the congruences are Series algebra."""
+    built on its own table of the digits (``table`` is not read), and the
+    congruences are Series algebra."""
     product = factorize.check_product(A_ext, B_ext, si, M, p ** w)
     div_ok = product.integral_ok and all(bhat[n - 1] == B_ext[n + 1] * p ** (ell * n)
                                          for n in range(1, M + 1))
@@ -393,7 +395,8 @@ def test_checks_on_int_lists_match_the_series_reference(monkeypatch):
         j = rng.randrange(M)
         moved = RootDigits(d.p, d.ell, d.digits[:j] + ((d.digits[j] + 1) % d.p ** d.ell,)
                            + d.digits[j + 1:])
-        for case in (args, args[:8] + (t,) + args[9:], args[:10] + (moved,) + args[11:]):
+        for case in (args, args[:8] + (t,) + args[9:],
+                     args[:10] + (moved, BellTable(moved.digits, M + 1)) + args[12:]):
             got = run_checks(*case)
             assert got == run_checks_by_series(*case), case
             results.append(got)
@@ -510,7 +513,7 @@ def test_a_remainder_raises_integrality_violation(monkeypatch):
     # every provably-integer quotient of the factor streams goes through one
     # exact division; a skewed numerator that leaves a remainder must raise
     d = rand_digits(random.Random(85), 5, 1, 8)
-    honest_numerators, honest_rows = factorize.root_numerators, RootDigits.signed_bell_rows
+    honest_numerators = factorize.root_numerators
 
     def skewed(*args):
         X = honest_numerators(*args)
@@ -520,17 +523,19 @@ def test_a_remainder_raises_integrality_violation(monkeypatch):
     monkeypatch.setattr(factorize, "root_numerators", skewed)
     # a_2 = (X_2 + 1)/3 with X_2/3 an integer
     with pytest.raises(factorize.IntegralityViolation, match="a_2"):
-        a_coeffs(d, 4)
+        a_coeffs(BellTable(d.digits, 4), 4)
 
-    def skewed_rows(self, order):
-        V = [list(v) for v in honest_rows(self, order)]
-        V[2][0] += 1  # the j = 1 entry of V_2, whose weight in T_n is 1
-        return V
+    class SkewedBand(BellTable):
+        def band(self, n):
+            start, entries = super().band(n)
+            if n == 3:  # the j = 2 entry of row 3, whose weight in [x^3] T_3 is 3 * 5
+                entries = entries[:2 - start] + (entries[2 - start] + 1,) + entries[3 - start:]
+            return start, entries
 
-    monkeypatch.setattr(RootDigits, "signed_bell_rows", skewed_rows)
-    # [x^2] T_2 = (L + 1)/2! with L/2! an integer
-    with pytest.raises(factorize.IntegralityViolation, match=r"\[x\^2\] T_2"):
-        tn_series(d, 2, 4)
+    monkeypatch.setattr(factorize, "BellTable", SkewedBand)
+    # [x^3] T_3 = (L + 15)/3! with L/3! an integer
+    with pytest.raises(factorize.IntegralityViolation, match=r"\[x\^3\] T_3"):
+        tn_series(d, 3, 4)
 
 
 @pytest.mark.parametrize("f", [polys.mul(polys.add([7], [0, -1, 3, -2]), [49, 3, -5]), GEOM_F])
@@ -607,7 +612,7 @@ def test_t_stream_reads_no_closed_form(monkeypatch):
         closed_forms.append(args)
         return factorize.tn_coeffs(*args)
 
-    a = a_coeffs(rand_digits(random.Random(83), 5, 1, 41), 40)
+    a = a_coeffs(BellTable(rand_digits(random.Random(83), 5, 1, 41).digits, 40), 40)
     monkeypatch.setattr(factorize, "BellTable", Counting)
     monkeypatch.setattr(factorize, "tn_coeffs", counting_tn)
     assert len(t_coeffs(a, 5)) == 40
@@ -624,22 +629,27 @@ def test_streams_share_one_bell_table(monkeypatch):
 
     monkeypatch.setattr(factorize, "BellTable", Counting)
     d = rand_digits(random.Random(81), 7, 1, 9)
-    t_coeffs(a_coeffs(d, 8), 7)
+    # the streams read the table they are given and build none
+    table = BellTable(d.digits, 9)
+    t_coeffs(a_coeffs(table, 8), 7)
+    factorize.tn_coeffs(table, range(-2, 9), 9)
+    assert built == []
+    # a standalone tn_series builds the one table it reads
     for n in range(-2, 9):
         tn_series(d, n, 9)
-    assert built == [9]
+    assert built == [9] * 11
     factor(GEOM_F, 12)
-    assert len(built) == 2  # the factor digits' table; the root was exact
+    assert built[11:] == [13]  # the factor digits' table; the root was exact
     # a_n, T_n and every lemma check of one factor call read one table
     factor(polys.mul(polys.add([7], [0, -1, 3, -2]), [49, 3, -5]), 8)
-    assert len(built) == 3
+    assert built[11:] == [13, 9]
 
 
 def test_streams_past_the_digits_are_zero_padded():
     rng = random.Random(82)
     d = rand_digits(rng, 5, 1, 4)
     padded = RootDigits(5, 1, d.digits + (0,) * 6)
-    assert a_coeffs(d, 10) == a_coeffs(padded, 10)
+    assert a_coeffs(BellTable(d.digits, 10), 10) == a_coeffs(BellTable(padded.digits, 10), 10)
     assert t_of(d, 10) == t_of(padded, 10)
     for n in (-1, 2, 5):
         assert tn_series(d, n, 10) == tn_series(padded, n, 10)

@@ -10,8 +10,8 @@ partial sum a reduced rational and no cleared denominator.  Unlike
 ``bell_oracle`` the recurrence is polynomial, so it covers n up to 40.
 The t stream, the reciprocal of Ahat, is checked against the
 per-coefficient one, t_n = T_n(p^ell) from one closed form per n, and the
-closed form T_n, a dot product with shared signed Bell rows, against the row
-sum with a running weight.  The one polynomial product
+closed form T_n, a dot product with signed rows read from the table's bands,
+against the row sum with a running weight.  The one polynomial product
 ``polys.mul`` is checked against the double loop that skips zero
 coefficients, the product test ``polys.is_product`` against ``polys.mul``, ``bhat_coeffs`` against bhat_n summed term by term, and
 ``polys.roots_mod_p`` against the scan of all p residues, ``polys.gcd_primitive``
@@ -183,15 +183,23 @@ def per_coefficient_t(e, M):
     return [int(tn_series(e, n, n).evaluate(P)) for n in range(1, M + 1)]
 
 
+def ordinary_entry(table, n, k):
+    """E^k [x^n] A^k, 0 <= k <= n: entry k of the band of row n, 0 below its start."""
+    start, band = table.band(n)
+    return band[k - start] if k >= start else 0
+
+
 def row_sum_tn(e, n, order):
     """T_n to x^order, each coefficient (n+1-k)/k! times the row sum
     sum_j (-1)^j (n+j)!/(n+1)! B(k, j) with a running weight
-    c_j = (n+j)!/(n+1)! k!/j!, c_(j+1) = c_j (n+j+1)/(j+1), on the digits' table."""
-    table, cs = e.bell_table(order), [1]
+    c_j = (n+j)!/(n+1)! k!/j!, c_(j+1) = c_j (n+j+1)/(j+1), on the digits' table,
+    entry by entry from j = 1, the zeros below the band start included."""
+    table, cs = BellTable(e.digits, order), [1]
     for k in range(1, order + 1):
-        row, acc, c = table.ordinary_row(k), 0, math.factorial(k)
+        acc, c = 0, math.factorial(k)
         for j in range(1, k + 1):
-            acc += -c * row[j] if j & 1 else c * row[j]
+            b = ordinary_entry(table, k, j)
+            acc += -c * b if j & 1 else c * b
             c = c * (n + j + 1) // (j + 1)
         cs.append(Fraction((n + 1 - k) * acc, math.factorial(k)))
     return cs
@@ -277,9 +285,10 @@ def test_ordinary_entries_match_the_fraction_recurrence(xs, n_max):
                    for j, x in enumerate(xs, start=1)))
     assert table.ordinary_denominator == E
     for n, row in enumerate(fraction_bell_rows(xs, n_max)):
-        assert len(table.ordinary_row(n)) == n + 1
+        start, band = table.band(n)
+        assert len(band) == n + 1 - start
         for k, b in enumerate(row):
-            assert table.ordinary(n, k) == b * math.factorial(k) / math.factorial(n) * E ** k
+            assert ordinary_entry(table, n, k) == b * math.factorial(k) / math.factorial(n) * E ** k
 
 
 @settings(max_examples=60)
@@ -294,7 +303,7 @@ def test_table_stores_the_powers_of_its_series(a, n_max):
     for k in range(n_max + 1):
         power = (A ** k).coeffs
         for n in range(k, n_max + 1):
-            assert table.ordinary(n, k) == power[n] * E ** k
+            assert ordinary_entry(table, n, k) == power[n] * E ** k
 
 
 def test_ordinary_denominator_on_integer_input():
@@ -302,10 +311,16 @@ def test_ordinary_denominator_on_integer_input():
     # 36 [x^4] (x + x^2/2 + x^3/6)^2 = 36 (2/6 + 1/4) = 21 = 36 * 2!/4! * B(4, 2)
     table = bell_table((1, 1, 1), 6)
     assert table.ordinary_denominator == 6
-    assert table.ordinary(4, 2) == 21 and table.value(4, 2) == 7
-    assert table.ordinary(2, 3) == 0 and table.ordinary(-1, 0) == 0
+    assert table.band(4) == (2, (21, 324, 1296)) and table.value(4, 2) == 7
+    # value is 0 below the band start (L = 3) and outside 0 <= k <= n, past
+    # n_max too, and raises IndexError only for a row past n_max
+    assert table.value(4, 1) == 0
+    assert table.value(2, 3) == 0 and table.value(9, 10) == 0
+    assert table.value(4, -1) == 0 and table.value(-1, 0) == 0 and table.value(-1, -2) == 0
     with pytest.raises(IndexError):
-        table.ordinary(7, 1)
+        table.value(7, 1)
+    with pytest.raises(IndexError):
+        table.value(7, 7)
 
 
 def test_long_sequence_at_n_40():
@@ -584,9 +599,11 @@ def comb_per_term_numerators(a, n_max):
     rows = n_max if any(a[2:]) else min(n_max, 0)
     table = BellTable(a[2:], rows)
     u, v = (table.ordinary_denominator * a[1]).as_integer_ratio()
-    X = [sum((-1) ** j * math.comb(n + j, j) * table.ordinary(n, j) * v ** j * u ** (n - j)
-             for j in range(table.band_start(n), n + 1))
-         for n in range(rows + 1)]
+    X = []
+    for n in range(rows + 1):
+        start, band = table.band(n)
+        X.append(sum((-1) ** j * math.comb(n + j, j) * b * v ** j * u ** (n - j)
+                     for j, b in enumerate(band, start)))
     return u, X + [0] * (n_max - rows)
 
 
@@ -622,10 +639,11 @@ def test_banded_table_matches_fraction_recurrence(xs):
     table = bell_table(xs, 24)
     L = max((j for j, x in enumerate(xs, start=1) if x), default=1)
     for n, row in enumerate(fraction_bell_rows(xs, 24)):
-        assert table.band_start(n) == -(-n // L)
-        assert len(table.ordinary_row(n)) == n + 1
+        start, band = table.band(n)
+        assert start == -(-n // L)
+        assert len(band) == n + 1 - start
         assert [table.value(n, k) for k in range(n + 1)] == row
-        assert not any(row[:table.band_start(n)])
+        assert not any(row[:start])
 
 
 def test_a_one_entry_sequence_stores_one_cell_per_row():
@@ -747,16 +765,22 @@ def test_t_stream_matches_the_per_coefficient_closed_form(p, ell, M, data):
     blk = p ** ell
     digits = data.draw(st.lists(st.integers(0, blk - 1), min_size=M, max_size=M + 2))
     e = RootDigits(p, ell, tuple(digits))
-    assert t_coeffs(a_coeffs(e, M), blk) == per_coefficient_t(e, M)
+    assert t_coeffs(a_coeffs(BellTable(e.digits, M), M), blk) == per_coefficient_t(e, M)
 
 
 @settings(max_examples=150)
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 2), st.integers(0, 30), st.integers(-3, 5),
        st.data())
 def test_tn_series_matches_the_row_sum(p, ell, order, n, data):
-    # a second, drawn order on the same digits reads the shared rows built for
-    # the first, or extends them
-    digits = data.draw(st.lists(st.integers(0, p ** ell - 1), max_size=30))
+    # digits drawn at random, or a few digits then zeros, all-zero included:
+    # past the last nonzero digit L every row k > L has its band start above
+    # 1, so tn_coeffs pads its signed row; a second, drawn order on the same
+    # digits builds its own table
+    digit = st.integers(0, p ** ell - 1)
+    digits = data.draw(st.one_of(
+        st.lists(digit, max_size=30),
+        st.builds(lambda head, zeros: head + [0] * zeros,
+                  st.lists(digit, max_size=3), st.integers(0, 27))))
     e = RootDigits(p, ell, tuple(digits))
     for m in (order, data.draw(st.integers(0, 30))):
         assert tn_series(e, n, m).int_coeffs == tuple(row_sum_tn(e, n, m))

@@ -13,7 +13,7 @@ import pytest
 
 from padiclift import bell, factorize, hensel, series
 
-ENGINES = {"BellTable", "signed_bell_rows", "root_numerators", "formal_root_brackets",
+ENGINES = {"BellTable", "root_numerators", "formal_root_brackets",
            "formal_root_numerators", "_sparse_sum", "_root_series_residue"}
 
 
@@ -65,15 +65,16 @@ def test_the_scan_follows_helpers_of_the_same_module():
 
 def test_the_factor_streams_read_one_kernel_each():
     # a_n is the Lagrange-inversion kernel of the lift and of lagrange_invert;
-    # the closed form T_n is a dot product with the signed Bell rows, so the
-    # tn_recurrence check compares two different sums of the same table
+    # the closed form T_n is a dot product with signed rows read from the
+    # table's bands, so the tn_recurrence check compares two different sums
+    # of the same table
     assert "root_numerators" in names_used(factorize, "a_coeffs")
-    assert "signed_bell_rows" not in names_used(factorize, "a_coeffs")
-    assert "signed_bell_rows" in names_used(factorize, "tn_series")
-    assert "root_numerators" not in names_used(factorize, "tn_series")
+    assert "tn_coeffs" not in names_used(factorize, "a_coeffs")
+    assert "band" in names_used(factorize, "tn_coeffs")
+    assert "root_numerators" not in names_used(factorize, "tn_coeffs")
     for name in ("formal_root_numerators", "lagrange_invert"):
         used = names_used(series, name)
-        assert "root_numerators" in used and "signed_bell_rows" not in used
+        assert "root_numerators" in used and "tn_coeffs" not in used
 
 
 def test_lift_simple_takes_the_closed_forms_path():
