@@ -11,10 +11,11 @@ p^(ell j)) has unit part 1 mod p^ell, and the factorization is
 
 where the a_n come from inverting x*E(x) (E the digit series of c r), so
 the first factor is A(x) = A'(c x) for the paper's A', which vanishes at
-c r; the b_n are quotients b_n = bhat_n / p^(ell n) of an explicit
-t-convolution, and the divisibility p^(ell n) | bhat_n is a theorem that
-the code asserts on every coefficient it produces.  c = 1 is the paper's
-case; nothing here needs p odd.
+c r; the second is B = f / A = P (C s)(x / P), P = p^ell, one convolution
+of f's own coefficients C(x) = f(P x) / P^2 (:func:`bhat_coeffs`), whose
+b_n = bhat_n / p^(ell n) rest on the divisibility p^(ell n) | bhat_n, a
+theorem that the code asserts on every coefficient it produces.  c = 1 is
+the paper's case; nothing here needs p odd.
 
 Inputs may be polynomials or power series with an eventually-geometric
 tail, whose roots on p*Z_p are those of an integer numerator.  The streams
@@ -305,39 +306,27 @@ def tn_series(e: RootDigits, n: int, order: int) -> Series:
     return Series(tn_coeffs(BellTable(e.digits, order), [n], order)[n], order)
 
 
-@dataclass(frozen=True)
-class FactorizationProblem:
-    """The (p, w, m, gammas) data of f = p^w + p^m g1 x + g2 x^2 + ...;
-    gammas[j-1] = g_j, with enough entries for the requested order."""
-
-    p: int
-    w: int
-    m: int
-    gammas: tuple
-
-
-def bhat_coeffs(prob: FactorizationProblem, ell: int, t: list[int], M: int, c: int = 1
+def bhat_coeffs(f: list[int], P: int, t: list[int], M: int, c: int
                 ) -> tuple[list[int], list[int]]:
-    """bhat_n = p^(w-2l) s_n + p^(m-l) g1 s_(n-1) + sum_j p^(l(j-2)) g_j s_(n-j),
-    s_n = c^(n+1) t_n, s_0 = c, s_(-1) = 1 and s_(-n) = 0 for n > 1: the x^(n+1)
-    coefficient of C(x) times 1 + c x + sum s_n x^(n+1) = P / A(P x), C = [p^(w-2l),
-    p^(m-l) g1, g2, P g3, ...], P = p^ell, for A(x) = A'(c x) and the t_n of A'
-    (:func:`t_coeffs`); c = 1 is the paper's formula.
-    Returns (bhat, b), b_n = bhat_n / p^(ell n) after asserting the divisibility."""
-    p, P = prob.p, prob.p ** ell
-    C, Pj = [p ** (prob.w - 2 * ell), p ** (prob.m - ell) * prob.gammas[0]], 1
-    for g in prob.gammas[1:]:
-        C.append(Pj * g)
-        Pj *= P
+    """(bhat, B) from f's coefficients f_0..f_(M+1), P = p^ell and the t_n of A'
+    (:func:`t_coeffs`): B_0..B_(M+1) of B = f / A = P (C s)(x / P), for C = f(P x) / P^2
+    = [f_0 / P^2, f_1 / P, f_2, P f_3, ...] and s = P / A(P x) = 1 + c x + sum c^(n+1)
+    t_n x^(n+1), A(x) = A'(c x), and bhat_n = [x^(n+1)] C s = p^(ell n) B_(n+1), n = 1..M,
+    the divisibility asserted.  For f = p^w + p^m g1 x + g2 x^2 + ... and c = 1 this is
+    the paper's bhat_n = p^(w-2l) t_n + p^(m-l) g1 t_(n-1) + sum_(j=2..n+1) p^(l(j-2)) g_j
+    t_(n-j), t_0 = t_(-1) = 1.  f_0 / P^2 and f_1 / P are integers when 2 ell <= w and
+    ell <= m; a remainder raises IntegralityViolation."""
+    C = [_exact(f[0], P * P, "f_0 / P^2"), _exact(f[1], P, "f_1 / P")]
+    C += [fj * P ** j for j, fj in enumerate(f[2:])]
     s = [1, c] + [tn * c ** n for n, tn in enumerate(t, start=2)]
-    bhat = polys.mul(C, s, M + 2)[2:]
-    b, d = [], 1
-    for n, acc in enumerate(bhat, start=1):
+    cs = polys.mul(C, s, M + 2)
+    B, d = [P * cs[0], cs[1]], 1
+    for n, acc in enumerate(cs[2:], start=1):
         d *= P
         if acc % d != 0:
             raise DivisibilityViolation(f"p^(ell*{n}) = {d} does not divide bhat_{n} = {acc}")
-        b.append(acc // d)
-    return bhat, b
+        B.append(acc // d)
+    return cs[2:], B
 
 
 # ---------------------------------------------------------------------------
@@ -438,33 +427,31 @@ def factor(f, M: int) -> FactorPair:
             + ("; w > 2m, so the out-of-scope fallback algorithm may still factor f"
                if w > 2 * m else ""))
 
-    root = report.root
-    c = pow(root.residue // p ** ell, -1, p ** ell)  # c r has unit part 1 mod p^ell
+    root, P = report.root, p ** ell
+    c = pow(root.residue // P, -1, P)  # c r has unit part 1 mod p^ell
     digits = root_to_digits(root * c, ell, M + 1)
     dM = RootDigits(p, ell, digits.digits[:M])
     table = BellTable(digits.digits, M + 1)  # read by a, the T_n and the checks
     a = a_coeffs(table, M)
-    t = t_coeffs(a, p ** ell)
-    gammas = (si.coeff(1) // p ** m,) + tuple(si.coeff(j) for j in range(2, M + 3))
-    prob = FactorizationProblem(p, w, m, gammas)
-    bhat, b = bhat_coeffs(prob, ell, t, M, c)
+    t = t_coeffs(a, P)
+    fs = [si.coeff(j) for j in range(M + 2)]  # read by B and the product check
+    bhat, B_ext = bhat_coeffs(fs, P, t, M, c)
 
-    A_ext = [p ** ell, -c] + [-an * c ** n for n, an in enumerate(a, start=2)]  # A'(c x)
-    B_ext = [p ** (w - ell), c * p ** (w - 2 * ell) + p ** (m - ell) * gammas[0]] + b
+    A_ext = [P, -c] + [-an * c ** n for n, an in enumerate(a, start=2)]  # A'(c x)
     A = tuple(A_ext[: M + 1])
     B = tuple(B_ext[: M + 1])
 
-    checks = _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, table, root)
+    checks = _run_checks(fs, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, table, root)
     if not checks.all_passed():
         raise PrecisionExhausted(f"internal lemma checks failed: {checks}")
     return FactorPair(A, B, p, w, m, ell, root, dM, si, checks)
 
 
-def _run_checks(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, table, root) -> FactorChecks:
+def _run_checks(fs, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, table, root) -> FactorChecks:
     """The paper's lemmas: a, t and digits belong to A' and c r, the product
-    and the annihilation to f, A(x) = A'(c x) and the root r of f; the T_n
-    read ``table``, the digits' table."""
-    product = check_product(A_ext, B_ext, si, M, p ** w)
+    and the annihilation to f (``fs``, its coefficients f_0..f_(M+1)),
+    A(x) = A'(c x) and the root r of f; the T_n read ``table``, the digits' table."""
+    product = check_product(A_ext, B_ext, fs, M, p ** w)
 
     # divisibility: integer coefficients, and b_n = bhat_n / p^(ell n) exactly
     div_ok = product.integral_ok and all(bhat[n - 1] == B_ext[n + 1] * p ** (ell * n)

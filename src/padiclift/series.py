@@ -356,7 +356,8 @@ def formal_root_terms(a, n_max: int) -> list[tuple[Fraction, Fraction]]:
 
     term_n = bracket_n * (a0/a1)^(n+1); the partial sums converge to the
     root whenever the ambient topology makes the terms small (e.g. p-adic
-    with vp(a0) >= 1).
+    with vp(a0) >= 1).  The term-by-term reference that the lifts' summed
+    residue (``hensel._root_series_residue``) is tested against.
     """
     a = [Fraction(c) for c in a]
     brackets = formal_root_brackets(a, n_max)

@@ -25,6 +25,8 @@ def test_conventions():
     assert bell(0, 0, xs) == 1
     assert bell(5, 0, xs) == 0
     assert bell(3, 4, xs) == 0
+    assert bell(3, 5, [1]) == 0
+    assert bell_oracle(3, 5, [1]) == 0
 
 
 def test_spec_values():

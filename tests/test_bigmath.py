@@ -79,6 +79,8 @@ def test_falling():
     assert falling(Fraction(5), 0) == 1
     assert falling(3, 5) == 0
     assert falling(-2, 3) == (-2) * (-3) * (-4)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        falling(3, -1)
 
 
 def test_binom():
@@ -151,6 +153,9 @@ def test_digit_sum_and_iroot():
     assert iroot(10**12, 3) == 10**4
     assert iroot(26, 3) == 2
     assert iroot(27, 3) == 3
+    for n, k in ((-1, 2), (4, 0)):
+        with pytest.raises(ValueError, match="need n >= 0 and k >= 1"):
+            iroot(n, k)
 
 
 @pytest.mark.parametrize("call", [lambda: digit_sum(-1, 3), lambda: digit_sum(-10 ** 30, 2),

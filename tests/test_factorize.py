@@ -14,8 +14,8 @@ from padiclift import cli, factorize, hensel, polys
 from padiclift.bell import BellTable
 from padiclift.bigmath import INFINITY, iroot, is_prime, vp_rat
 from padiclift.factorize import (NEEDS_ROOT_ANALYSIS, Classification,
-                                 DivisibilityViolation, FactorizationProblem,
-                                 InsufficientPrecision, NoMultipleRoot,
+                                 DivisibilityViolation, InsufficientPrecision,
+                                 IntegralityViolation, NoMultipleRoot,
                                  NoSuitableRoot, RootDigits, SeriesInput,
                                  UnitPartNotOne, WrongShape, WrongValuation,
                                  a_coeffs, bhat_coeffs, classify,
@@ -349,13 +349,13 @@ def test_one_corrupted_closed_form_coefficient_fails_the_recurrence(monkeypatch)
             assert seen[-1].reciprocal and seen[-1].tn_congruences
 
 
-def run_checks_by_series(si, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, table, root):
+def run_checks_by_series(fs, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, table, root):
     """The reference for factorize._run_checks: the lemma checks on Series, as
     they ran before they moved to int lists.  Each identity is a Series
     product compared coefficient by coefficient, each closed form T_n is
     built on its own table of the digits (``table`` is not read), and the
     congruences are Series algebra."""
-    product = factorize.check_product(A_ext, B_ext, si, M, p ** w)
+    product = factorize.check_product(A_ext, B_ext, fs, M, p ** w)
     div_ok = product.integral_ok and all(bhat[n - 1] == B_ext[n + 1] * p ** (ell * n)
                                          for n in range(1, M + 1))
     ahat = Series([1, -1] + [-(p ** (ell * n)) * a[n - 1] for n in range(1, M + 1)], M + 1)
@@ -658,36 +658,44 @@ def test_streams_past_the_digits_are_zero_padded():
 # f = (3 - x)(27 + 5x + 7x^2 + x^3): exact root 3, digits all zero,
 # p = 3, w = 4, m = vp(-12) = 1, gammas = (-4, 16, -4, -1)
 ZERO_DIGIT_F = polys.mul([3, -1], [27, 5, 7, 1])
-ZERO_DIGIT_PROB = FactorizationProblem(3, 4, 1, (-4, 16, -4, -1))
 
 
 def test_bhat_basic():
     # n = 1 reading of the convolution: bhat_1 = p^(w-2l) t1 + p^(m-l) g1 + g2
-    bhat, b = bhat_coeffs(ZERO_DIGIT_PROB, 1, [1, 1, 1], 1)
+    bhat, B = bhat_coeffs(ZERO_DIGIT_F, 3, [1, 1, 1], 1, 1)
     assert bhat[0] == 3 ** 2 * 1 + 3 ** 0 * (-4) * 1 + 16 == 21
-    assert b[0] == 7
+    assert B == [27, 5, 7]
 
 
 def test_bhat_zero_digit_closed_recursion():
     # all e_j = 0: t_n = 1, so bhat_n = p^(w-2l) + p^(m-l) g1 + sum_j p^(l(j-2)) g_j,
-    # and b_n must reproduce the cofactor 27 + 5x + 7x^2 + x^3 (zero tail)
+    # and B must be the whole cofactor 27 + 5x + 7x^2 + x^3 (zero tail)
     p, w, m, ell = 3, 4, 1, 1
-    gammas = ZERO_DIGIT_PROB.gammas
+    gammas = (ZERO_DIGIT_F[1] // p ** m, *ZERO_DIGIT_F[2:])
     t = [1] * 6
-    bhat, b = bhat_coeffs(ZERO_DIGIT_PROB, ell, t, 6)
+    bhat, B = bhat_coeffs(ZERO_DIGIT_F, p ** ell, t, 6, 1)
     for n in range(1, 7):
         expect = p ** (w - 2 * ell) + p ** (m - ell) * gammas[0]
         for j in range(2, min(n + 1, len(gammas)) + 1):
             expect += p ** (ell * (j - 2)) * gammas[j - 1]
         assert bhat[n - 1] == expect, n
-    assert b == [7, 1, 0, 0, 0, 0]   # B = 27 + 5x + 7x^2 + x^3
+    assert B == [27, 5, 7, 1, 0, 0, 0, 0]
 
 
 def test_bhat_divisibility_violation():
     # a gamma_2 incompatible with any genuine root breaks p^(ell n) | bhat_n
-    prob = FactorizationProblem(3, 4, 1, (-4, 17, -4, -1))
+    f = [81, -12, 17, -4, -1]
     with pytest.raises(DivisibilityViolation):
-        bhat_coeffs(prob, 1, [1, 1, 1], 1)
+        bhat_coeffs(f, 3, [1, 1, 1], 1, 1)
+
+
+@pytest.mark.parametrize("f, what", [([3, 3, 1], "f_0 / P^2 = 1/3"),
+                                     ([9, 1, 1], "f_1 / P = 1/3")])
+def test_bhat_refuses_a_non_integral_c(f, what):
+    # C = f(P x) / P^2 is integral only when P^2 | f_0 and P | f_1
+    with pytest.raises(IntegralityViolation) as refused:
+        bhat_coeffs(f, 3, [1], 1, 1)
+    assert str(refused.value) == f"{what} is not an integer"
 
 
 def test_divisibility_check_catches_a_tampered_bhat(monkeypatch):

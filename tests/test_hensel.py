@@ -51,6 +51,10 @@ def test_taylor_shift_scaled():
 def test_taylor_shift_non_integral():
     with pytest.raises(NonIntegralShift):
         taylor_shift(EX1, 1, kappa=1, p=7)   # vp(f(1)) = 1 < 2*kappa
+    with pytest.raises(ValueError, match="kappa must be nonnegative"):
+        taylor_shift(EX1, 1, kappa=-1, p=7)
+    with pytest.raises(ValueError, match="p is required when kappa > 0"):
+        taylor_shift(EX1, 1, kappa=1)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import padiclift
 from padiclift import bell, hensel, polys, series
 from padiclift.bell import BellTable
 from padiclift.bigmath import binom, falling, vp
-from padiclift.factorize import (DivisibilityViolation, FactorizationProblem, RootDigits,
+from padiclift.factorize import (DivisibilityViolation, RootDigits,
                                  SeriesInput, a_coeffs, bhat_coeffs, check_product, t_coeffs,
                                  tn_series)
 from padiclift.hensel import (_root_series_residue, _sparse_sum, _term_count,
@@ -833,34 +833,37 @@ def zero_skipping_mul(f, g):
     return out
 
 
-def bhat_term(prob, ell, t, n):
-    """bhat_n = p^(w-2l) t_n + p^(m-l) g1 t_(n-1) + sum_j p^(l(j-2)) g_j t_(n-j),
-    t read through t_at and p^(l(j-2)) raised afresh for every (n, j)."""
-    p = prob.p
+def bhat_term(f, p, w, m, ell, t, n):
+    """bhat_n = p^(w-2l) t_n + p^(m-l) g1 t_(n-1) + sum_j p^(l(j-2)) g_j t_(n-j)
+    for f = p^w + p^m g1 x + g2 x^2 + ..., the g_j read off f, t read through
+    t_at and p^(l(j-2)) raised afresh for every (n, j)."""
+    gammas = (f[1] // p ** m, *f[2:])
 
     def t_at(i):
         if i >= 1:
             return t[i - 1]
         return 1 if i in (0, -1) else 0
 
-    acc = p ** (prob.w - 2 * ell) * t_at(n) + p ** (prob.m - ell) * prob.gammas[0] * t_at(n - 1)
-    for j in range(2, min(n + 1, len(prob.gammas)) + 1):
-        g = prob.gammas[j - 1]
+    acc = p ** (w - 2 * ell) * t_at(n) + p ** (m - ell) * gammas[0] * t_at(n - 1)
+    for j in range(2, min(n + 1, len(gammas)) + 1):
+        g = gammas[j - 1]
         if g:
             acc += p ** (ell * (j - 2)) * g * t_at(n - j)
     return acc
 
 
-def bhat_by_terms(prob, ell, t, M):
-    """(bhat, b) from :func:`bhat_term`, with the divisibility asserted."""
-    bhat, b = [], []
+def bhat_by_terms(f, p, w, m, ell, t, M):
+    """(bhat, B) from :func:`bhat_term`, with the divisibility asserted: B_0 =
+    p^(w-l) and B_1 = p^(w-2l) + p^(m-l) g1 as the paper writes them, then
+    B_(n+1) = bhat_n / p^(ell n)."""
+    bhat, B = [], [p ** (w - ell), p ** (w - 2 * ell) + p ** (m - ell) * (f[1] // p ** m)]
     for n in range(1, M + 1):
-        acc, d = bhat_term(prob, ell, t, n), prob.p ** (ell * n)
+        acc, d = bhat_term(f, p, w, m, ell, t, n), p ** (ell * n)
         if acc % d != 0:
             raise DivisibilityViolation(f"p^(ell*{n}) = {d} does not divide bhat_{n} = {acc}")
         bhat.append(acc)
-        b.append(acc // d)
-    return bhat, b
+        B.append(acc // d)
+    return bhat, B
 
 
 # lengths 0-9 with zeros, negatives and big integers
@@ -925,26 +928,25 @@ def test_bhat_coeffs_match_the_per_term_sum(p, ell, M, planted, data):
     m = data.draw(st.integers(ell, ell + 2))
     gammas = data.draw(st.lists(st.one_of(st.just(0), small_ints, st.integers(-10 ** 30, 10 ** 30)),
                                 min_size=1, max_size=M + 2))
-    prob = FactorizationProblem(p, w, m, tuple(gammas))
+    f, P = [p ** w, p ** m * gammas[0], *gammas[1:]], p ** ell
     t = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=M, max_size=M))
     if planted:
         # w = 2 ell puts t_n into bhat_n with coefficient 1: step each t_n so
         # that p^(ell n) divides bhat_n, then perhaps break one of them
-        P = p ** ell
         for n in range(1, M + 1):
             k, t[n - 1] = t[n - 1], 0
-            t[n - 1] = k * P ** n - bhat_term(prob, ell, t, n)
+            t[n - 1] = k * P ** n - bhat_term(f, p, w, m, ell, t, n)
         broken = data.draw(st.integers(0, M))
         if broken:
             t[broken - 1] += 1
     try:
-        want = bhat_by_terms(prob, ell, t, M)
+        want = bhat_by_terms(f, p, w, m, ell, t, M)
     except DivisibilityViolation as exc:
         with pytest.raises(DivisibilityViolation) as got:
-            bhat_coeffs(prob, ell, t, M)
+            bhat_coeffs(f, P, t, M, 1)
         assert str(got.value) == str(exc)
         return
-    assert bhat_coeffs(prob, ell, t, M) == want
+    assert bhat_coeffs(f, P, t, M, 1) == want
 
 
 def test_series_products_check_product_and_bhat_run_on_polys_mul(monkeypatch):
@@ -959,7 +961,7 @@ def test_series_products_check_product_and_bhat_run_on_polys_mul(monkeypatch):
     assert calls == [2]
     assert check_product([3, -1], [3, 1], [9, 0, -1], 2, 9).passed()
     assert calls == [2, 3]
-    assert bhat_coeffs(FactorizationProblem(3, 2, 1, (1,)), 1, [2], 1) == ([3], [1])
+    assert bhat_coeffs([9, 3], 3, [2], 1, 1) == ([3], [3, 2, 1])
     assert calls == [2, 3, 3]
 
 

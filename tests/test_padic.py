@@ -13,6 +13,8 @@ def test_from_int():
     assert PadicInt.from_int(-6, 7, 2).residue == 43
     assert PadicInt.from_int(0, 5, 3).residue == 0
     assert PadicInt.from_int(239, 7, 3).residue == 239
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        PadicInt(7, 0, 1)
 
 
 def test_from_rat_printed_expansion():

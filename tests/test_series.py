@@ -33,6 +33,15 @@ def test_mul():
     assert (f * Series.zero(2)).is_zero()
 
 
+def test_construction_refusals():
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        Series([1], -1)
+    with pytest.raises(ValueError, match="empty coefficient list and no order"):
+        Series([])
+    with pytest.raises(ValueError, match="non-integer coefficient"):
+        Series([Fraction(1, 2)]).int_coeffs
+
+
 def test_compose_identity():
     f = Series([3, 1, 4, 1, 5], 4)
     assert f.compose(Series.x(4)) == f
@@ -207,6 +216,8 @@ def test_trinomial_concrete_q():
     assert vals == [c * Fraction(1, 2) ** e for e, c in pairs]
     with pytest.raises(DegenerateExponent):
         trinomial_root_terms(1, 1, 3)
+    with pytest.raises(LinearCoefficientZero):
+        trinomial_root_terms(5, 0, 3)
 
 
 def test_trinomial_matches_formal_root():
