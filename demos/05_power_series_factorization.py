@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Factoring p^w + p^m*g1*x + ... over Z[[x]] from the digits of a root.
+"""Factoring +-p^w + p^m*g1*x + ... over Z[[x]] from the digits of a root.
 
 A series with composite non-prime-power constant term always factors; with
 prime or unit-times-p constant term it never does.  The interesting case
-is f(0) = p^w with p | f_1: there reducibility rides on a p-adic root of
-small valuation, and the factorization is completely explicit in the
-root's base-p^ell digits.
+is f(0) = +-p^w with p | f_1 (f_1 = 0 included): there reducibility rides
+on a p-adic root of small valuation, and the factorization is completely
+explicit in the root's base-p^ell digits.
 
 The showpiece input is the power series
 

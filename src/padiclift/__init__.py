@@ -10,8 +10,8 @@ The pieces, bottom up:
   formal roots;
 * :mod:`padiclift.hensel` - closed-form Hensel lifts, cross-checked
   against Newton iteration; Teichmuller lifts;
-* :mod:`padiclift.factorize` - factorization of p^w + p^m g1 x + ... in
-  Z[[x]] from the digits of a small p-adic root;
+* :mod:`padiclift.factorize` - factorization of +-p^w + p^m g1 x + ... in
+  Z[[x]] (f_1 = 0 allowed) from the digits of a small p-adic root;
 * :mod:`padiclift.cli` - the command-line driver.
 """
 

@@ -84,13 +84,17 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
+def _valuation_json(v):
+    """A valuation for a payload: INFINITY, a float, as the string "INFINITY"."""
+    return "INFINITY" if v is INFINITY else v
+
+
 def _report_json(rep: hensel.LiftReport) -> dict:
-    rv = rep.residual_valuation
     return {
         "root": rep.root.to_json(),
         "residue": str(rep.root.residue),
         "terms_used": rep.terms_used,
-        "residual_valuation": "INFINITY" if rv is INFINITY else rv,
+        "residual_valuation": _valuation_json(rep.residual_valuation),
     }
 
 
@@ -160,7 +164,7 @@ def _cmd_factor(args) -> int:
         "kind": "factor",
         "p": pair.p,
         "w": pair.w,
-        "m": pair.m,
+        "m": _valuation_json(pair.m),
         "ell": pair.ell,
         "scale": pair.scale,
         "effective_coeffs": [pair.series.coeff(j) for j in range(args.order + 1)],
@@ -171,7 +175,7 @@ def _cmd_factor(args) -> int:
         "checks": {k: v for k, v in vars(pair.checks).items()},
     }
     human = "\n".join([
-        f"f = p^w + p^m*g1*x + ...  with p={pair.p} w={pair.w} m={pair.m}, root valuation ell={pair.ell}",
+        f"f = {'-' if coeffs[0] < 0 else ''}p^w + p^m*g1*x + ...  with p={pair.p} w={pair.w} m={pair.m}, root valuation ell={pair.ell}",
         f"A = {list(pair.A)}",
         f"B = {list(pair.B)}",
         f"checks: all passed = {pair.checks.all_passed()}",
@@ -225,8 +229,7 @@ def _cmd_classify(args) -> int:
         "classification": cls.kind,
     }
     if cls.kind == factorize.NEEDS_ROOT_ANALYSIS:
-        payload.update({"p": cls.p, "w": cls.w,
-                        "m": "INFINITY" if cls.m is INFINITY else cls.m})
+        payload.update({"p": cls.p, "w": cls.w, "m": _valuation_json(cls.m)})
     elif cls.p is not None:
         payload.update({"p": cls.p, "w": cls.w})
     _emit(args, payload, str(cls))
@@ -289,10 +292,12 @@ def _verify_factor(payload) -> list[str]:
     order = _field(_field(payload, "input", "an object"), "order", "a non-negative integer")
     p, w = _field(payload, "p", "a positive integer"), _field(payload, "w", "a non-negative integer")
     # both sides are 0 past the last listed coefficient, and p^w >= 2^(w (bits(p) - 1))
-    # exceeds |A(0) B(0)| once that exponent reaches its bit length: None matches no constant
+    # exceeds |A(0) B(0)| once that exponent reaches its bit length: None matches no
+    # constant; the product at x^0 ties the sign of A(0) B(0) to f_0
     order = min(order, max(len(A) + len(B) - 2, len(f) - 1))
     c = A[0] * B[0]
-    constant = None if w * (p.bit_length() - 1) >= c.bit_length() else p ** w
+    constant = (None if w * (p.bit_length() - 1) >= c.bit_length()
+                else -p ** w if c < 0 else p ** w)
     rep = factorize.check_product(A, B, f, order, constant)
     problems = [f"(A*B)[{j}] = {lhs} != f[{j}] = {rhs}" for j, lhs, rhs in rep.mismatches]
     if not rep.constant_ok:

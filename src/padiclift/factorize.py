@@ -1,21 +1,23 @@
 """Reducibility classification and explicit factorization over Z[[x]].
 
-Targets f(x) = p^w + p^m g1 x + g2 x^2 + ... (w >= 2, m >= 1, gcd(p, g1)
-= 1), the one shape whose reducibility is not settled by the constant
-term alone.  Given a root r in p*Z_p with vp(r) = ell <= m and unit part
-e0 = r / p^ell, let c = e0^(-1) mod p^ell; then c r = p^ell (1 + sum e_j
-p^(ell j)) has unit part 1 mod p^ell, and the factorization is
+Targets f(x) = sigma p^w + p^m g1 x + g2 x^2 + ... (sigma = +-1, w >= 2,
+m >= 1 and gcd(p, g1) = 1, or f_1 = 0 and m = INFINITY), the one shape
+whose reducibility is not settled by the constant term alone.  Given a root
+r in p*Z_p with vp(r) = ell <= m and unit part e0 = r / p^ell, let
+c = e0^(-1) mod p^ell; then c r = p^ell (1 + sum e_j p^(ell j)) has unit
+part 1 mod p^ell, and the factorization is
 
     f = (p^ell - c x - x sum a_n c^(n+1) x^n)
-        (p^(w-ell) + (c p^(w-2 ell) + p^(m-ell) g1) x + x sum b_n x^n)
+        (sigma p^(w-ell) + (sigma c p^(w-2 ell) + p^(m-ell) g1) x + x sum b_n x^n)
 
 where the a_n come from inverting x*E(x) (E the digit series of c r), so
 the first factor is A(x) = A'(c x) for the paper's A', which vanishes at
 c r; the second is B = f / A = P (C s)(x / P), P = p^ell, one convolution
 of f's own coefficients C(x) = f(P x) / P^2 (:func:`bhat_coeffs`), whose
 b_n = bhat_n / p^(ell n) rest on the divisibility p^(ell n) | bhat_n, a
-theorem that the code asserts on every coefficient it produces.  c = 1 is
-the paper's case; nothing here needs p odd.
+theorem that the code asserts on every coefficient it produces.  c = 1 and
+sigma = 1 are the paper's case; nothing here needs p odd, and the sign sigma
+rides into B alone.
 
 Inputs may be polynomials or power series with an eventually-geometric
 tail, whose roots on p*Z_p are those of an integer numerator.  The streams
@@ -35,7 +37,7 @@ from operator import mul
 
 from . import polys
 from .bell import BellTable
-from .bigmath import INFINITY, iroot, is_prime, vp
+from .bigmath import iroot, is_prime, vp
 from .errors import DomainError
 from .hensel import LiftReport, _newton_balls, lift_general
 from .padic import PadicInt
@@ -43,7 +45,7 @@ from .series import Series, root_numerators
 
 
 class WrongShape(DomainError):
-    """Input is not of the p^w + p^m*g1*x + ... factorization shape."""
+    """Input is not of the +-p^w + p^m*g1*x + ... factorization shape (f_1 = 0 allowed)."""
 
 
 class WrongValuation(DomainError):
@@ -75,7 +77,7 @@ class NoMultipleRoot(DomainError):
 
 
 class NoSuitableRoot(DomainError):
-    """No root with vp(r) = ell <= min(m, w // 2) was found."""
+    """No root with vp(r) = ell <= min(m, w // 2) was found (m = INFINITY when f_1 = 0)."""
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +372,7 @@ class FactorChecks:
 
 @dataclass(frozen=True)
 class FactorPair:
-    """A * B = f mod x^len(A), integer coefficients, A(0)B(0) = p^w.
+    """A * B = f mod x^len(A), integer coefficients, A(0)B(0) = f_0 = +-p^w.
 
     ``series`` is the input f and ``root`` its root r, at which A vanishes;
     ``digits`` are those of c r, c the inverse of r's unit part mod p^ell.
@@ -382,7 +384,7 @@ class FactorPair:
     B: tuple
     p: int
     w: int
-    m: int
+    m: int | float  # int or INFINITY (f1 = 0)
     ell: int
     root: PadicInt
     digits: RootDigits
@@ -392,10 +394,11 @@ class FactorPair:
 
 
 def factor(f, M: int) -> FactorPair:
-    """Factor f = p^w + p^m g1 x + ... over Z[[x]], to order M.
+    """Factor f = +-p^w + p^m g1 x + ... over Z[[x]], to order M.
 
     ``f`` may be a coefficient list (polynomial) or a :class:`SeriesInput`;
-    p is the prime of its constant term (:func:`classify`).  Takes the
+    p is the prime of its constant term (:func:`classify`), of either sign,
+    and f_1 may be 0 (m = INFINITY); the sign of f_0 goes into B.  Takes the
     smallest ell <= min(m, w // 2) with a root of vp(r) = ell, and of those
     roots the first in p-adic digit order, read from the lowest
     (:func:`_find_valuation_root`); extracts the digits of c r, c the inverse
@@ -406,15 +409,10 @@ def factor(f, M: int) -> FactorPair:
     if M < 0:
         raise ValueError(f"order M must be >= 0, got {M}")
     si = _as_input(f)
-    f0, f1 = si.coeff(0), si.coeff(1)
-    cls = classify(f0, f1)
+    cls = classify(si.coeff(0), si.coeff(1))
     if cls.kind != NEEDS_ROOT_ANALYSIS:
         raise WrongShape(f"classification is {cls}, not {NEEDS_ROOT_ANALYSIS}")
-    if f0 < 0:
-        raise WrongShape("constant term must be +p^w (negate f first)")
     p, w, m = cls.p, cls.w, cls.m
-    if m is INFINITY:
-        raise WrongShape("f1 = 0: input lacks the p^m*g1 linear term")
 
     g = polys.squarefree(si.numerator())[1]
     for ell in range(1, min(m, w // 2) + 1):
@@ -422,10 +420,7 @@ def factor(f, M: int) -> FactorPair:
         if report is not None:
             break
     else:
-        raise NoSuitableRoot(
-            f"no root with vp(r) = ell <= min(m={m}, w//2={w // 2}) found"
-            + ("; w > 2m, so the out-of-scope fallback algorithm may still factor f"
-               if w > 2 * m else ""))
+        raise NoSuitableRoot(f"no root with vp(r) = ell <= min(m={m}, w//2={w // 2}) found")
 
     root, P = report.root, p ** ell
     c = pow(root.residue // P, -1, P)  # c r has unit part 1 mod p^ell
@@ -451,7 +446,7 @@ def _run_checks(fs, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, table, root)
     """The paper's lemmas: a, t and digits belong to A' and c r, the product
     and the annihilation to f (``fs``, its coefficients f_0..f_(M+1)),
     A(x) = A'(c x) and the root r of f; the T_n read ``table``, the digits' table."""
-    product = check_product(A_ext, B_ext, fs, M, p ** w)
+    product = check_product(A_ext, B_ext, fs, M, fs[0])
 
     # divisibility: integer coefficients, and b_n = bhat_n / p^(ell n) exactly
     div_ok = product.integral_ok and all(bhat[n - 1] == B_ext[n + 1] * p ** (ell * n)

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import os
 import subprocess
@@ -213,6 +214,29 @@ def test_factor_json(capsys):
     assert payload["B"] == [3, 5] + [4] * 9
     assert payload["ell"] == 1
     assert all(payload["checks"].values())
+
+
+def strict_json(text):
+    """json.loads that refuses the bare tokens Infinity, -Infinity and NaN."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("coeffs, header, m", [
+    ("-8,2,1", "f = -p^w + p^m*g1*x + ...  with p=2 w=3 m=1, root valuation ell=1", 1),
+    ("9,0,-1", "f = p^w + p^m*g1*x + ...  with p=3 w=2 m=INFINITY, root valuation ell=1",
+     "INFINITY"),
+], ids=["negative-constant", "no-linear-term"])
+def test_negative_constant_and_zero_linear_term_payloads_are_strict_json_and_verify(
+        capsys, monkeypatch, coeffs, header, m):
+    argv = ("factor", "--coeffs=" + coeffs, "--order", "3")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and out.splitlines()[0] == header
+    rc, out, _ = run(capsys, *argv, "--json")
+    assert rc == 0 and strict_json(out)["m"] == m
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    assert run(capsys, "verify") == (0, "verified ok\n", "")
 
 
 def test_determinism(capsys):

@@ -64,8 +64,9 @@ def lift_argv(draw):
 
 @st.composite
 def factor_argv(draw):
-    """A planted (p^ell - x u(x)) v(x), or p^w + p^m g1 x + ... at random,
-    with a zero tail or as c(x) / (1 - R x), a geometric tail of ratio R."""
+    """A planted (p^ell - x u(x)) v(x), or p^w + p^m g1 x + ... at random, or
+    the negative of either, with a zero tail or as c(x) / (1 - R x), a
+    geometric tail of ratio R."""
     p, ell = draw(st.sampled_from(PRIMES)), draw(st.sampled_from([1, 2]))
     if draw(st.sampled_from([True, True, False])):
         u = [draw(st.integers(1, p ** ell - 1).filter(lambda k: k % p)),
@@ -76,6 +77,8 @@ def factor_argv(draw):
     else:
         f = [p ** draw(st.integers(0, 6)), p ** draw(st.integers(0, 3)) * draw(st.integers(-9, 9)),
              *draw(st.lists(st.integers(-30, 30), max_size=4))]
+    sign = draw(st.sampled_from([1, -1]))  # of f_0
+    f = [sign * c for c in f]
     argv = ["factor", "--order", str(draw(st.integers(0, 10)))]
     ratio = draw(st.sampled_from([None, None, 1, -1, 2, -3]))
     if ratio is not None:
@@ -121,6 +124,10 @@ def other_argv(draw):
                         st.tuples(st.sampled_from(PRIMES), st.integers(1, 12)).map(lambda t: t[0] ** t[1])))
     f1 = draw(st.one_of(st.integers(-500, 500), st.sampled_from([-1, 1])))
     return [kind, "--f0", str(f0), "--f1", str(f1)]
+
+
+def refuse_constant(token):
+    raise ValueError(f"payload has the bare token {token}, which is not JSON")
 
 
 def swap_type(value):
@@ -173,7 +180,7 @@ def test_every_request_exits_0_1_or_2_and_every_payload_verifies(argv, as_json, 
     if rc != 0 or not as_json or argv[0] not in ("lift", "factor"):
         return
     assert run(["verify"], out) == (0, "verified ok\n", "")
-    payload = json.loads(out)
+    payload = json.loads(out, parse_constant=refuse_constant)
     if argv[0] == "lift":
         check_simple_roots(payload)
     apply(payload, *data.draw(st.sampled_from(mutations(payload))))

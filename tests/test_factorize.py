@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from padiclift import cli, factorize, hensel, polys
 from padiclift.bell import BellTable
 from padiclift.bigmath import INFINITY, iroot, is_prime, vp_rat
+from padiclift.errors import DomainError
 from padiclift.factorize import (NEEDS_ROOT_ANALYSIS, Classification,
                                  DivisibilityViolation, InsufficientPrecision,
                                  IntegralityViolation, NoMultipleRoot,
@@ -1147,10 +1148,62 @@ def test_factor_multiple_root_squarefree():
 
 
 @pytest.mark.parametrize("f, error, message", [
-    ([-9, 3, 1], WrongShape, "negate f first"),
     ([4, 2, 1], NoSuitableRoot, "no root"),   # -3 is not a square in Q_2
-    ([9, 0, 1], WrongShape, "f1 = 0"),
-], ids=["negative-constant", "even-prime", "no-linear-term"])
+], ids=["even-prime"])
 def test_factor_refuses_inputs_outside_the_theorem(f, error, message):
     with pytest.raises(error, match=message):
         factor(f, 4)
+
+
+@pytest.mark.parametrize("f, A, B", [
+    ([9, 0, -1], (3, -1), (3, 1)),
+    ([729, 0, -1], (27, -1), (27, 1)),        # ell = 3 = w // 2
+    ([-8, 2, 1], (2, -1), (-4, -1)),
+], ids=["no-linear-term", "no-linear-term-ell-3", "negative-constant"])
+def test_factor_takes_a_negative_constant_or_no_linear_term(f, A, B):
+    pair = factor(f, 4)
+    assert (pair.A, pair.B) == (A + (0,) * 3, B + (0,) * 3)
+    assert pair.m == (INFINITY if f[1] == 0 else 1)
+    assert pair.checks.all_passed() and verify_factorization(f, pair, 4).passed()
+
+
+@st.composite
+def needs_root_analysis(draw):
+    """(input, M): p^w + f1 x + ... with f1 = 0 half the time and p | f1 otherwise, at
+    random or a planted (p^ell - x u(x)) v(x), as a polynomial or with a geometric tail."""
+    p, no_f1 = draw(st.sampled_from([2, 3, 5, 7])), draw(st.booleans())
+    if draw(st.booleans()):
+        ell = draw(st.sampled_from([1, 2]))
+        w = draw(st.integers(2 * ell, 2 * ell + 2))
+        u = [draw(st.integers(1, p ** ell - 1).filter(lambda k: k % p)),
+             *draw(st.lists(st.integers(-4, 4), max_size=2))]
+        # f1 = p^ell v1 - u(0) p^(w-ell)
+        v1 = u[0] * p ** (w - 2 * ell) if no_f1 else draw(st.integers(-8, 8))
+        v = [p ** (w - ell), v1, *draw(st.lists(st.integers(-8, 8), max_size=2))]
+        head = polys.mul(polys.add([p ** ell], [0] + [-k for k in u]), v)
+    else:
+        f1 = 0 if no_f1 else p ** draw(st.integers(1, 3)) * draw(st.integers(-4, 4).filter(bool))
+        head = [p ** draw(st.integers(2, 6)), f1, *draw(st.lists(st.integers(-20, 20), max_size=4))]
+    ratio = draw(st.sampled_from([None, None, 1, -1, 2, -3]))
+    return SeriesInput(tuple(head), ratio), draw(st.integers(0, 8))
+
+
+def factor_or_refusal(f, M):
+    try:
+        return factor(f, M)
+    except DomainError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300)
+@given(needs_root_analysis())
+def test_negating_f_negates_b_and_keeps_a(case):
+    si, M = case
+    neg = SeriesInput(tuple(-c for c in si.head), si.tail_ratio)
+    pos_pair, neg_pair = factor_or_refusal(si, M), factor_or_refusal(neg, M)
+    if isinstance(pos_pair, type):
+        assert neg_pair is pos_pair
+        return
+    assert neg_pair.A == pos_pair.A and neg_pair.B == tuple(-b for b in pos_pair.B)
+    assert pos_pair.checks.all_passed() and neg_pair.checks.all_passed()
+    assert verify_factorization(neg, neg_pair, M).passed()
