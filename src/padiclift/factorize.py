@@ -23,8 +23,11 @@ Inputs may be polynomials or power series with an eventually-geometric
 tail, whose roots on p*Z_p are those of an integer numerator.  The streams
 and the lemma checks run on int lists: t is 1/Ahat by the integer recurrence,
 the a_n and the sampled closed forms T_n read one Bell table on the digits,
-built once per :func:`factor` call and read one band per row, and each series
-identity is one :func:`polys.is_product`.
+built once per :func:`factor` call and read one band per row.  The T_n weight
+each band by factorial ratios stepped from row to row (:func:`_tn_rows`, kept
+for small orders, as it reads no digits); the reciprocal identity is one
+:func:`polys.is_product` and the eight recurrence identities one
+:func:`polys.is_product_chain`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, repeat
 from operator import mul
 
 from . import polys
@@ -281,26 +285,55 @@ def t_coeffs(a: list[int], P: int) -> list[int]:
 def tn_coeffs(table: BellTable, ns, order: int) -> dict[int, list[int]]:
     """{n: [x^0..x^order] T_n} for n in ns, T_n(x) = 1 + sum_k (n+1-k)/k! sum_j
     (-1)^j (n+2)...(n+j) B(k, j) x^k: integer coefficients, T_(n-1) = E * T_n.
-    Each coefficient is one dot product of R_n = ((n+2)...(n+j))_j, built once
-    per index, with V_k = ((-1)^j k!/j! [x^k] D^j)_j = ((-1)^j B(k, j))_j, built
-    once per row k from the band of ``table``, the digits' table: weighted from
-    the band start s, zero-padded below it.
+    Row k weights the band j = s..k of row k of ``table``, the digits' table, in one
+    map by the W_k of :func:`_tn_rows` into V_k = ((-1)^j k!/j! [x^k] D^j)_j =
+    ((-1)^j B(k, j))_j; each [x^k] T_n is one dot product of V_k with the rising
+    products (n+2)...(n+j) from j = s, divided by k! on the spot.
 
     One formula for every integer n.  For each k, the x^k coefficients of this
     closed form and of E^(-n-2) (E + x E') are polynomials in n of degree <= k
-    (the rising products in R_n are); they agree for every n >= 1, so they
-    agree for all n, negative n included.
+    (the rising products are); they agree for every n >= 1, so they agree for
+    all n, negative n included.
     """
-    R = {n: list(accumulate(range(n + 2, n + order + 1), mul, initial=1)) for n in ns}
-    T, fact = {n: [1] for n in ns}, 1
-    for k in range(1, order + 1):
-        fact *= k
-        start, band = table.band(k)
-        w = accumulate(range(k, start, -1), lambda c, j: -c * j, initial=(-1) ** k)
-        V = [0] * (start - 1) + list(map(mul, reversed(list(w)), band))  # j = 1..k
-        for n, cs in T.items():
-            cs.append(_exact((n + 1 - k) * sum(map(mul, R[n], V)), fact, "[x^{}] T_{}", k, n))
+    T = {n: [1] for n in ns}
+    bands = [table.band(k) for k in range(1, order + 1)]
+    starts = tuple(s for s, _ in bands)
+    small = order <= 32 and len(T) <= 16
+    rows = (_tn_rows_cached if small else _tn_rows)(tuple(T), starts)
+    for k, ((_, band), (fact, W, Rs)) in enumerate(zip(bands, rows), start=1):
+        V = list(map(mul, W, band))
+        for (n, cs), R in zip(T.items(), Rs):
+            num = (n + 1 - k) * sum(map(mul, R, V))
+            q, r = divmod(num, fact)
+            if r:
+                raise IntegralityViolation(
+                    f"[x^{k}] T_{n} = {Fraction(num, fact)} is not an integer")
+            cs.append(q)
     return T
+
+
+def _tn_rows(ns: tuple, starts: tuple) -> list:
+    """(k!, W_k, [R_n from j = s for n in ns]) for the rows k = 1..len(starts) of
+    :func:`tn_coeffs`, s = starts[k - 1] the band start of row k; nothing here reads
+    the digits.  R_n = ((n+2)...(n+j))_(j>=1) is built once per index and cut once per
+    band start.  The weights W_k = ((-1)^j k!/j!)_(j=s..k) are stepped from row to row:
+    k W_(k-1) cut to s, then (-1)^k (band starts never fall, so the cut drops the
+    front only)."""
+    order = len(starts)
+    R = [list(accumulate(range(n + 2, n + order + 1), mul, initial=1)) for n in ns]
+    rows, fact, W, s, Rs = [], 1, [], 1, R
+    for k, start in enumerate(starts, start=1):
+        fact *= k
+        if start != s:
+            Rs = [r[start - 1:] for r in R]
+        W, s = [k * c for c in W[start - s:]] + [(-1) ** k], start
+        rows.append((fact, W, Rs))
+    return rows
+
+
+# tn_coeffs keeps the rows of the last 32 (ns, starts) keys of order <= 32 and at most
+# 16 indices (factor's checks read 9 to order M + 1); one entry holds at most 110 KiB
+_tn_rows_cached = lru_cache(maxsize=32)(_tn_rows)
 
 
 def tn_series(e: RootDigits, n: int, order: int) -> Series:
@@ -449,11 +482,11 @@ def _run_checks(fs, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, table, root)
     product = check_product(A_ext, B_ext, fs, M, fs[0])
 
     # divisibility: integer coefficients, and b_n = bhat_n / p^(ell n) exactly
-    div_ok = product.integral_ok and all(bhat[n - 1] == B_ext[n + 1] * p ** (ell * n)
-                                         for n in range(1, M + 1))
+    pl = p ** ell
+    div_ok = product.integral_ok and all(
+        bn == b * d for bn, b, d in zip(bhat, B_ext[2:], accumulate(repeat(pl, M), mul)))
 
     # reciprocal: Ahat * (1 + x + x sum t_n x^n) = 1 mod x^(M+2)
-    pl = p ** ell
     recip_ok = polys.is_product(_ahat(a, pl), [1, 1, *t], [1] + [0] * (M + 1))
 
     # recurrence T_(n-1) = E * T_n on a sample of indices, negative ones
@@ -461,7 +494,7 @@ def _run_checks(fs, p, w, ell, M, A_ext, B_ext, a, t, bhat, digits, table, root)
     # sample the closed form and the reciprocal of Ahat agree, t_n = T_n(p^ell)
     E = [1, *digits.digits]
     T = tn_coeffs(table, range(-3, min(5, M) + 1), len(digits.digits))
-    rec_ok = (all(polys.is_product(E, T[n], T[n - 1]) for n in range(-2, min(5, M) + 1))
+    rec_ok = (polys.is_product_chain(E, [T[n] for n in range(-3, min(5, M) + 1)])
               and all(polys.evaluate(T[n][: n + 1], pl) == t[n - 1]
                       for n in range(1, min(5, M) + 1)))
 
@@ -507,10 +540,11 @@ def check_product(A, B, f, M: int, constant: int) -> FactorReport:
     """A*B against f mod x^(M+1) and A(0)*B(0) against ``constant``; report,
     never raise.  Behind factor's checks, verify_factorization and ``verify``."""
     si = _as_input(f)
-    prod = polys.mul(A, B, M + 1)
-    mismatches = [(j, c, si.coeff(j)) for j, c in enumerate(prod) if c != si.coeff(j)]
+    prod, fs = polys.mul(A, B, M + 1), [si.coeff(j) for j in range(M + 1)]
+    mismatches = () if prod == fs else tuple(
+        (j, c, fj) for j, (c, fj) in enumerate(zip(prod, fs)) if c != fj)
     integral = all(isinstance(c, int) for c in (*A, *B))
-    return FactorReport(not mismatches, A[0] * B[0] == constant, integral, tuple(mismatches))
+    return FactorReport(not mismatches, A[0] * B[0] == constant, integral, mismatches)
 
 
 def verify_factorization(f, pair: FactorPair, M: int) -> FactorReport:

@@ -6,15 +6,19 @@ package's one product (:func:`mul`, full or truncated) and one Horner's rule
 and the ``SeriesInput`` evaluators do (``evaluate`` also takes a ``Series`` point,
 so it composes series); :func:`is_product`, which decides a truncated product
 identity of int lists by one product of packed integers (Kronecker
-substitution), for the lemma checks of ``factor``; derivatives, Taylor shifts,
-exact division, and squarefree parts by a primitive gcd.  :func:`roots_mod_p` finds the roots
-of f mod a prime p, by a scan of the residues below p = 500, else by a split.
+substitution), and :func:`is_product_chain`, which decides a chain of them,
+f q_(i+1) = q_i, by one product of stacked blocks, for the lemma checks of ``factor``; derivatives,
+Taylor shifts, exact division, and squarefree parts, certified by one
+evaluation gcd when f is squarefree, else by a primitive gcd.
+:func:`roots_mod_p` finds the roots of f mod a prime p, by a scan of the
+residues below p = 500, else by a split.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from itertools import chain
 
 
 def degree(f) -> int:
@@ -86,6 +90,39 @@ def is_product(f, g, h) -> bool:
     return not (_pack(f, b) * _pack(g, b) - _pack(h, b)) & ((1 << (b * L)) - 1)
 
 
+def is_product_chain(f, qs) -> bool:
+    """Whether f q_(i+1) = q_i mod x^len(q_i) for i = 0..len(qs) - 2, for int lists:
+    :func:`is_product` on every consecutive pair, by one product of integers.
+
+    With L = max len(q_i) over the left sides, f and every q cut to L terms, b is
+    :func:`is_product`'s slot width taken on all pairs at once, each q is packed once,
+    Q_i = q_i(2^b).  Then each difference F Q_(i+1) - Q_i = sum_(k<2L-1) d_k 2^(b k)
+    has |d_k| < 2^(b-1), so |F Q_(i+1) - Q_i| < 2^(b(2L-1)-1).  Stack the Q_i in blocks
+    of w = 2 L b bits, S = sum_i Q_i 2^(w i): with n = len(qs) - 1 pairs, the stacked
+    right sides are G = (S - Q_0) / 2^w, the stacked left sides H = S - Q_n 2^(w n), and
+    X = F G - H + sum_(i<n) 2^(b(2L-1)) 2^(w i) = sum_(i<n) D_i 2^(w i) with
+    0 < D_i = F Q_(i+1) - Q_i + 2^(b(2L-1)) < 2^w: the bias keeps every block
+    positive and below 2^w, so no block borrows from or carries into the next, and
+    block i of X is D_i.  As 2L - 1 >= len(q_i), the low b len(q_i) bits of D_i are
+    those of F Q_(i+1) - Q_i, zero exactly when pair i holds (:func:`is_product`);
+    one mask tests them all."""
+    L = max(map(len, qs[:-1]), default=0)
+    if not L:
+        return True
+    f, qs = f[:L], [q[:L] for q in qs]
+    bf, bg, bh = (max(map(abs, chain(*part)), default=0).bit_length()
+                  for part in ([f], qs[1:], qs[:-1]))
+    b = max(bf + bg + min(len(f), max(map(len, qs[1:]))).bit_length(), bh) + 2
+    w, bias, n = 2 * L * b, 1 << (b * (2 * L - 1)), len(qs) - 1
+    Q = [_pack(q, b) for q in qs]
+    S = mask = biases = 0
+    for Qi in reversed(Q):
+        S = (S << w) + Qi
+    for q in reversed(qs[:-1]):
+        mask, biases = (mask << w) | ((1 << (b * len(q))) - 1), (biases << w) + bias
+    return not (_pack(f, b) * ((S - Q[0]) >> w) - S + (Q[n] << (w * n)) + biases) & mask
+
+
 def _pack(q, b: int) -> int:
     acc = 0
     for c in reversed(q):
@@ -149,7 +186,23 @@ def gcd_primitive(f, g) -> list:
 
 
 def squarefree(f) -> tuple[list, list]:
-    """(G, g): G = gcd(f, f') primitive, g = f / G with the roots of f, each once."""
+    """(G, g): G = gcd(f, f') primitive, g = f / G with the roots of f, each once.
+
+    A squarefree f is certified by one evaluation before any pseudo-remainder.  For
+    f != 0 of degree d put H = 2^(d+1) (isqrt(sum f_i^2) + 1) and xi = 2^s, the least
+    power of 2 above 2 H + 1; if 2 gcd(f(xi), f'(xi)) < xi, then G = 1 and g = f.
+    Proof: a primitive G of degree e >= 1 dividing f and f' in Q[x] divides both in
+    Z[x] (Gauss), so the integer G(xi) divides f(xi) and f'(xi).  By Mignotte's bound
+    (1974) |G_i| <= C(e, i) ||f||_2 < H / 2, so with xi - 1 >= 2 H
+    |G(xi)| >= xi^e - H (xi^e - 1) / (xi - 1) > xi^e / 2 >= xi / 2.  And f(xi) != 0,
+    as xi > 1 + max|f_i| exceeds Cauchy's bound on the roots of f; so the gcd is a
+    positive multiple of |G(xi)|, and twice it exceeds xi.  Any other f takes the
+    primitive gcd (:func:`gcd_primitive`), as do f = 0 and an f that fails the test."""
+    f = trim(f)
+    if any(f):
+        s = (((math.isqrt(sum(c * c for c in f)) + 1) << len(f)) * 2 + 1).bit_length()
+        if 2 * math.gcd(_pack(f, s), _pack(derivative(f), s)) < 1 << s:
+            return [1], f
     G = gcd_primitive(f, derivative(f))
     return G, quotient(f, G) if any(G) else [0]
 

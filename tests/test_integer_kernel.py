@@ -11,19 +11,25 @@ partial sum a reduced rational and no cleared denominator.  Unlike
 The t stream, the reciprocal of Ahat, is checked against the
 per-coefficient one, t_n = T_n(p^ell) from one closed form per n, and the
 closed form T_n, a dot product with signed rows read from the table's bands,
-against the row sum with a running weight.  The one polynomial product
+against the row sum with a running weight and against its padded-row form
+from before the weights were stepped.  The one polynomial product
 ``polys.mul`` is checked against the double loop that skips zero
-coefficients, the product test ``polys.is_product`` against ``polys.mul``, ``bhat_coeffs`` against bhat_n summed term by term, and
+coefficients, the product test ``polys.is_product`` against ``polys.mul``,
+its chained form ``polys.is_product_chain`` against one ``is_product`` per pair,
+``bhat_coeffs`` against bhat_n summed term by term, and
 ``polys.roots_mod_p`` against the scan of all p residues, ``polys.gcd_primitive``
-against the pseudo-remainder loop that rescans every degree, and
+against the pseudo-remainder loop that rescans every degree, ``polys.squarefree``
+against the primitive gcd it certifies past, and
 ``polys.quotient`` against the ``polys.mul`` it undoes.  The Teichmuller
 binomial series is checked against the root series of the same equation on
 the Bell engine, whose brackets are the triple sum's.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -32,10 +38,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import padiclift
-from padiclift import bell, hensel, polys, series
+from padiclift import bell, factorize, hensel, polys, series
 from padiclift.bell import BellTable
 from padiclift.bigmath import binom, falling, vp
-from padiclift.factorize import (DivisibilityViolation, RootDigits,
+from padiclift.factorize import (DivisibilityViolation, RootDigits, _exact,
                                  SeriesInput, a_coeffs, bhat_coeffs, check_product, t_coeffs,
                                  tn_series)
 from padiclift.hensel import (_root_series_residue, _sparse_sum, _term_count,
@@ -774,7 +780,7 @@ def test_t_stream_matches_the_per_coefficient_closed_form(p, ell, M, data):
 def test_tn_series_matches_the_row_sum(p, ell, order, n, data):
     # digits drawn at random, or a few digits then zeros, all-zero included:
     # past the last nonzero digit L every row k > L has its band start above
-    # 1, so tn_coeffs pads its signed row; a second, drawn order on the same
+    # 1, so tn_coeffs cuts its weights there; a second, drawn order on the same
     # digits builds its own table
     digit = st.integers(0, p ** ell - 1)
     digits = data.draw(st.one_of(
@@ -784,6 +790,47 @@ def test_tn_series_matches_the_row_sum(p, ell, order, n, data):
     e = RootDigits(p, ell, tuple(digits))
     for m in (order, data.draw(st.integers(0, 30))):
         assert tn_series(e, n, m).int_coeffs == tuple(row_sum_tn(e, n, m))
+
+
+def padded_row_tn_coeffs(table, ns, order):
+    """tn_coeffs as it stood before its weights were stepped from row to row: each
+    row's weights (-1)^j k!/j! accumulated down from j = k, the signed band padded
+    with zeros below its start, each coefficient one dot product with the full
+    rising products of its index and one exact division."""
+    R = {n: list(accumulate(range(n + 2, n + order + 1), operator.mul, initial=1)) for n in ns}
+    T, fact = {n: [1] for n in ns}, 1
+    for k in range(1, order + 1):
+        fact *= k
+        start, band = table.band(k)
+        w = accumulate(range(k, start, -1), lambda c, j: -c * j, initial=(-1) ** k)
+        V = [0] * (start - 1) + list(map(operator.mul, reversed(list(w)), band))
+        for n, cs in T.items():
+            cs.append(_exact((n + 1 - k) * sum(map(operator.mul, R[n], V)), fact,
+                             "[x^{}] T_{}", k, n))
+    return T
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 2), st.integers(0, 60), st.data())
+@example(2, 1, 60, None)
+def test_tn_coeffs_match_the_padded_row_reference(p, ell, order, data):
+    # digits at random, or a few digits then zeros: past the last nonzero digit L
+    # < order the band starts climb above 1 and the stepped weights are cut; orders
+    # past 32 skip the row cache, and a second call at a cached order reads it.  The
+    # example runs factor's sample of indices at order 60 on L = 2 and on L = 61
+    digit = st.integers(0, p ** ell - 1)
+    cases = [([1, 1], range(-3, 6)), ([1] * 61, range(-3, 6))]
+    if data is not None:
+        cases = [(data.draw(st.one_of(
+            st.lists(digit, max_size=61),
+            st.builds(lambda head, zeros: head + [0] * zeros,
+                      st.lists(digit, max_size=5), st.integers(0, 60)))),
+            data.draw(st.lists(st.integers(-6, 8), min_size=1, max_size=12, unique=True)))]
+    for digits, ns in cases:
+        table = BellTable(digits, order)
+        want = padded_row_tn_coeffs(table, ns, order)
+        assert factorize.tn_coeffs(table, ns, order) == want
+        assert factorize.tn_coeffs(table, ns, order) == want
 
 
 scan_primes = st.sampled_from([3, 5, 7, 11])
@@ -920,6 +967,49 @@ def test_is_product_slot_width_counts_the_terms():
     assert not polys.is_product([7, 3], [7, 7, 1], [49, 70 - 2 ** 7])
 
 
+# the last list of a chain: drawn, all zero, or drawn and negated
+chain_ends = st.one_of(product_lists, st.lists(st.just(0), min_size=1, max_size=40),
+                       st.builds(lambda q: [-c for c in q], product_lists))
+
+
+@settings(max_examples=60)
+@given(product_lists, chain_ends, st.integers(1, 40), st.integers(1, 8), st.data())
+def test_is_product_chain_matches_one_is_product_per_pair(f, last, L, n, data):
+    # an honest chain q_i = f q_(i+1) mod x^L down from a drawn q_n (a chain of zeros,
+    # or negative throughout, included), or n + 1 lists drawn apart; then every move
+    # of one coefficient of one list of the first or the last pair by +-1, +-2^(b-1)
+    # or +-2^b (b the packed slot width), in the first, a middle and the last slot:
+    # the packed answer is the pairs' answer each time
+    qs = [last]
+    if data.draw(st.booleans()):
+        for _ in range(n):
+            qs.insert(0, polys.mul(f, qs[0], L))
+    else:
+        qs = [data.draw(st.lists(big_coeffs, min_size=L, max_size=L)) for _ in range(n)] + qs
+    pairs = lambda qs: all(map(polys.is_product, [f] * n, qs[1:], qs[:-1]))
+    assert polys.is_product_chain(f, qs) is pairs(qs)
+    fl, gs = f[:L], [q[:L] for q in qs[1:]]
+    b = max(bits(fl) + max(map(bits, gs)) + min(len(fl), max(map(len, gs))).bit_length(),
+            max(map(bits, qs[:-1]))) + 2
+    for i in {0, 1, n - 1, n}:
+        for k in {0, L // 2, L - 1}:
+            for step in (1, 2 ** (b - 1), 2 ** b, -1, -2 ** (b - 1), -2 ** b):
+                moved = list(qs)
+                q = moved[i] = list(qs[i]) + [0] * (k + 1 - len(qs[i]))  # q_n may be short
+                q[k] += step
+                assert polys.is_product_chain(f, moved) is pairs(moved), (i, k, step)
+
+
+def test_is_product_chain_keeps_a_negative_block_from_borrowing():
+    # (1 + x)(-x) = -x - x^2 = -x mod x^2 twice: each block's difference is -x^2 at
+    # x = 2^b, with zero low slots; unbiased, block 0 would borrow from block 1,
+    # whose low slots would then read nonzero
+    assert polys.is_product_chain([1, 1], [[0, -1], [0, -1], [0, -1]])
+    assert not polys.is_product_chain([1, 1], [[0, -1], [0, -1], [0, -2]])
+    assert polys.is_product_chain([1, 2], []) and polys.is_product_chain([1, 2], [[3]])
+    assert polys.is_product_chain([], [[0], [5]]) and not polys.is_product_chain([], [[1], [5]])
+
+
 @settings(max_examples=200)
 @given(st.sampled_from([3, 5, 7]), st.integers(1, 2), st.integers(0, 12), st.booleans(),
        st.data())
@@ -976,6 +1066,55 @@ def test_gcd_primitive_matches_the_rescanning_loop(factors, data):
     g = polys.mul(f, data.draw(st.lists(small_ints, max_size=3)) or [0])
     for u, v in ((f, polys.derivative(f)), (f, g), (g, f), (f, [0]), ([0], f)):
         assert polys.gcd_primitive(u, v) == pseudo_remainder_gcd(u, v)
+
+
+def squarefree_by_gcd(f):
+    """(G, f / G), G = gcd(f, f') primitive by pseudo-remainders, as squarefree ran
+    before its one-evaluation certificate."""
+    G = polys.gcd_primitive(f, polys.derivative(f))
+    return G, polys.quotient(f, G) if any(G) else [0]
+
+
+wide_ints = st.one_of(small_ints, st.integers(-2 ** 200, 2 ** 200))
+
+
+@settings(max_examples=300)
+@given(st.lists(wide_ints, max_size=13), st.lists(wide_ints, min_size=1, max_size=4),
+       st.lists(wide_ints, max_size=5),
+       st.sampled_from([1, -1, 6, -2 ** 90, 3 ** 120]), st.data())
+def test_squarefree_matches_the_primitive_gcd(f, g, h, content, data):
+    # f of degree 0-12 as drawn (constants and [0] included), with its leading
+    # coefficient negated, times a large content, or a planted g^2 h
+    form = data.draw(st.sampled_from(["as drawn", "negated leading", "content", "g^2 h"]))
+    if form == "negated leading" and f:
+        f = f[:-1] + [-f[-1]]
+    elif form == "content":
+        f = [content * c for c in f]
+    elif form == "g^2 h":
+        f = polys.mul(polys.mul(g, g), h or [content])
+    f = f or [0]
+    assert polys.squarefree(f) == squarefree_by_gcd(f)
+
+
+SQUAREFREE = [[-7, 0, 1], [0, 1], [5], [-3], [12, -8, 0, -4], [9, 6, 16, -16, -4],
+              [2 ** 200 + 1, -3, 0, 7 * 3 ** 100], [random.Random(7).randrange(-2 ** 200, 2 ** 200)
+                                                    for _ in range(13)]]
+
+
+@pytest.mark.parametrize("f", SQUAREFREE)
+def test_a_squarefree_input_reaches_no_primitive_gcd(f):
+    with mock.patch.object(polys, "gcd_primitive", wraps=polys.gcd_primitive) as gcd:
+        assert polys.squarefree(f) == ([1], polys.trim(f))
+    assert gcd.call_count == 0
+
+
+@pytest.mark.parametrize("f, G", [([1, -2, 1], [-1, 1]), ([0, 0, 4], [0, 1]), ([0], [0]),
+                                  (polys.mul([9, 0, -1], polys.mul([-7, 0, 1], [-7, 0, 1])),
+                                   [-7, 0, 1])])
+def test_a_repeated_factor_takes_the_primitive_gcd(f, G):
+    with mock.patch.object(polys, "gcd_primitive", wraps=polys.gcd_primitive) as gcd:
+        assert polys.squarefree(f)[0] == G
+    assert gcd.call_count == 1
 
 
 @settings(max_examples=300)
