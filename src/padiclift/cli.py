@@ -5,12 +5,21 @@ Exit codes: 0 on success, 1 on a domain error (bad seed, no root, ...),
 machine-readable payload with sorted keys, so identical invocations give
 byte-identical output.  The hidden ``verify`` subcommand re-checks a
 previously emitted JSON payload (root residual / factor product) and is
-what CI uses for round-trip testing; a field of the wrong type is a usage error.
+what the tests and the bench use for round trips; a field of the wrong type
+is a usage error.
 
 :func:`main` builds its argument parser once per process, on its first call,
 and hands a request whose first word names a subcommand straight to that
-subcommand's parser; the top-level parser reads only the other requests (none,
+subcommand; the top-level parser reads only the other requests (none,
 ``-h``, an unknown name, an option first), with the same messages either way.
+A subcommand reads a well-formed request from its table of actions
+(:func:`_read`): exact option strings, each value after ``=`` or in the next
+word, flags without ``=``, and values or positionals that are not options or
+are negative integers, each through its ``type``.  Every other request, ``--``,
+``-h``, abbreviations and missing or refused values among them, goes to the
+subcommand's argparse parser, which stays the specification and writes every
+help, usage and error text.  No option takes several values, so a list that
+argparse reads (3.11 reads ``--opt=--`` as ``[]``) is a usage error.
 ``lift`` without ``--seed`` seeds from :func:`polys.roots_mod_p` of f over
 its p-content, as every node of the root tree does, at any p.
 """
@@ -290,7 +299,8 @@ def _verify_factor(payload) -> list[str]:
     A, B = (_field(payload, key, "a non-empty list of integers") for key in ("A", "B"))
     f = _field(payload, "effective_coeffs", "a list of integers")
     order = _field(_field(payload, "input", "an object"), "order", "a non-negative integer")
-    p, w = _field(payload, "p", "a positive integer"), _field(payload, "w", "a non-negative integer")
+    p = _require_prime(_field(payload, "p", "a positive integer"))
+    w = _field(payload, "w", "a non-negative integer")
     # both sides are 0 past the last listed coefficient, and p^w >= 2^(w (bits(p) - 1))
     # exceeds |A(0) B(0)| once that exponent reaches its bit length: None matches no
     # constant; the product at x^0 ties the sign of A(0) B(0) to f_0
@@ -390,13 +400,77 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=_cmd_classify)
 
-    sp = sub.add_parser("verify")  # hidden round-trip checker for CI
+    sp = sub.add_parser("verify")  # hidden round-trip checker for the tests and the bench
     sp.add_argument("--input", default="-", help="JSON payload file, or - for stdin")
     common(sp)
     sp.set_defaults(func=_cmd_verify)
 
     ap.commands = sub.choices  # the subcommand parsers by name, for main
+    for sp in ap.commands.values():  # the actions that set a value (help sets none), for _read
+        actions = [a for a in sp._actions if a.default is not argparse.SUPPRESS]
+        sp.options = {s: a for a in actions for s in a.option_strings}
+        sp.positionals = [a for a in actions if not a.option_strings]
     return ap
+
+
+def _value(word: str) -> bool:
+    """Whether argparse reads word as a value: a negative integer is one, as no option
+    here looks like one."""
+    return word[:1] != "-" or word[1:].isascii() and word[1:].isdigit()
+
+
+def _typed(action, word: str):
+    return action.type(word) if action.type else word
+
+
+def _read(sub, argv):
+    """The namespace ``sub.parse_known_args(argv)`` gives with nothing left over, for
+    argv in the forms of the module docstring; None for any other argv."""
+    given, free, words = {}, [], iter(argv)
+    try:
+        for word in words:
+            if _value(word):
+                free.append(word)
+                continue
+            name, eq, value = word.partition("=")
+            if (action := sub.options.get(name)) is None:
+                return None
+            if action.nargs == 0:  # a flag
+                if eq:
+                    return None
+                given[action] = action.const
+                continue
+            if not eq:
+                value = next(words, "-")  # none left: "-", which is no value here
+                if not _value(value):
+                    return None
+            elif value == "--":
+                return None
+            given[action] = _typed(action, value)
+        if len(free) != len(sub.positionals):
+            return None
+        given.update((action, _typed(action, word)) for action, word in zip(sub.positionals, free))
+        args = dict(sub._defaults)  # set_defaults, under the actions' own values
+        for action in (*sub.options.values(), *sub.positionals):
+            if action in given:
+                args[action.dest] = given[action]
+            elif action.required:
+                return None
+            else:  # as argparse does, a str default goes through the type
+                value = action.default
+                args[action.dest] = _typed(action, value) if isinstance(value, str) else value
+    except (ValueError, TypeError):  # a type refused its word
+        return None
+    return argparse.Namespace(**args)
+
+
+def _refuse_lists(sub, args) -> None:
+    """A usage error naming the first action whose value is a list: none here takes
+    several values, yet argparse 3.11 reads ``--opt=--`` as []."""
+    for action in (*sub.options.values(), *sub.positionals):
+        if type(getattr(args, action.dest)) is list:
+            name = "/".join(action.option_strings) or action.dest
+            raise UsageError(f"argument {name}: expected one value, got none")
 
 
 _parser = None  # built by the first call of main, then reused
@@ -411,13 +485,16 @@ def main(argv=None) -> int:
     try:
         if sub is None:
             args = _parser.parse_args(argv)
-        else:  # the top-level parse would hand argv[1:] to sub and refuse what it leaves
+            sub = _parser.commands[args.command]
+        elif (args := _read(sub, argv[1:])) is None:
+            # the top-level parse would hand argv[1:] to sub and refuse what it leaves
             args, extra = sub.parse_known_args(argv[1:])
             if extra:
                 _parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _refuse_lists(sub, args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -76,7 +76,10 @@ def test_lift_without_seed_takes_any_prime(capsys, evaluation_budget):
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
-    build, built, used = cli.build_parser, [], []
+    build, read, built, reads, parses = cli.build_parser, cli._read, [], [], []
+
+    def owner(sub):
+        return next(i for i, parser in enumerate(built) if sub in parser.commands.values())
 
     def counting():
         parser = build()
@@ -84,15 +87,20 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
         parse = classify.parse_known_args
 
         def recording(*args):
-            used.append(parser)
+            parses.append(owner(classify))
             return parse(*args)
 
         monkeypatch.setattr(classify, "parse_known_args", recording)
         built.append(parser)
         return parser
 
+    def reading(sub, argv):
+        reads.append(owner(sub))
+        return read(sub, argv)
+
     monkeypatch.setattr(cli, "_parser", None)
     monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_read", reading)
     assert run(capsys, "classify", "--f0", "9", "--f1", "3")[0] == 0
     assert run(capsys, "lift", "--poly", "1,11,-5", "--prime", "7")[0] == 2
     assert run(capsys, "--help")[0] == 0
@@ -103,7 +111,57 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert run(capsys, "classify", "--f0", "9", "--f1", "3")[0] == 0
     assert run(capsys, "classify", "--f0", "9", "--f1", "3", "extra")[0] == 2
     assert len(built) == 2 and cli._parser is built[1]
-    assert [built.index(parser) for parser in used] == [0, 1, 1]
+    assert reads == [0, 0, 0, 1, 1] and parses == [1]
+
+
+# a request of each subcommand that its table reads, with every option that takes a value
+WELL_FORMED = [
+    ["lift", "--poly=1,11,-5", "--prime", "7", "--seed", "1", "--precision", "3", "--nu", "1",
+     "--kappa", "0", "--json"],
+    ["factor", "--coeffs", "9,12,7,8", "--order=6", "--tail", "geometric:1", "--json"],
+    ["teichmuller", "--prime", "5", "--q", "2", "--precision", "2"],
+    ["bell", "3", "--json", "2", "1,1/2"],
+    ["invert", "--alphas=-1,0"],
+    ["classify", "--f0", "-9", "--f1", "3"],
+    ["verify", "--input", "payload.json"],
+]
+
+
+def test_a_well_formed_request_skips_argparse(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(["factor", "--coeffs=9,12,7,8", "--order=6", "--tail=geometric:1", "--json"]) == 0
+    (tmp_path / "payload.json").write_text(capsys.readouterr().out)
+    entered = []
+
+    def entering(name, parse):
+        return lambda *args: entered.append(name) or parse(*args)
+
+    for name, sub in cli._parser.commands.items():
+        monkeypatch.setattr(sub, "parse_known_args", entering(name, sub.parse_known_args))
+    for argv in WELL_FORMED:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert entered == []
+    # --, an abbreviation, -h, a missing option, a value its type refuses
+    for argv, rc in ((["bell", "--", "3", "2", "1"], 0), (["invert", "--alph=1,0"], 0),
+                     (["classify", "-h"], 0), (["lift", "--prime", "7", "--precision", "3"], 2),
+                     (["teichmuller", "--prime", "5", "--q", "x", "--precision", "2"], 2)):
+        assert run(capsys, *argv)[0] == rc, argv
+    assert entered == ["bell", "invert", "classify", "lift", "teichmuller"]
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=[argv[0] for argv in WELL_FORMED])
+def test_an_option_given_as_double_dash_is_a_usage_error(capsys, argv):
+    # argparse 3.11 reads --opt=-- as [], which once reached the subcommand as a list
+    sub = cli._parser.commands[argv[0]]
+    for i, word in enumerate(argv):
+        name, eq, _ = word.partition("=")
+        if name not in sub.options or sub.options[name].nargs == 0:
+            continue
+        request = argv[:i] + [name + "=--"] + argv[i + 1 + (not eq):]
+        assert run(capsys, *request) == (
+            2, "", f"usage error: argument {name}: expected one value, got none\n"), request
+    assert run(capsys, "bell", "--", "3", "2", "--") == (
+        2, "", "usage error: argument xs: expected one value, got none\n")
 
 
 def test_a_request_naming_a_subcommand_skips_the_top_level_parse(capsys, monkeypatch):
@@ -335,6 +393,13 @@ def test_verify_lift_needs_a_prime(capsys, tmp_path):
     path.write_text(json.dumps(payload))
     rc, _, err = run(capsys, "verify", "--input", str(path))
     assert rc == 2 and "not prime" in err
+
+
+def test_verify_factor_needs_a_prime(capsys, tmp_path):
+    # A = [3, -1] and B = [3, 1] still multiply to 9 - x^2 = 9^1 + ..., yet 9 is no prime
+    rc, out, err = verify_edited(capsys, tmp_path, ("factor", "--coeffs=9,0,-1", "--order", "3"),
+                                 lambda payload: payload.update(p=9, w=1))
+    assert (rc, out, err) == (2, "", "usage error: 9 is not prime\n")
 
 
 @pytest.mark.parametrize("edit, field", [

@@ -9,7 +9,8 @@ never draw the four shapes the bench probes as known defects: a negative
 ``factor --order``, a ``verify --input`` file that is missing, a payload with a
 key dropped, and ``teichmuller --precision 0``.  Any request, with junk words,
 unknown names, ``-h`` and extra arguments put in, gives what the top-level
-parse of the whole argv gives.
+parse of the whole argv gives.  On every subcommand, ``cli._read`` of an argv
+gives None or the namespace that the subcommand's argparse parser gives.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import json
 import sys
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padiclift import cli, polys
@@ -208,12 +209,14 @@ def test_x_times_a_unit_is_irreducible_and_factor_refuses_it(f1, tail, as_json):
 
 
 def reference_main(argv):
-    """cli.main with every request read by the top-level parser, once main has built it."""
+    """cli.main with every request read by the top-level parser, once main has built it,
+    and a list that argparse reads refused as main refuses it."""
     try:
         args = cli._parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        cli._refuse_lists(cli._parser.commands[args.command], args)
         return args.func(args)
     except cli.UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -226,7 +229,8 @@ def reference_main(argv):
 # words put anywhere in a request: options of no parser, of the top level, of
 # another subcommand, unknown names, subcommand names, extra arguments
 JUNK = ["-h", "--help", "--json", "--", "-", "extra", "7", "--nope", "--prime", "--f0=3",
-        "lif", "Lift", "lift", "classify", "verify", "", "help"]
+        "lif", "Lift", "lift", "classify", "verify", "", "help", "--f0=--", "--pri", "-5",
+        "--json=1"]
 
 
 @settings(max_examples=400)
@@ -236,3 +240,59 @@ def test_main_answers_as_the_top_level_parse_does(argv, junk):
     for at, word in junk:
         argv.insert(min(at, len(argv)), word)
     assert run(argv) == run(argv, main=reference_main)
+
+
+SUBCOMMANDS = cli.build_parser().commands
+WORDS = ["1,2", "x", "geometric:1", "zero", "7", "-1,2", "a=b"]  # values of the str options
+# values that argparse reads in ways of its own: negative numbers, a Unicode digit,
+# a newline, a decimal, a space, an underscore, the option terminator, an option
+ODD_VALUES = ["-5", "-0", "-\u0663", "-5\n", "-.5", " 5", "5_0", "--", "", "-h", "--json"]
+NOISE = ["--", "-", "-h", "--help", "", "junk", "3", "-5", "--nope"]
+
+
+@st.composite
+def subcommand_argv(draw):
+    """(name, argv) for one subcommand, mostly well-formed: each option of its table,
+    required ones nearly always, with a value after = or in the next word, and its
+    positionals; then abbreviations, repeats, = on flags, odd values and noise."""
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    sub = SUBCOMMANDS[name]
+
+    def one_in(n):
+        return draw(st.integers(1, n)) == n
+
+    def value(action):
+        if one_in(8):
+            return draw(st.sampled_from(ODD_VALUES))
+        return str(draw(st.integers(-20, 20))) if action.type else draw(st.sampled_from(WORDS))
+
+    pieces = [[value(action)] for action in sub.positionals]
+    for option, action in sub.options.items():
+        for _ in range(draw(st.sampled_from([1, 1, 1, 1, 1, 1, 2] if action.required
+                                            else [0, 0, 0, 1, 1, 2]))):
+            if action.nargs == 0:
+                pieces.append([option + ("=1" if one_in(10) else "")])
+            elif draw(st.booleans()):
+                pieces.append([f"{option}={value(action)}"])
+            else:
+                pieces.append([option, value(action)])
+            if one_in(20):  # an abbreviation, with what followed the option string
+                word = pieces[-1][0]
+                pieces[-1][0] = option[:draw(st.integers(1, len(option) - 1))] + word[len(option):]
+    argv = [word for piece in draw(st.permutations(pieces)) for word in piece]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(NOISE)))
+    return name, argv
+
+
+@settings(max_examples=1500)
+@example(("classify", ["--f0=--", "--f1", "3"]))  # argparse 3.11 reads f0 as []
+@example(("lift", ["--poly=1,-1", "--prime", "5", "--precision", "2", "--"]))  # a leftover
+@given(subcommand_argv())
+def test_read_gives_what_argparse_gives_or_none(name_argv):
+    name, argv = name_argv
+    sub = SUBCOMMANDS[name]
+    read = cli._read(sub, argv)
+    if read is not None:
+        args, extra = sub.parse_known_args(argv)  # a SystemExit fails the test
+        assert vars(read) == vars(args) and extra == []
